@@ -1,5 +1,6 @@
 """Transport planning, goal assignment, and the two-phase rewiring engine."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -25,6 +26,7 @@ from homshift import (
     local_homophily_all,
     refine_phase,
     rewire_phase,
+    save_edge_list,
     transport_plan,
     two_class_sbm,
 )
@@ -509,16 +511,51 @@ def test_matched_goal_needs_fewer_edits(small_pair, gen_run):
     assert fit_edits < far_edits / 3
 
 
-def test_generate_multiclass():
+def _multiclass_pair():
     rng = np.random.default_rng(3)
     n = 90
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.12]
-    g = Graph.from_edges(n, edges)
-    t = NodeTable(np.arange(n) % 3, np.zeros(n, dtype=int))
+    return Graph.from_edges(n, edges), NodeTable(np.arange(n) % 3, np.zeros(n, dtype=int))
+
+
+def test_generate_multiclass():
+    g, t = _multiclass_pair()
     g2, log, report = generate(g, t, BetaGoal(2.0, 2.0), 5, seed=3)
     assert report.emd_generated_goal < report.emd_original_goal
     assert np.array_equal(log.replay(g).edge_array(), g2.edge_array())
+
+
+# sha256 of (edit_log.jsonl, generated_edges.txt) as saved by the
+# generator before its partner search was vectorised. Any change to the
+# partner order, the gate arithmetic or the serialisation shows up here.
+_GOLDEN_ARTIFACTS = {
+    "sbm-beta-3-10": (
+        "9ed798caab87d07b50d4a0387475231575166aa47702e1f33ffd80201d75e285",
+        "67ad9dfdcb319abb0de790ee687ac6645b9d9e9f739175a0210a48e4951dd945"),
+    "sbm-beta-10-3": (
+        "d5492d0e2348fcb74058e24a6ad637d7165a420632b37f69fb7340461c9f7d7a",
+        "74e9e3afe505ca1ab47c792cd202b4cee06a56a2b4312c64bfb1640420f9ac8c"),
+    "multiclass": (
+        "4ba44d2fb4de9654e4ef256577db313038d6525b600e1d884b59883225bf4c0a",
+        "ae542beb9913eaf7eb78865899ade5f74ad009fbf17521e4f0e67b4420e771da"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_ARTIFACTS))
+def test_generate_artifacts_are_pinned(tmp_path, case):
+    if case == "multiclass":
+        (g, t), goal, bins, seed = _multiclass_pair(), BetaGoal(2.0, 2.0), 5, 3
+    else:
+        alpha, beta = (3.0, 10.0) if case == "sbm-beta-3-10" else (10.0, 3.0)
+        g, t = two_class_sbm(1000, 8, 0.5, seed=13)
+        goal, bins, seed = BetaGoal(alpha, beta), 10, 11
+    g2, log, _ = generate(g, t, goal, bins, seed=seed)
+    log.save(tmp_path / "edit_log.jsonl")
+    save_edge_list(g2, tmp_path / "generated_edges.txt")
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("edit_log.jsonl", "generated_edges.txt"))
+    assert digests == _GOLDEN_ARTIFACTS[case]
 
 
 def test_generate_rejects_fully_unlabeled():
