@@ -7,6 +7,11 @@ degree-preserving remove+add pairs on each source node; the refine phase
 only adds edges. Every single edit must strictly shrink the total distance
 sum |h_v - h_goal_v| over nodes with targets, which guarantees termination
 and makes the edit log a monotone certificate.
+
+Partner rule: among the partners that pass the gate, an edit takes the one
+with the smallest remaining gap |h - goal|, ties to the lower node id. A
+rewire first picks the removed neighbour this way, then the added partner;
+the addition gate does not depend on which neighbour was removed.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .homophily import (
     histogram,
     local_homophily_all,
 )
+from .splits import largest_remainder
 
 # Tolerances: _EQ_TOL decides "on target"; a gate passes only if the edit
 # shrinks the potential by more than _GATE_TOL (strict improvement).
@@ -98,33 +104,6 @@ def transport_plan(p: HomophilyHistogram, q: HomophilyHistogram) -> TransportPla
     return TransportPlan(b, plan)
 
 
-def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
-    """Integer apportionment of `total` following real quotas.
-
-    Floors every quota, then hands the leftover units to the largest
-    fractional parts (ties toward the lower index).
-    """
-    quotas = np.asarray(quotas, dtype=np.float64)
-    floors = np.floor(quotas + 1e-9).astype(np.int64)
-    floors = np.maximum(floors, 0)
-    rem = int(total - floors.sum())
-    fracs = quotas - floors
-    order = np.lexsort((np.arange(quotas.size), -fracs))
-    k = 0
-    while rem > 0:
-        floors[order[k % quotas.size]] += 1
-        rem -= 1
-        k += 1
-    k = quotas.size - 1
-    while rem < 0:
-        idx = order[k % quotas.size]
-        if floors[idx] > 0:
-            floors[idx] -= 1
-            rem += 1
-        k -= 1
-    return floors
-
-
 def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list[NodeGoal]:
     """Give every binnable node a target bin per the transport plan.
 
@@ -157,7 +136,7 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
         row_sum = float(row_mass[i])
         if row_sum <= 0:
             raise ValueError(f"plan row {i} is empty but bin {i} holds {n_i} nodes")
-        counts = _largest_remainder(plan.matrix[i] / row_sum * n_i, n_i)
+        counts = largest_remainder(plan.matrix[i] / row_sum * n_i, n_i)
         perm = rng.permutation(members)
         pos = 0
         for j in range(bin_count):
@@ -210,6 +189,12 @@ class EditRecord:
     v: int       # neighbor (remove) or candidate (add)
 
 
+def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
+    """The graph whose node v has neighbour set adj[v]."""
+    return Graph.from_edges(len(adj), ((u, v) for u, nbrs in enumerate(adj)
+                                       for v in nbrs if u < v))
+
+
 @dataclass
 class EditLog:
     """Ordered, replayable record of the generator's edge edits."""
@@ -239,8 +224,7 @@ class EditLog:
                 adj[v].add(u)
             else:
                 raise ValueError(f"record {rec.seq}: unknown op {rec.op!r}")
-        edges = [(u, v) for u in range(g.node_count) for v in adj[u] if u < v]
-        return Graph.from_edges(g.node_count, edges)
+        return _graph_from_adjacency(adj)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -271,7 +255,12 @@ class EditLog:
 
 
 class _EditState:
-    """Mutable working state shared by the two edit phases."""
+    """Mutable working state shared by the two edit phases.
+
+    Every edit picks its partner by the module's partner rule: the smallest
+    remaining gap among gate-passing partners, ties to the lower id. In a
+    rewire the addition gate does not depend on the removed neighbour.
+    """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal],
                  log: EditLog, phase: str):
@@ -346,62 +335,70 @@ class _EditState:
         self._refresh(v)
         self.log.append(self.phase, op, u, v)
 
-    def _delta(self, v: int, new_same: int, new_deg: int) -> float:
-        """Change in |h_v - goal_v| if v's counts became (new_same, new_deg)."""
-        return abs(new_same / new_deg - self.goal[v]) - self.gap_abs[v]
+    def _delta(self, v, new_same, new_deg):
+        """Change in |h_v - goal_v| if v's counts became (new_same, new_deg).
 
-    def _addition_candidates(self, i: int, s: int) -> np.ndarray:
-        """Beneficial, non-adjacent partners for an addition at node i.
-
-        Ordered by smallest remaining |h - goal| gap, then node id.
+        v may be one node or an array of nodes; elementwise float64 rounds
+        exactly like the scalar form.
         """
-        want_same = s > 0
-        if want_same:
+        return np.abs(new_same / new_deg - self.goal[v]) - self.gap_abs[v]
+
+    def _best_partner(self, i: int, s: int, d_i: float) -> int:
+        """Partner for one edge addition at source i; -1 if none passes.
+
+        Candidates are the active, non-adjacent nodes that move in direction
+        s and share i's label (s > 0) or differ from it (s < 0). A candidate
+        k passes when d_i (i's change) plus k's own change is below
+        -_GATE_TOL, summed in that order. Of the passing candidates,
+        the one with the smallest gap wins, ties to the lower id.
+        """
+        if s > 0:
             mask = self.labels == self.labels[i]
         else:
             mask = self.labels != self.labels[i]
-        mask = mask & self.active & (self.live == s)
+        mask &= self.active & (self.live == s)
         mask[i] = False
         if self.adj[i]:
             mask[list(self.adj[i])] = False
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return idx
-        return idx[np.lexsort((idx, self.gap_abs[idx]))]
+        ks = np.flatnonzero(mask)
+        eq = 1 if s > 0 else 0
+        ks = ks[d_i + self._delta(ks, self.same[ks] + eq, self.deg[ks] + 1) < -_GATE_TOL]
+        if ks.size == 0:
+            return -1
+        return int(ks[np.argmin(self.gap_abs[ks])])
 
     def attempt_rewire(self, i: int) -> bool:
-        """One paired remove+add on source i; returns False if none is valid."""
+        """One paired remove+add on source i; returns False if none is valid.
+
+        The removed neighbour j is the best gate-passing one by the partner
+        rule. The addition gate depends on i's counts after the removal, not
+        on j, so no other j could succeed where the chosen one finds no
+        addition partner.
+        """
         s = int(self.live[i])
         if s == 0 or self.deg[i] <= 1:
             return False
         want_diff = s > 0  # raising h removes heterophilous edges
-        js = [j for j in self.adj[i]
-              if self.active[j] and self.live[j] == s and self.deg[j] > 1
-              and (self.labels[j] != self.labels[i]) == want_diff]
-        if not js:
-            return False
-        js.sort(key=lambda j: (self.gap_abs[j], j))
-        ks = self._addition_candidates(i, s)
-        if ks.size == 0:
-            return False
         eq_rm = 0 if want_diff else 1
+        js = np.sort(np.fromiter(self.adj[i], dtype=np.int64, count=len(self.adj[i])))
+        js = js[self.active[js] & (self.live[js] == s) & (self.deg[js] > 1)
+                & ((self.labels[js] != self.labels[i]) == want_diff)]
+        d_rm_i = self._delta(i, self.same[i] - eq_rm, self.deg[i] - 1)
+        js = js[d_rm_i + self._delta(js, self.same[js] - eq_rm, self.deg[js] - 1) < -_GATE_TOL]
+        if js.size == 0:
+            return False
+        j = int(js[np.argmin(self.gap_abs[js])])
+        same_i2 = self.same[i] - eq_rm
+        deg_i2 = self.deg[i] - 1
         eq_add = 1 if s > 0 else 0
-        for j in js:
-            d_remove = (self._delta(i, self.same[i] - eq_rm, self.deg[i] - 1)
-                        + self._delta(j, self.same[j] - eq_rm, self.deg[j] - 1))
-            if d_remove >= -_GATE_TOL:
-                continue
-            same_i2 = self.same[i] - eq_rm
-            deg_i2 = self.deg[i] - 1
-            gap_i2 = abs(same_i2 / deg_i2 - self.goal[i])
-            for k in ks:
-                d_add = (abs((same_i2 + eq_add) / (deg_i2 + 1) - self.goal[i]) - gap_i2
-                         + self._delta(int(k), self.same[k] + eq_add, self.deg[k] + 1))
-                if d_add < -_GATE_TOL:
-                    self._apply("remove", i, int(j))
-                    self._apply("add", i, int(k))
-                    return True
-        return False
+        d_add_i = (abs((same_i2 + eq_add) / (deg_i2 + 1) - self.goal[i])
+                   - abs(same_i2 / deg_i2 - self.goal[i]))
+        k = self._best_partner(i, s, d_add_i)
+        if k < 0:
+            return False
+        self._apply("remove", i, j)
+        self._apply("add", i, k)
+        return True
 
     def attempt_refine(self, i: int) -> bool:
         """One beneficial edge addition at node i; False if none is valid."""
@@ -412,21 +409,18 @@ class _EditState:
         if upper < 1:
             return False
         eq = 1 if s > 0 else 0
-        for k in self._addition_candidates(i, s):
-            d_add = (self._delta(i, self.same[i] + eq, self.deg[i] + 1)
-                     + self._delta(int(k), self.same[k] + eq, self.deg[k] + 1))
-            if d_add < -_GATE_TOL:
-                self._apply("add", i, int(k))
-                return True
-        return False
+        k = self._best_partner(i, s, self._delta(i, self.same[i] + eq, self.deg[i] + 1))
+        if k < 0:
+            return False
+        self._apply("add", i, k)
+        return True
 
     def potential(self) -> float:
         act = np.flatnonzero(self.active)
         return float(self.gap_abs[act].sum())
 
     def finish(self) -> Graph:
-        edges = [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-        return Graph.from_edges(self.n, edges)
+        return _graph_from_adjacency(self.adj)
 
 
 def _phase_log(log: EditLog | None, seed) -> EditLog:

@@ -78,29 +78,38 @@ class SplitAssignment:
         return self.tags == tag
 
 
-def _capped_largest_remainder(quotas: np.ndarray, caps: np.ndarray, total: int) -> np.ndarray:
-    """Round real quotas to integers summing to `total`, honoring per-bin caps."""
-    floors = np.floor(quotas + 1e-9).astype(np.int64)
-    floors = np.clip(floors, 0, caps)
+def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
+    """Round real quotas to nonnegative integers summing to `total`.
+
+    Floors every quota (clamped to [0, caps]), then hands leftover units to
+    the largest fractional parts, ties toward the lower index, one unit per
+    index per pass and never above its cap. An excess is taken back from the
+    smallest fractional parts the same way. Raises when no pass can move.
+    """
+    quotas = np.asarray(quotas, dtype=np.float64)
+    if caps is None:
+        caps = np.full(quotas.size, np.iinfo(np.int64).max)
+    caps = np.asarray(caps, dtype=np.int64)
+    floors = np.clip(np.floor(quotas + 1e-9).astype(np.int64), 0, caps)
     rem = int(total - floors.sum())
     fracs = quotas - floors
     order = np.lexsort((np.arange(quotas.size), -fracs))
     if rem > 0:
-        for idx in list(order) * 2:
+        step, limit = 1, caps
+    else:
+        step, limit, order = -1, np.zeros_like(caps), order[::-1]
+    moved = True
+    while rem != 0 and moved:
+        moved = False
+        for idx in order:
             if rem == 0:
                 break
-            if floors[idx] < caps[idx]:
-                floors[idx] += 1
-                rem -= 1
-    elif rem < 0:
-        for idx in list(order[::-1]) * 2:
-            if rem == 0:
-                break
-            if floors[idx] > 0:
-                floors[idx] -= 1
-                rem += 1
+            if floors[idx] != limit[idx]:
+                floors[idx] += step
+                rem -= step
+                moved = True
     if rem != 0:
-        raise ValueError("requested training fraction is infeasible for these bins")
+        raise ValueError(f"cannot apportion {total} units within the caps")
     return floors
 
 
@@ -149,7 +158,7 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
     c = 0.5 * (lo + hi)
 
     quotas = n_b * np.minimum(1.0, c * w)
-    pool_counts = _capped_largest_remainder(quotas, n_b, int(round(target)))
+    pool_counts = largest_remainder(quotas, int(round(target)), caps=n_b)
 
     rng = np.random.default_rng(seed)
     tags = np.full(ratios.size, EXCLUDED, dtype=np.int8)

@@ -31,6 +31,8 @@ from homshift import (
     two_class_sbm,
 )
 
+from homshift.rewire import _EditState
+
 from conftest import EditLogChecker, lp_transport_cost
 
 
@@ -371,6 +373,57 @@ def test_refine_phase_on_target_is_identity(tiny_pair):
     g2, log = refine_phase(g, t, goals, seed=4)
     assert log.records == []
     assert np.array_equal(g2.edge_array(), g.edge_array())
+
+
+# -------------------------------------------------------- partner choice
+
+
+def _addition_state(partner_goals):
+    """Node 0 (label 0, h=1) wants 0.5 and needs a cross-label partner.
+
+    Node 1 (label 1, h=1, gap 1.0) and nodes 4 and 5 (label 1, h=1 via a
+    shared neighbour 9) also want lower ratios; partner_goals sets the
+    goals of 4 and 5.
+    """
+    g = Graph.from_edges(10, [(0, 2), (0, 3), (1, 6), (1, 7), (1, 8), (4, 9), (5, 9)])
+    t = NodeTable(np.array([0, 1, 0, 0, 1, 1, 1, 1, 1, 1]), np.zeros(10, dtype=int))
+    goals = [NodeGoal(0, 1.0, 0.5, -1), NodeGoal(1, 1.0, 0.0, -1)]
+    goals += [NodeGoal(v, 1.0, h, -1) for v, h in zip((4, 5), partner_goals)]
+    return _EditState(g, t, goals, EditLog(), "refine")
+
+
+def _trace(state):
+    return [(r.op, r.u, r.v) for r in state.log.records]
+
+
+def test_addition_gap_tie_goes_to_lower_id():
+    # 4 and 5 tie at gap 0.5, ahead of node 1's gap 1.0; all three pass
+    state = _addition_state((0.5, 0.5))
+    assert state.attempt_refine(0)
+    assert _trace(state) == [("add", 0, 4)]
+
+
+def test_addition_skips_smallest_gap_that_fails_gate():
+    # node 4 is nearly on target (gap 0.05): a cross edge would drop it to
+    # h=0.5, a 0.4 overshoot that outweighs node 0's 1/3 gain, so the gate
+    # rejects it and node 5 (next smallest gap) is taken
+    state = _addition_state((0.95, 0.5))
+    assert state.attempt_refine(0)
+    assert _trace(state) == [("add", 0, 5)]
+
+
+def test_rewire_skips_neighbour_that_fails_removal_gate():
+    # Node 0 (label 0) sits at h=1/4 and wants 3/4, so it sheds a cross
+    # edge. Neighbour 1 has the smallest gap (h=1/2, goal 0.55): losing
+    # its cross edge takes it to h=1, which the removal gate rejects.
+    # Neighbour 2 (goal 1.0) passes and is removed; node 7 takes the add.
+    g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (7, 8)])
+    t = NodeTable(np.array([0, 1, 1, 1, 0, 1, 1, 0, 1]), np.zeros(9, dtype=int))
+    goals = [NodeGoal(0, 0.25, 0.75, 1), NodeGoal(1, 0.5, 0.55, 1),
+             NodeGoal(2, 0.5, 1.0, 1), NodeGoal(7, 0.0, 0.5, 1)]
+    state = _EditState(g, t, goals, EditLog(), "rewire")
+    assert state.attempt_rewire(0)
+    assert _trace(state) == [("remove", 0, 2), ("add", 0, 7)]
 
 
 # ------------------------------------------------------- phase invariants

@@ -22,6 +22,7 @@ from homshift import (
     split_diagnostics,
     stratified_split,
 )
+from homshift.splits import largest_remainder
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,90 @@ def test_invert_is_involution(weights):
     mass = np.asarray(weights) / np.sum(weights)
     h = HomophilyHistogram(mass.size, mass)
     assert np.allclose(invert(invert(h)).mass, h.mass, atol=1e-12)
+
+
+# ------------------------------------------------------ apportionment
+
+
+def _uncapped_largest_remainder_oracle(quotas, total):
+    """The generator's goal apportioner before it was merged into
+    splits.largest_remainder; kept verbatim as the reference."""
+    quotas = np.asarray(quotas, dtype=np.float64)
+    floors = np.floor(quotas + 1e-9).astype(np.int64)
+    floors = np.maximum(floors, 0)
+    rem = int(total - floors.sum())
+    fracs = quotas - floors
+    order = np.lexsort((np.arange(quotas.size), -fracs))
+    k = 0
+    while rem > 0:
+        floors[order[k % quotas.size]] += 1
+        rem -= 1
+        k += 1
+    k = quotas.size - 1
+    while rem < 0:
+        idx = order[k % quotas.size]
+        if floors[idx] > 0:
+            floors[idx] -= 1
+            rem += 1
+        k -= 1
+    return floors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=12),
+       st.integers(min_value=0, max_value=300))
+def test_largest_remainder_uncapped_matches_oracle(quotas, total):
+    got = largest_remainder(quotas, total)
+    assert got.sum() == total
+    assert np.array_equal(got, _uncapped_largest_remainder_oracle(quotas, total))
+
+
+def _capped_largest_remainder_oracle(quotas, caps, total):
+    """The split apportioner before caps became optional; the reference."""
+    floors = np.floor(quotas + 1e-9).astype(np.int64)
+    floors = np.clip(floors, 0, caps)
+    rem = int(total - floors.sum())
+    fracs = quotas - floors
+    order = np.lexsort((np.arange(quotas.size), -fracs))
+    if rem > 0:
+        for idx in list(order) * 2:
+            if rem == 0:
+                break
+            if floors[idx] < caps[idx]:
+                floors[idx] += 1
+                rem -= 1
+    elif rem < 0:
+        for idx in list(order[::-1]) * 2:
+            if rem == 0:
+                break
+            if floors[idx] > 0:
+                floors[idx] -= 1
+                rem += 1
+    if rem != 0:
+        raise ValueError("infeasible")
+    return floors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=12),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_largest_remainder_capped_matches_oracle(bins, share):
+    # the split's use: quota_b <= cap_b = n_b, total = round(sum of quotas)
+    caps = np.array([n for n, _ in bins], dtype=np.int64)
+    quotas = caps * np.array([w for _, w in bins]) * share
+    total = int(round(quotas.sum()))
+    expected = _capped_largest_remainder_oracle(quotas, caps, total)
+    assert np.array_equal(largest_remainder(quotas, total, caps=caps), expected)
+
+
+def test_largest_remainder_hand_values():
+    # fractions .6, .3, .6 -> the tie at .6 goes to the lower index
+    assert largest_remainder([1.6, 2.3, 0.6], 5).tolist() == [2, 2, 1]
+    # capped: the largest fraction is already at its cap, so the unit moves on
+    assert largest_remainder([1.9, 1.5, 1.2], 4, caps=[1, 2, 2]).tolist() == [1, 2, 1]
+    with pytest.raises(ValueError, match="within the caps"):
+        largest_remainder([1.0, 1.0], 5, caps=[2, 2])
 
 
 # ------------------------------------------------------- split structure
