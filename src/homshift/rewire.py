@@ -191,8 +191,8 @@ class EditRecord:
 
 def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     """The graph whose node v has neighbour set adj[v]."""
-    return Graph.from_edges(len(adj), ((u, v) for u, nbrs in enumerate(adj)
-                                       for v in nbrs if u < v))
+    return Graph.from_edges(len(adj), [(u, v) for u, nbrs in enumerate(adj)
+                                       for v in nbrs if u < v])
 
 
 @dataclass
