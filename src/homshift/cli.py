@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, load_edge_list, load_node_table, save_edge_list
-from .homophily import (
-    BetaGoal,
-    global_homophily,
-    homophily_histogram,
-    local_homophily_all,
-)
+from .homophily import BetaGoal, defined_histogram, global_homophily, local_homophily_all
 from .metrics import (
     MetricRecord,
     baseline_adjust,
@@ -71,7 +66,7 @@ def _cmd_analyze(args) -> int:
     g, t = _load_pair(args)
     h_global = global_homophily(g, t)
     ratios = local_homophily_all(g, t)
-    hist = homophily_histogram(g, t, args.bins)
+    hist = defined_histogram(ratios, args.bins)
     with open(out / "ratios.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node_id,ratio\n")
         for node, r in enumerate(ratios):
@@ -112,7 +107,7 @@ def _cmd_generate(args) -> int:
     }, out / "report.json")
     _write_config(out, "generate", args)
     replayed = EditLog.load(out / "edit_log.jsonl").replay(g)
-    if replayed.edges != generated.edges:
+    if replayed != generated:
         raise RuntimeError("edit log replay does not reproduce the generated graph")
     return 0
 

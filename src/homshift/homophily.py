@@ -67,10 +67,15 @@ class BetaGoal:
 
 def _same_label_edge_mask(g: Graph, t: NodeTable) -> np.ndarray:
     """Per-edge agreement; edges touching an invalid label never agree."""
-    edges = g.edge_array()
-    lu = t.labels[edges[:, 0]]
-    lv = t.labels[edges[:, 1]]
+    lu = t.labels[g.edges[:, 0]]
+    lv = t.labels[g.edges[:, 1]]
     return (lu == lv) & (lu >= 0) & (lv >= 0)
+
+
+def same_label_counts(g: Graph, t: NodeTable) -> np.ndarray:
+    """Per node, the integer count of neighbours sharing its (valid) label."""
+    agree = g.edges[_same_label_edge_mask(g, t)]
+    return np.bincount(agree.ravel(), minlength=g.node_count)
 
 
 def global_homophily(g: Graph, t: NodeTable) -> float:
@@ -86,26 +91,20 @@ def local_homophily(g: Graph, t: NodeTable, node: int) -> float:
     """Fraction of `node`'s neighbors sharing its label."""
     if not (0 <= node < g.node_count):
         raise ValueError(f"node {node} out of range")
-    neighbors = g.adjacency[node]
-    if not neighbors:
+    neighbors = g.neighbors(node)
+    if neighbors.size == 0:
         raise ValueError(f"node {node} is isolated; local homophily undefined")
     label = int(t.labels[node])
     if label < 0:
         raise ValueError(f"node {node} has no valid label")
-    same = sum(1 for nb in neighbors if t.labels[nb] == label)
-    return same / len(neighbors)
+    return int((t.labels[neighbors] == label).sum()) / neighbors.size
 
 
 def local_homophily_all(g: Graph, t: NodeTable) -> np.ndarray:
     """Per-node local homophily; NaN flags isolated or unlabeled nodes."""
     if len(t) != g.node_count:
         raise ValueError("node table does not match graph size")
-    same = np.zeros(g.node_count, dtype=np.float64)
-    edges = g.edge_array()
-    if edges.shape[0]:
-        agree = _same_label_edge_mask(g, t).astype(np.float64)
-        np.add.at(same, edges[:, 0], agree)
-        np.add.at(same, edges[:, 1], agree)
+    same = same_label_counts(g, t)
     out = np.full(g.node_count, np.nan)
     ok = (g.degrees > 0) & (t.labels >= 0)
     out[ok] = same[ok] / g.degrees[ok]
@@ -131,13 +130,18 @@ def histogram(ratios, bin_count: int) -> HomophilyHistogram:
     return HomophilyHistogram(bin_count, counts / ratios.size)
 
 
-def homophily_histogram(g: Graph, t: NodeTable, bin_count: int) -> HomophilyHistogram:
-    """Histogram of local ratios over nodes where the ratio is defined."""
-    ratios = local_homophily_all(g, t)
+def defined_histogram(ratios, bin_count: int) -> HomophilyHistogram:
+    """Histogram of the ratios that are defined (not NaN)."""
+    ratios = np.asarray(ratios, dtype=np.float64)
     ratios = ratios[~np.isnan(ratios)]
     if ratios.size == 0:
         raise ValueError("no node has a defined local homophily ratio")
     return histogram(ratios, bin_count)
+
+
+def homophily_histogram(g: Graph, t: NodeTable, bin_count: int) -> HomophilyHistogram:
+    """Histogram of local ratios over nodes where the ratio is defined."""
+    return defined_histogram(local_homophily_all(g, t), bin_count)
 
 
 def beta_goal_histogram(goal: BetaGoal, bin_count: int) -> HomophilyHistogram:

@@ -16,6 +16,7 @@ the addition gate does not depend on which neighbour was removed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,9 +29,10 @@ from .homophily import (
     HomophilyHistogram,
     beta_goal_histogram,
     bin_index,
+    defined_histogram,
     emd,
-    histogram,
     local_homophily_all,
+    same_label_counts,
 )
 from .splits import largest_remainder
 
@@ -189,10 +191,20 @@ class EditRecord:
     v: int       # neighbor (remove) or candidate (add)
 
 
+def _adjacency_sets(g: Graph) -> list[set[int]]:
+    """Mutable neighbour sets of g, one per node."""
+    ptr = g.indptr.tolist()
+    nbrs = g.indices.tolist()
+    return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(g.node_count)]
+
+
 def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     """The graph whose node v has neighbour set adj[v]."""
-    return Graph.from_edges(len(adj), [(u, v) for u, nbrs in enumerate(adj)
-                                       for v in nbrs if u < v])
+    degrees = [len(nbrs) for nbrs in adj]
+    u = np.repeat(np.arange(len(adj), dtype=np.int64), degrees)
+    v = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=sum(degrees))
+    keep = u < v
+    return Graph.from_edges(len(adj), np.column_stack((u[keep], v[keep])))
 
 
 @dataclass
@@ -207,7 +219,7 @@ class EditLog:
 
     def replay(self, g: Graph) -> Graph:
         """Apply the log to `g`; raises if any record does not fit."""
-        adj = [set(nbrs) for nbrs in g.adjacency]
+        adj = _adjacency_sets(g)
         for rec in self.records:
             u, v = rec.u, rec.v
             if u == v or not (0 <= u < g.node_count and 0 <= v < g.node_count):
@@ -269,16 +281,9 @@ class _EditState:
             raise ValueError("node table does not match graph size")
         self.n = n
         self.labels = t.labels
-        self.adj = [set(nbrs) for nbrs in g.adjacency]
+        self.adj = _adjacency_sets(g)
         self.deg = g.degrees.astype(np.int64)
-        self.same = np.zeros(n, dtype=np.int64)
-        edges = g.edge_array()
-        if edges.shape[0]:
-            lu = t.labels[edges[:, 0]]
-            lv = t.labels[edges[:, 1]]
-            agree = ((lu == lv) & (lu >= 0)).astype(np.int64)
-            np.add.at(self.same, edges[:, 0], agree)
-            np.add.at(self.same, edges[:, 1], agree)
+        self.same = same_label_counts(g, t)
         self.goal = np.full(n, np.nan)
         self.active = np.zeros(n, dtype=bool)
         seen = set()
@@ -497,10 +502,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
              seed) -> tuple[Graph, EditLog, GenerationReport]:
     """Rewire `g` so its local-homophily histogram approaches the Beta goal."""
     ratios = local_homophily_all(g, t)
-    valid = ~np.isnan(ratios)
-    if not valid.any():
-        raise ValueError("no node has a defined local homophily ratio")
-    source_hist = histogram(ratios[valid], bin_count)
+    source_hist = defined_histogram(ratios, bin_count)
     goal_hist = beta_goal_histogram(goal, bin_count)
     plan = transport_plan(source_hist, goal_hist)
     seed_assign, seed_rewire, seed_refine = np.random.SeedSequence(seed).spawn(3)
@@ -513,8 +515,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     })
     g_rewired, log = rewire_phase(g, t, goals, seed_rewire, log=log)
     g_final, log = refine_phase(g_rewired, t, goals, seed_refine, log=log)
-    final_ratios = local_homophily_all(g_final, t)
-    final_hist = histogram(final_ratios[~np.isnan(final_ratios)], bin_count)
+    final_hist = defined_histogram(local_homophily_all(g_final, t), bin_count)
     deltas = (g_final.degrees - g.degrees).astype(int)
     delta_hist: dict[int, int] = {}
     for d in deltas:

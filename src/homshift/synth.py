@@ -39,7 +39,7 @@ def two_class_sbm(n: int, mean_degree: float, homophily: float, seed) -> tuple[G
     blocks.append(np.column_stack((ci, cj + n0)))
 
     edges = np.vstack(blocks)
-    g = Graph.from_edges(n, ((int(u), int(v)) for u, v in edges))
+    g = Graph.from_edges(n, edges)
     labels = np.zeros(n, dtype=np.int64)
     labels[n0:] = 1
     return g, NodeTable(labels, labels.copy())

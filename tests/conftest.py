@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: transport
 cost via a general LP solver, components via union-find, micro-F1 via a
-full confusion matrix, and an edit-log checker that recounts neighborhoods
-from its own adjacency sets.
+full confusion matrix, an edit-log checker that recounts neighborhoods
+from its own adjacency sets, and the set-based graph builder and
+line-by-line edge-list parser that the array-native ones replaced.
 """
 
 from __future__ import annotations
@@ -72,6 +73,69 @@ def union_find_components(node_count: int, edges) -> np.ndarray:
     return out
 
 
+def reference_from_edges(node_count: int, edges) -> tuple[tuple, tuple]:
+    """Set-based graph build: (sorted canonical edge tuples, sorted neighbour tuples)."""
+    if node_count < 0:
+        raise ValueError("node_count must be non-negative")
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) not allowed")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
+        canon.add((u, v) if u < v else (v, u))
+    edge_tuple = tuple(sorted(canon))
+    neighbors: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edge_tuple:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return edge_tuple, tuple(tuple(sorted(ns)) for ns in neighbors)
+
+
+def reference_load_edge_list(path, one_indexed: bool = False):
+    """Line-by-line edge-list parse: (node_count, edge set, self_loops, duplicates).
+
+    Raises the same ValueError messages as homshift.load_edge_list. Token
+    grammar is Python's int(), wider than the library's ASCII decimal ids.
+    """
+    pairs: set[tuple[int, int]] = set()
+    self_loops = 0
+    duplicates = 0
+    max_id = -1
+    n_lines = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            n_lines += 1
+            tokens = line.replace(",", " ").split()
+            if len(tokens) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected two node ids, got {raw!r}")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-integer node id in {raw!r}") from None
+            if one_indexed:
+                u -= 1
+                v -= 1
+            if u < 0 or v < 0:
+                raise ValueError(f"{path}: line {lineno}: negative node id after adjustment")
+            max_id = max(max_id, u, v)
+            if u == v:
+                self_loops += 1
+                continue
+            key = (u, v) if u < v else (v, u)
+            if key in pairs:
+                duplicates += 1
+            else:
+                pairs.add(key)
+    if n_lines == 0:
+        raise ValueError(f"{path}: empty edge list")
+    return max_id + 1, pairs, self_loops, duplicates
+
+
 def confusion_micro_f1(y_true, y_pred) -> float:
     """Micro-F1 from summed per-class TP/FP/FN counts."""
     y_true = np.asarray(y_true)
@@ -99,7 +163,7 @@ class EditLogChecker:
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals, audit_every: int = 500):
-        self.adj = [set(nbrs) for nbrs in g.adjacency]
+        self.adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
         self.labels = t.labels
         self.goal = {ng.node: ng.h_goal for ng in goals}
         self.touched_zero_direction = False

@@ -97,7 +97,7 @@ def test_generate_outputs_and_determinism(sbm_files, tmp_path):
 
     generated = load_edge_list(out1 / "generated_edges.txt")
     replayed = EditLog.load(out1 / "edit_log.jsonl").replay(g)
-    assert replayed.edges == generated.edges
+    assert replayed == generated
 
     # identical seeds produce identical artifacts, byte for byte
     for name in ("generated_edges.txt", "edit_log.jsonl", "report.json"):

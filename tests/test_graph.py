@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import homshift.graph
 
 from homshift import (
     INVALID,
@@ -17,16 +21,45 @@ from homshift import (
     save_node_table,
 )
 
-from conftest import union_find_components
+from conftest import reference_from_edges, reference_load_edge_list, union_find_components
 
 
 def test_from_edges_canonicalizes_order_and_duplicates():
     g = Graph.from_edges(4, [(2, 1), (1, 2), (0, 3), (3, 0)])
-    assert g.edges == ((0, 3), (1, 2))
-    assert g.adjacency[3] == (0,)
+    assert np.array_equal(g.edges, [[0, 3], [1, 2]])
+    assert np.array_equal(g.neighbors(3), [0])
     assert g.degrees.tolist() == [1, 1, 1, 1]
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(0, 1)
+
+
+def test_graph_equality_is_on_node_count_and_edges():
+    assert Graph.from_edges(3, [(0, 1)]) == Graph.from_edges(3, [(1, 0)])
+    assert Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)]) == Graph.from_edges(3, [(1, 0)])
+    assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(4, [(0, 1)])
+    assert Graph.from_edges(3, [(0, 1)]) != Graph.from_edges(3, [(0, 2)])
+    assert Graph.from_edges(3, [(0, 1)]) != ((0, 1),)
+
+
+@given(st.integers(0, 10),
+       st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=40))
+@settings(max_examples=150)
+def test_from_edges_matches_set_reference(node_count, pairs):
+    try:
+        ref_edges, ref_adjacency = reference_from_edges(node_count, pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(node_count, pairs)
+        assert str(info.value) == str(exc)
+        return
+    for edges in (pairs, iter(pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        g = Graph.from_edges(node_count, edges)
+        assert g.edges.tolist() == [list(e) for e in ref_edges]
+        assert [g.neighbors(v).tolist() for v in range(node_count)] == \
+            [list(ns) for ns in ref_adjacency]
+        assert g.degrees.tolist() == [len(ns) for ns in ref_adjacency]
+        assert g.indptr.tolist() == [0] + np.cumsum(g.degrees).tolist()
+        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
 
 
 def test_from_edges_rejects_self_loops_and_range():
@@ -34,6 +67,10 @@ def test_from_edges_rejects_self_loops_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"edge \(0, 18446744073709551616\) out of range"):
+        Graph.from_edges(3, [(0, 1), (0, 2**64), (1, 1)])
+    with pytest.raises(ValueError, match="too large"):
+        Graph.from_edges(2**32, [])
 
 
 def test_edge_array_empty_graph():
@@ -53,7 +90,7 @@ def test_edge_list_round_trip(tmp_path_factory, edge_set):
     save_edge_list(g, path)
     g2 = load_edge_list(path)
     # node count shrinks to max id + 1 on load; the edge set must survive
-    assert g2.edges == g.edges
+    assert np.array_equal(g2.edges, g.edges)
 
 
 def test_load_edge_list_parsing(tmp_path):
@@ -61,7 +98,7 @@ def test_load_edge_list_parsing(tmp_path):
     path.write_text("# comment\n0 1\n1,2\n2 2\n0 1\n1 0\n3 4 # trailing\n")
     g = load_edge_list(path)
     # self-loop dropped, duplicate and reversed-duplicate lines collapsed
-    assert g.edges == ((0, 1), (1, 2), (3, 4))
+    assert np.array_equal(g.edges, [[0, 1], [1, 2], [3, 4]])
     assert g.node_count == 5
 
 
@@ -69,7 +106,72 @@ def test_load_edge_list_one_indexed(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("1 2\n2 3\n")
     g = load_edge_list(path, one_indexed=True)
-    assert g.edges == ((0, 1), (1, 2))
+    assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+
+
+_SEPARATORS = (" ", "  ", "\t", ",", ", ", " ,", ",,")
+
+
+@st.composite
+def _edge_list_files(draw):
+    """Edge-list text: comments, blanks, commas, CRLF, self-loops, reversed duplicates."""
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["edge"] * 6 + ["comment", "blank", "bad"]),
+                              max_size=25)):
+        if kind == "comment":
+            lines.append("# " + draw(st.sampled_from(["note", "1 2", "a,b", ""])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            tokens = [draw(st.sampled_from(["", "+", "0"])) + str(draw(st.integers(0, 8)))
+                      for _ in range(2)]
+            if kind == "bad":
+                tokens[0] = draw(st.sampled_from(["-1", "x", "1.5", "0x1", "1e3"]))
+            line = tokens[0] + draw(st.sampled_from(_SEPARATORS)) + tokens[1]
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            tail = draw(st.sampled_from(["", " # trailing", "#x"]))
+            lines.append(pad + line + pad + tail)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@given(_edge_list_files(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_load_edge_list_matches_line_reference(tmp_path_factory, text, one_indexed):
+    path = tmp_path_factory.mktemp("io") / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        node_count, pairs, self_loops, duplicates = reference_load_edge_list(path, one_indexed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            load_edge_list(path, one_indexed=one_indexed)
+        assert str(info.value) == str(exc)
+        return
+    with mock.patch.object(homshift.graph.logger, "info") as info:
+        g = load_edge_list(path, one_indexed=one_indexed)
+    assert g == Graph.from_edges(node_count, pairs)
+    if self_loops or duplicates:
+        info.assert_called_once()
+        assert info.call_args.args[2:] == (self_loops, duplicates)
+    else:
+        info.assert_not_called()
+
+
+@pytest.mark.parametrize("text, one_indexed, message", [
+    ("# header\n0 1\n0 x\n", False, "line 3: non-integer node id"),
+    ("0 1\n5\n", False, "line 2: expected two node ids"),
+    ("0\n1\n2\n", False, "line 1: expected two node ids"),
+    ("1 2\n2 3\n# c\n3 0\n", True, "line 4: negative node id"),
+    ("0 1\n1 9223372036854775808\n", False, "line 2: node id beyond int64"),
+    ("0 1\n-9223372036854775809 1\n", False, "line 2: node id beyond int64"),
+    ("0 1_000\n", False, "line 1: non-integer node id"),
+])
+def test_load_edge_list_error_names_file_and_line(tmp_path, text, one_indexed, message):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        load_edge_list(path, one_indexed=one_indexed)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_load_edge_list_errors(tmp_path):
@@ -134,7 +236,7 @@ def test_induced_subgraph_maps_ids():
     t = NodeTable(np.arange(5), np.zeros(5, dtype=int))
     sub, sub_t, node_map = induced_subgraph(g, t, np.array([1, 2, 4]))
     assert sub.node_count == 3
-    assert sub.edges == ((0, 1),)
+    assert np.array_equal(sub.edges, [[0, 1]])
     assert node_map.tolist() == [1, 2, 4]
     assert sub_t.labels.tolist() == [1, 2, 4]
 
@@ -153,7 +255,7 @@ def test_largest_component_breaks_ties_toward_smallest_id():
     t = NodeTable(np.arange(5), np.zeros(5, dtype=int))
     sub, _, node_map = largest_connected_component(g, t)
     assert node_map.tolist() == [0, 1]
-    assert sub.edges == ((0, 1),)
+    assert np.array_equal(sub.edges, [[0, 1]])
 
 
 def test_largest_component_empty_graph():
@@ -174,7 +276,7 @@ def test_filter_top_classes_ranks_relabels_and_takes_lcc():
     assert node_map.tolist() == [0, 1, 2, 3]
     # class 1 ranks first -> new id 0; class 0 -> new id 1
     assert sub_t.labels.tolist() == [1, 1, 0, 0]
-    assert sub.edges == ((0, 1), (0, 2), (2, 3))
+    assert np.array_equal(sub.edges, [[0, 1], [0, 2], [2, 3]])
 
 
 def test_filter_top_classes_drops_invalid_sensitive_and_excluded():
@@ -203,6 +305,9 @@ def test_graph_is_immutable():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(Exception):
         g.degrees[0] = 5
+    for arr in (g.edges, g.indptr, g.indices, g.neighbors(0)):
+        with pytest.raises(ValueError):
+            arr[0] = 2
     t = NodeTable(np.array([0, 1]), np.array([0, 1]))
     with pytest.raises(Exception):
         t.labels[0] = 2

@@ -29,8 +29,8 @@ def test_deterministic_per_seed():
     g1, _ = two_class_sbm(300, 6, 0.6, seed=5)
     g2, _ = two_class_sbm(300, 6, 0.6, seed=5)
     g3, _ = two_class_sbm(300, 6, 0.6, seed=6)
-    assert g1.edges == g2.edges
-    assert g1.edges != g3.edges
+    assert g1 == g2
+    assert g1 != g3
 
 
 def test_parameter_validation():
