@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, load_edge_list, load_node_table, save_edge_list
+from .graph import load_edge_list, load_node_table, save_edge_list
 from .homophily import BetaGoal, defined_histogram, global_homophily, local_homophily_all
 from .metrics import (
     MetricRecord,
@@ -57,7 +57,7 @@ def _load_pair(args):
                          f"node ids up to {g.node_count - 1}")
     if len(t) > g.node_count:
         # trailing table rows are isolated nodes; widen the graph to match
-        g = Graph.from_edges(len(t), g.edges)
+        g = g.widened(len(t))
     return g, t
 
 

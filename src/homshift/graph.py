@@ -96,6 +96,23 @@ class Graph:
             arr.flags.writeable = False
         return Graph(node_count, canon, indptr, indices, degrees)
 
+    def widened(self, node_count: int) -> "Graph":
+        """The same edges on `node_count` nodes; the added trailing nodes are isolated.
+
+        The canonical edge array does not depend on the node count, so it and
+        `indices` are shared; only `indptr` and `degrees` grow.
+        """
+        if node_count < self.node_count:
+            raise ValueError(f"cannot narrow a {self.node_count}-node graph to {node_count}")
+        if node_count > _MAX_NODES:
+            raise ValueError(f"node_count {node_count} too large")
+        extra = node_count - self.node_count
+        indptr = np.concatenate((self.indptr, np.full(extra, self.indptr[-1])))
+        degrees = np.concatenate((self.degrees, np.zeros(extra, dtype=self.degrees.dtype)))
+        for arr in (indptr, degrees):
+            arr.flags.writeable = False
+        return Graph(node_count, self.edges, indptr, self.indices, degrees)
+
     @property
     def edge_count(self) -> int:
         return int(self.edges.shape[0])

@@ -64,24 +64,26 @@ class PredictionTable:
 
 
 def load_predictions(path) -> PredictionTable:
+    """Predictions from a `node_id,y_true,y_pred,sensitive` CSV; errors name the file and line."""
     y_true, y_pred, sens = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "node_id,y_true,y_pred,sensitive":
-            raise ValueError("prediction file must start with 'node_id,y_true,y_pred,sensitive'")
+            raise ValueError(f"{path}: line 1: prediction file must start with "
+                             "'node_id,y_true,y_pred,sensitive'")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields")
+                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {line!r}")
             try:
                 y_true.append(int(parts[1]))
                 y_pred.append(int(parts[2]))
                 sens.append(int(parts[3]))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return PredictionTable(np.array(y_true), np.array(y_pred), np.array(sens))
 
 

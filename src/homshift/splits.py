@@ -202,20 +202,26 @@ def save_split(assignment: SplitAssignment, path) -> None:
 
 
 def load_split(path) -> np.ndarray:
+    """Split tags from a `node_id,split` CSV; errors name the file and line."""
     tags = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "node_id,split":
-            raise ValueError("split file must start with 'node_id,split'")
+            raise ValueError(f"{path}: line 1: split file must start with 'node_id,split'")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            node_s, name = line.split(",")
-            if int(node_s) != len(tags):
-                raise ValueError(f"line {lineno}: node ids must be consecutive from 0")
+            try:
+                node_s, name = line.split(",")
+                node = int(node_s)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected '<integer node id>,<tag>', "
+                                 f"got {line!r}") from None
+            if node != len(tags):
+                raise ValueError(f"{path}: line {lineno}: node ids must be consecutive from 0")
             if name not in _NAME_TO_TAG:
-                raise ValueError(f"line {lineno}: unknown split tag {name!r}")
+                raise ValueError(f"{path}: line {lineno}: unknown split tag {name!r}")
             tags.append(_NAME_TO_TAG[name])
     return np.asarray(tags, dtype=np.int8)
 

@@ -10,22 +10,34 @@ weight matrix and a closed-form expected logit gap between two test nodes
 that share the label but differ in the sensitive attribute, evaluated at a
 shifted homophily h + alpha.
 
-A note on calibration: the closed-form gap below follows the textbook
-formula; the simulator follows the generative model directly. On the
-canonical parameter set the simulation concentrates at exactly twice the
-formula (see tests for the pinned factor-2 diagnostic).
+How the simulator relates to the closed form. Write b = b_coef,
+a = 1 + d(2(h + alpha) - 1) and mu = (mu_l, mu_s). The simulated gap is
+(r_u - r_v) . W_0, where W_0 is the correct-class column of the ridge
+solution W = (R^T R + lambda I)^{-1} R^T Y and r_u, r_v are the test
+representations. The test pair shares the label channel's sign and
+differs in the sensitive channel's, so r_u - r_v = -a [p_u - p_v, q_u + q_v];
+its expectation is [0, -2 a mu_s], a sensitive-channel contrast of 2 mu_s
+where the closed form has mu_s. The ridge penalty lambda acts on the
+aggregated representations b * f, so relative to the unscaled features
+E[W_0] carries lambda / b^2 where the closed form has lambda. At sigma = 0
+both are exact:
+
+    simulated / closed = 2 (lambda + n |mu|^2) / (lambda / b^2 + n |mu|^2),
+
+which is twice, up to the lambda / b^2 term (2.00000096 on the canonical
+parameter set). The closed form is kept as the textbook formula and the
+factor is pinned by the tests.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-_CHUNK = 2000  # trials solved per batched linear-algebra call
 
 
 @dataclass(frozen=True)
@@ -150,44 +162,69 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+def _simulate_gaps(params: TheoryParams, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """One simulated logit gap per trial; see `monte_carlo_gap`."""
+    b_coef = _check_b_coef(params)
+    a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
+    n, k, sigma = params.n, params.k, params.sigma
+    means = np.array([params.mu_l, params.mu_s])
+    sum_0 = rng.normal(k * means, math.sqrt(k) * sigma, size=(trials, 2))
+    sum_1 = rng.normal((n - k) * means, math.sqrt(n - k) * sigma, size=(trials, 2))
+    # Bartlett factor L = [[c1, 0], [z, c2]] of the Wishart(n - 2) scatter;
+    # chi^2 with df <= 0 is 0, and at n = 2 there is no scatter, so z is 0 too.
+    c1_sq = rng.chisquare(n - 2, trials) if n > 2 else np.zeros(trials)
+    c2_sq = rng.chisquare(n - 3, trials) if n > 3 else np.zeros(trials)
+    z = rng.standard_normal(trials) if n > 2 else np.zeros(trials)
+    c1 = np.sqrt(c1_sq)
+    scatter = np.empty((trials, 2, 2))
+    scatter[:, 0, 0] = c1_sq
+    scatter[:, 0, 1] = scatter[:, 1, 0] = c1 * z
+    scatter[:, 1, 1] = z * z + c2_sq
+    feat_scatter = (sigma * sigma * scatter
+                    + sum_0[:, :, None] * sum_0[:, None, :] / k
+                    + sum_1[:, :, None] * sum_1[:, None, :] / (n - k))
+    gram = b_coef * b_coef * feat_scatter + params.lambda_reg * np.eye(2)
+    w_0 = np.linalg.solve(gram, -b_coef * sum_0[:, :, None])[:, :, 0]
+    u_feats = rng.normal(means, sigma, size=(trials, 2))
+    v_feats = rng.normal(means, sigma, size=(trials, 2))
+    r_diff = -a_coef * np.column_stack((u_feats[:, 0] - v_feats[:, 0],
+                                        u_feats[:, 1] + v_feats[:, 1]))
+    return (r_diff * w_0).sum(axis=1)
+
+
 def monte_carlo_gap(params: TheoryParams, trials: int, rng) -> TheoryResult:
     """Simulate the logit gap by fitting ridge regression per trial.
 
-    Each trial draws fresh training representations, solves
-    W = (R^T R + lambda I)^{-1} R^T Y, draws the two test nodes at
+    Each trial fits W = (R^T R + lambda I)^{-1} R^T Y on fresh training
+    representations (rows b * s_i * f_i, see
+    `sample_training_representations`), draws the two test nodes at
     homophily h + alpha (same label, opposite sensitive value), and records
-    the difference of their correct-class logits. Raises
-    numpy.linalg.LinAlgError when the regularized Gram matrix is singular.
+    the difference of their correct-class logits, (r_u - r_v) . W_0.
+
+    The fit depends on the training features only through two statistics,
+    so a trial draws those exactly instead of all n x 2 features and costs
+    O(1) in n. The signs s_i square away: R^T R = b^2 S with
+    S = sum_i f_i f_i^T, and W_0's right-hand side is -b A, with A the sum of
+    group 0's features. With B the sum of group 1's,
+    A ~ N(k mu, k sigma^2 I), B ~ N((n - k) mu, (n - k) sigma^2 I), and
+    S = V + A A^T / k + B B^T / (n - k), where the within-group scatter
+    V ~ Wishart(n - 2, sigma^2 I) is independent of A and B and is drawn by
+    the 2 x 2 Bartlett decomposition. All trials share one batched solve.
+
+    At sigma = 0 the result is exact: the gap equals
+    closed * 2 (lambda + n |mu|^2) / (lambda / b^2 + n |mu|^2), derived in
+    the module docstring. Raises numpy.linalg.LinAlgError when the
+    regularized Gram matrix is singular.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = _as_rng(rng)
-    b_coef = _check_b_coef(params)
-    a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
-    n, k = params.n, params.k
-    means = np.array([params.mu_l, params.mu_s])
-    signs = np.ones((n, 1))
-    signs[:k] = -1.0
-    y_mat = np.zeros((n, 2))
-    y_mat[:k, 0] = 1.0
-    y_mat[k:, 1] = 1.0
-    eye = params.lambda_reg * np.eye(2)
-    gaps = np.empty(trials)
-    done = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        feats = rng.normal(means, params.sigma, size=(m, n, 2))
-        r_mat = b_coef * signs * feats
-        gram = np.einsum("mni,mnj->mij", r_mat, r_mat) + eye
-        cross = np.einsum("mni,nj->mij", r_mat, y_mat)
-        w_mat = np.linalg.solve(gram, cross)
-        u_feats = rng.normal(means, params.sigma, size=(m, 2))
-        v_feats = rng.normal(means, params.sigma, size=(m, 2))
-        r_u = -a_coef * u_feats
-        r_v = np.column_stack((-a_coef * v_feats[:, 0], a_coef * v_feats[:, 1]))
-        gaps[done:done + m] = (np.einsum("mi,mi->m", r_u, w_mat[:, :, 0])
-                               - np.einsum("mi,mi->m", r_v, w_mat[:, :, 0]))
-        done += m
+    if params.sigma == 0 and params.lambda_reg == 0:
+        # Every representation is +-b * mu, so R^T R has rank one; rounding
+        # can leave it a hair from singular, and the solver would then
+        # return a finite but meaningless gap.
+        raise np.linalg.LinAlgError("Gram matrix is singular: with sigma = 0 and "
+                                    "lambda_reg = 0, R^T R has rank one")
+    gaps = _simulate_gaps(params, trials, _as_rng(rng))
     mean = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return TheoryResult(

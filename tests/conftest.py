@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from homshift import Graph, NodeTable, two_class_sbm
+from homshift import Graph, NodeTable, TheoryParams, aggregation_coefficient, two_class_sbm
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +134,42 @@ def reference_load_edge_list(path, one_indexed: bool = False):
     if n_lines == 0:
         raise ValueError(f"{path}: empty edge list")
     return max_id + 1, pairs, self_loops, duplicates
+
+
+def reference_monte_carlo_gap(params: TheoryParams, trials: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Per-trial logit gaps from ridge fits on all n x 2 drawn node features.
+
+    Draws every training feature, forms R^T R and R^T Y by summing over the
+    n nodes, and solves each trial's 2 x 2 system; O(n) work per trial.
+    """
+    b_coef = aggregation_coefficient(params.h, params.d)
+    a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
+    n, k = params.n, params.k
+    means = np.array([params.mu_l, params.mu_s])
+    signs = np.ones((n, 1))
+    signs[:k] = -1.0
+    y_mat = np.zeros((n, 2))
+    y_mat[:k, 0] = 1.0
+    y_mat[k:, 1] = 1.0
+    eye = params.lambda_reg * np.eye(2)
+    gaps = np.empty(trials)
+    done = 0
+    while done < trials:
+        m = min(2000, trials - done)  # trials per batched solve
+        feats = rng.normal(means, params.sigma, size=(m, n, 2))
+        r_mat = b_coef * signs * feats
+        gram = np.einsum("mni,mnj->mij", r_mat, r_mat) + eye
+        cross = np.einsum("mni,nj->mij", r_mat, y_mat)
+        w_mat = np.linalg.solve(gram, cross)
+        u_feats = rng.normal(means, params.sigma, size=(m, 2))
+        v_feats = rng.normal(means, params.sigma, size=(m, 2))
+        r_u = -a_coef * u_feats
+        r_v = np.column_stack((-a_coef * v_feats[:, 0], a_coef * v_feats[:, 1]))
+        gaps[done:done + m] = (np.einsum("mi,mi->m", r_u, w_mat[:, :, 0])
+                               - np.einsum("mi,mi->m", r_v, w_mat[:, :, 0]))
+        done += m
+    return gaps
 
 
 def confusion_micro_f1(y_true, y_pred) -> float:

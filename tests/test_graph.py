@@ -41,6 +41,26 @@ def test_graph_equality_is_on_node_count_and_edges():
     assert Graph.from_edges(3, [(0, 1)]) != ((0, 1),)
 
 
+@given(st.integers(2, 10),
+       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+       st.integers(0, 4))
+@settings(max_examples=100)
+def test_widened_matches_a_fresh_build(node_count, pairs, extra):
+    pairs = [(u % node_count, v % node_count) for u, v in pairs if u % node_count != v % node_count]
+    g = Graph.from_edges(node_count, pairs)
+    wide = g.widened(node_count + extra)
+    fresh = Graph.from_edges(node_count + extra, pairs)
+    assert wide == fresh
+    for name in ("edges", "indptr", "indices", "degrees"):
+        got, want = getattr(wide, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+    assert np.array_equal(wide.neighbors(node_count + extra - 1),
+                          fresh.neighbors(node_count + extra - 1))
+    with pytest.raises(ValueError, match="narrow"):
+        g.widened(node_count - 1)
+
+
 @given(st.integers(0, 10),
        st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=40))
 @settings(max_examples=150)

@@ -198,5 +198,19 @@ def test_predictions_roundtrip(tmp_path):
 def test_load_predictions_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n0,0,0,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must start with") as info:
         load_predictions(path)
+    assert str(info.value).startswith(f"{path}: line 1: ")
+
+
+@pytest.mark.parametrize("text, lineno, fragment", [
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,1,x,0\n", 3, "invalid literal"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n\n1,1,0\n", 4, "expected 4 fields"),
+])
+def test_load_predictions_error_names_file_and_line(tmp_path, text, lineno, fragment):
+    path = tmp_path / "preds.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_predictions(path)
+    assert str(info.value).startswith(f"{path}: line {lineno}: ")
+    assert fragment in str(info.value)

@@ -247,20 +247,21 @@ def test_split_save_load_roundtrip(tmp_path, beta_ratios):
 
 
 def test_load_split_rejects_malformed(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("node,tag\n0,train\n")
-    with pytest.raises(ValueError, match="node_id,split"):
-        load_split(bad_header)
-
-    gap = tmp_path / "b.csv"
-    gap.write_text("node_id,split\n0,train\n2,test\n")
-    with pytest.raises(ValueError, match="consecutive"):
-        load_split(gap)
-
-    unknown = tmp_path / "c.csv"
-    unknown.write_text("node_id,split\n0,sideways\n")
-    with pytest.raises(ValueError, match="unknown split tag"):
-        load_split(unknown)
+    cases = [
+        ("node,tag\n0,train\n", 1, "node_id,split"),
+        ("node_id,split\n0,train\n2,test\n", 3, "consecutive"),
+        ("node_id,split\n0,sideways\n", 2, "unknown split tag"),
+        ("node_id,split\n0,train\n\n1 test\n", 4, "expected '<integer node id>,<tag>'"),
+        ("node_id,split\n0,train,val\n", 2, "expected '<integer node id>,<tag>'"),
+        ("node_id,split\nzero,train\n", 2, "expected '<integer node id>,<tag>'"),
+    ]
+    for i, (text, lineno, fragment) in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_split(path)
+        assert str(info.value).startswith(f"{path}: line {lineno}: ")
+        assert fragment in str(info.value)
 
 
 def test_split_diagnostics_payload(tmp_path, beta_ratios):

@@ -1,8 +1,10 @@
 """Closed-form ridge analysis and its Monte-Carlo counterpart.
 
-The simulator follows the generative model; the closed form lands
-at exactly half the simulated gap on the canonical parameter set. Both
-facts are pinned here so neither side can drift silently.
+The simulator follows the generative model; the closed form lands at
+half the simulated gap, up to a lambda / b^2 term that the sigma = 0
+identity below pins exactly. Both facts are pinned here so neither side
+can drift silently. The simulator is checked against the per-node
+reference sampler in conftest.
 """
 
 import logging
@@ -10,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_monte_carlo_gap
 
 from homshift import (
     TheoryParams,
@@ -23,6 +26,7 @@ from homshift import (
     save_sweep,
     sweep_alpha,
 )
+from homshift.theory import _simulate_gaps
 
 
 def _params(**overrides):
@@ -186,10 +190,60 @@ def test_monte_carlo_single_trial_shape():
         monte_carlo_gap(_params(), 0, np.random.default_rng(0))
 
 
+def _zero_noise_ratio(p):
+    """Exact simulated / closed ratio at sigma = 0 (theory module docstring)."""
+    b = aggregation_coefficient(p.h, p.d)
+    norm_sq = p.mu_l ** 2 + p.mu_s ** 2
+    return 2 * (p.lambda_reg + p.n * norm_sq) / (p.lambda_reg / b ** 2 + p.n * norm_sq)
+
+
 def test_simulated_gap_is_twice_the_closed_form_at_zero_noise():
     p = _params(sigma=0.0)
     res = monte_carlo_gap(p, 1, np.random.default_rng(0))
-    assert res.mc_gap_mean == pytest.approx(2 * res.closed_form_gap, abs=1e-6)
+    exact = res.closed_form_gap * _zero_noise_ratio(p)
+    assert res.mc_gap_mean == pytest.approx(exact, rel=1e-7)
+    # the lambda / b^2 term is resolved: plain twice the closed form is off
+    assert res.mc_gap_mean != pytest.approx(2 * res.closed_form_gap, rel=1e-7)
+
+
+@pytest.mark.parametrize("mu_l, mu_s", [(1.0, 1.0), (1.3, 0.7), (0.3, 0.1)])
+def test_zero_noise_without_regularization_is_singular(mu_l, mu_s):
+    # every representation is +-b * mu, so R^T R has rank one; in floating
+    # point it can miss exact singularity, which must not yield a gap
+    p = _params(mu_l=mu_l, mu_s=mu_s, sigma=0.0, lambda_reg=0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        monte_carlo_gap(p, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("overrides, trials", [
+    ({}, 5000),
+    (dict(n=50, k=10, sigma=0.1, lambda_reg=0.3), 20_000),
+    (dict(n=2, k=1, sigma=0.5, lambda_reg=0.3), 20_000),
+    (dict(n=3, k=2, sigma=0.5, lambda_reg=0.3), 20_000),
+], ids=["canonical", "small-noisy", "n2", "n3"])
+def test_sampler_matches_per_node_reference(overrides, trials):
+    p = _params(**overrides)
+    got = _simulate_gaps(p, trials, np.random.default_rng(21))
+    ref = reference_monte_carlo_gap(p, trials, np.random.default_rng(22))
+
+    def moments(g):
+        var = g.var(ddof=1)
+        var_se_sq = (((g - g.mean()) ** 4).mean() - var ** 2) / g.size
+        return g.mean(), var, var / g.size, var_se_sq
+
+    mean_a, var_a, mean_se_sq_a, var_se_sq_a = moments(got)
+    mean_b, var_b, mean_se_sq_b, var_se_sq_b = moments(ref)
+    assert abs(mean_a - mean_b) <= 3 * math.sqrt(mean_se_sq_a + mean_se_sq_b)
+    assert abs(var_a - var_b) <= 3 * math.sqrt(var_se_sq_a + var_se_sq_b)
+
+
+def test_simulation_cost_does_not_grow_with_n():
+    # per-node sampling would hold n x 2 features per trial; this draws O(1)
+    p = _params(n=10 ** 8, k=5 * 10 ** 7)
+    res = monte_carlo_gap(p, 1000, np.random.default_rng(5))
+    exact = res.closed_form_gap * _zero_noise_ratio(p)
+    assert 0 < res.mc_gap_stderr
+    assert abs(res.mc_gap_mean - exact) <= 3 * res.mc_gap_stderr
 
 
 def test_simulated_gap_concentrates_at_twice_the_closed_form():
