@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,33 +65,70 @@ class PredictionTable:
         return int(max(y_true.max(), y_pred.max())) + 1
 
 
+_PREDICTION_HEADER = "node_id,y_true,y_pred,sensitive"
+
+
 def load_predictions(path) -> PredictionTable:
-    """Predictions from a `node_id,y_true,y_pred,sensitive` CSV; errors name the file and line."""
-    y_true, y_pred, sens = [], [], []
+    """Predictions from a `node_id,y_true,y_pred,sensitive` CSV; errors name the file and line.
+
+    Rows stay in file order. Node ids must be non-negative integers, each
+    listed once; they need not cover 0..n-1 (a file may list only the
+    labeled nodes). The rows are parsed in bulk; when that fails, they are
+    parsed again one by one with int(), which names the bad line or, for
+    a value only int() reads (such as `1_000`), gives the table.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node_id,y_true,y_pred,sensitive":
-            raise ValueError(f"{path}: line 1: prediction file must start with "
-                             "'node_id,y_true,y_pred,sensitive'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {line!r}")
-            try:
-                y_true.append(int(parts[1]))
-                y_pred.append(int(parts[2]))
-                sens.append(int(parts[3]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return PredictionTable(np.array(y_true), np.array(y_pred), np.array(sens))
+        header, _, body = fh.read().partition("\n")
+    if header.strip() != _PREDICTION_HEADER:
+        raise ValueError(f"{path}: line 1: prediction file must start with "
+                         f"'{_PREDICTION_HEADER}'")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                               comments=None, ndmin=2)
+        if (table.shape[1] != 4 or (table[:, 0] < 0).any()
+                or np.unique(table[:, 0]).size != len(table)):
+            raise ValueError("rejected by the bulk parse")
+        cols = table.T
+    except ValueError:
+        rows = [(lineno, line.strip()) for lineno, line
+                in enumerate(body.split("\n"), start=2) if line.strip()]
+        cols = [np.array(col) for col in _prediction_columns(path, rows)]
+    return PredictionTable(cols[1], cols[2], cols[3])
+
+
+def _prediction_columns(path, rows: list[tuple[int, str]]) -> list[list[int]]:
+    """The four integer columns of (line number, text) rows; raises at the first bad one."""
+    cols: list[list[int]] = [[], [], [], []]
+    first_line: dict[int, int] = {}
+    for lineno, line in rows:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {line!r}")
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer node id "
+                             f"{parts[0]!r}") from None
+        if node < 0:
+            raise ValueError(f"{path}: line {lineno}: negative node id {node}")
+        if node in first_line:
+            raise ValueError(f"{path}: line {lineno}: duplicate node id {node} "
+                             f"(first on line {first_line[node]})")
+        first_line[node] = lineno
+        try:
+            values = [int(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        for col, value in zip(cols, [node, *values]):
+            col.append(value)
+    return cols
 
 
 def save_predictions(p: PredictionTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,y_true,y_pred,sensitive\n")
+        fh.write(_PREDICTION_HEADER + "\n")
         for node in range(p.y_true.size):
             fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
 

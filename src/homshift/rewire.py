@@ -12,10 +12,19 @@ Partner rule: among the partners that pass the gate, an edit takes the one
 with the smallest remaining gap |h - goal|, ties to the lower node id. A
 rewire first picks the removed neighbour this way, then the added partner;
 the addition gate does not depend on which neighbour was removed.
+
+Partner search never builds an O(n) candidate mask. The possible partners
+sit in pools, one per (label, move direction), kept up to date edit by
+edit (see `_EditState`). A pool's smallest possible change gives an exact
+O(1) test that no partner exists, and otherwise a scan in (gap, id) order
+stops at the first partner that passes the gate, which by the partner rule
+is the one to take.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import json
 import math
@@ -182,6 +191,11 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
     return (lower, upper)
 
 
+# Edit logs are written and decoded this many lines at a time, which bounds
+# the memory a log takes beyond its records.
+_LOG_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class EditRecord:
     seq: int
@@ -239,31 +253,182 @@ class EditLog:
         return _graph_from_adjacency(adj)
 
     def save(self, path) -> None:
+        """Write the header, then one JSON object per record with sorted keys."""
+        quoted = {w: json.dumps(w) for w in {x for r in self.records for x in (r.phase, r.op)}}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps(
-                    {"seq": rec.seq, "phase": rec.phase, "op": rec.op, "u": rec.u, "v": rec.v},
-                    sort_keys=True) + "\n")
+            for a in range(0, len(self.records), _LOG_CHUNK):
+                fh.write("".join(['{"op": %s, "phase": %s, "seq": %d, "u": %d, "v": %d}\n'
+                                  % (quoted[r.op], quoted[r.phase], r.seq, r.u, r.v)
+                                  for r in self.records[a:a + _LOG_CHUNK]]))
 
     @staticmethod
     def load(path) -> "EditLog":
+        """Read a log; every error names the file and line.
+
+        Each non-blank line holds one JSON object. The first is the header
+        unless it has an "op" key. A record needs "phase" and "op", and
+        integer "seq", "u" and "v". Each chunk of lines is decoded as one
+        JSON array; only when that fails, or gives a different number of
+        objects than lines or a malformed record, is the file decoded again
+        line by line to find the bad line.
+        """
         log = EditLog()
+        first = True
         with open(path, "r", encoding="utf-8") as fh:
-            first = True
-            for line in fh:
+            for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
+                lines = [line for line in map(str.strip, block) if line]
+                try:
+                    objs = json.loads("[" + ",".join(lines) + "]")
+                except ValueError:
+                    return EditLog._from_lines(path)
+                if first and lines:
+                    first = False
+                    if objs and isinstance(objs[0], dict) and "op" not in objs[0]:
+                        log.header = objs.pop(0)
+                        lines.pop(0)
+                try:
+                    records = [EditRecord(o["seq"], o["phase"], o["op"], o["u"], o["v"])
+                               for o in objs]
+                except (KeyError, TypeError):
+                    return EditLog._from_lines(path)
+                if len(records) != len(lines) or not all(
+                        type(r.seq) is int and type(r.u) is int and type(r.v) is int
+                        for r in records):
+                    return EditLog._from_lines(path)
+                log.records.extend(records)
+        return log
+
+    @staticmethod
+    def _from_lines(path) -> "EditLog":
+        """Decode the file line by line; raises naming the first bad line."""
+        log = EditLog()
+        first = True
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                where = f"{path}: line {lineno}"
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{where}: expected a JSON object, got {line!r}")
                 if first and "op" not in obj:
                     log.header = obj
                     first = False
                     continue
                 first = False
-                log.records.append(EditRecord(int(obj["seq"]), obj["phase"], obj["op"],
-                                              int(obj["u"]), int(obj["v"])))
+                for key in ("seq", "phase", "op", "u", "v"):
+                    if key not in obj:
+                        raise ValueError(f"{where}: record has no {key!r} key")
+                for key in ("seq", "u", "v"):
+                    if type(obj[key]) is not int:
+                        raise ValueError(f"{where}: {key!r} must be an integer, "
+                                         f"got {obj[key]!r}")
+                log.records.append(EditRecord(obj["seq"], obj["phase"], obj["op"],
+                                              obj["u"], obj["v"]))
         return log
+
+
+# Partner pools cut their (gap, id) order into runs of at most 2*_RUN keys;
+# a run that grows past that splits in two.
+_RUN = 64
+
+
+class _PartnerPool:
+    """The nodes of one (label, live sign), in the two orders partner search uses.
+
+    `runs` holds the members' (gap_abs, id) keys in ascending order, cut
+    into consecutive runs, and `lasts[r]` is run r's last key. `floors[r]`
+    is a lower bound on the add changes in run r: exact when the run is
+    built or fully scanned, lowered by insertions, left alone by removals.
+    `heap` is a lazy min-heap of (add change, id) entries.
+    """
+
+    __slots__ = ("runs", "lasts", "floors", "heap", "size")
+
+    def __init__(self, keys: list[tuple[float, int]], add_delta: list[float]):
+        self.runs = [keys[a:a + _RUN] for a in range(0, len(keys), _RUN)]
+        self.lasts = [run[-1] for run in self.runs]
+        self.floors = [min([add_delta[k] for _, k in run]) for run in self.runs]
+        self.size = len(keys)
+        self.rebuild_heap(add_delta)
+
+    def rebuild_heap(self, add_delta: list[float]) -> None:
+        self.heap = [(add_delta[k], k) for run in self.runs for _, k in run]
+        heapq.heapify(self.heap)
+
+    def add(self, key: tuple[float, int], d: float, add_delta: list[float]) -> None:
+        """Insert key, whose node's add change d is already in add_delta."""
+        if self.runs:
+            r = min(bisect.bisect_left(self.lasts, key), len(self.runs) - 1)
+            run = self.runs[r]
+            bisect.insort(run, key)
+            self.lasts[r] = run[-1]
+            if d < self.floors[r]:
+                self.floors[r] = d
+            if len(run) > 2 * _RUN:
+                self.runs.insert(r + 1, run[_RUN:])
+                del run[_RUN:]
+                self.lasts.insert(r, run[-1])
+                self.floors.insert(r, self.floors[r])
+        else:
+            self.runs.append([key])
+            self.lasts.append(key)
+            self.floors.append(d)
+        self.size += 1
+        if len(self.heap) >= 2 * self.size + 16:
+            self.rebuild_heap(add_delta)
+        else:
+            heapq.heappush(self.heap, (d, key[1]))
+
+    def remove(self, key: tuple[float, int]) -> None:
+        """Drop key; its heap entry goes stale and is popped later."""
+        r = bisect.bisect_left(self.lasts, key)
+        run = self.runs[r] if r < len(self.runs) else []
+        idx = bisect.bisect_left(run, key)
+        if idx == len(run) or run[idx] != key:
+            raise RuntimeError("internal: node missing from its partner pool")
+        del run[idx]
+        self.size -= 1
+        if run:
+            self.lasts[r] = run[-1]
+        else:
+            del self.runs[r], self.lasts[r], self.floors[r]
+
+    def min_delta(self, live: list[int], s: int, add_delta: list[float]) -> float:
+        """Smallest add change among the members; pops stale heap tops."""
+        heap = self.heap
+        while heap:
+            d, k = heap[0]
+            if live[k] == s and add_delta[k] == d:
+                return d
+            heapq.heappop(heap)
+        return math.inf
+
+    def first_passing(self, i: int, adj_i: set[int], d_i: float,
+                      add_delta: list[float]) -> tuple[float, int] | None:
+        """First key in (gap, id) order, other than i and i's neighbours,
+        whose add change passes the gate with d_i; None if there is none.
+
+        A run whose floor fails the gate is skipped whole. A run scanned to
+        its end gets its exact minimum as floor.
+        """
+        below = -_GATE_TOL
+        floors = self.floors
+        for r, floor in enumerate(floors):
+            if d_i + floor >= below:
+                continue
+            run = self.runs[r]
+            for key in run:
+                k = key[1]
+                if d_i + add_delta[k] < below and k != i and k not in adj_i:
+                    return key
+            floors[r] = min([add_delta[k] for _, k in run])
+        return None
 
 
 class _EditState:
@@ -272,6 +437,34 @@ class _EditState:
     Every edit picks its partner by the module's partner rule: the smallest
     remaining gap among gate-passing partners, ties to the lower id. In a
     rewire the addition gate does not depend on the removed neighbour.
+
+    Partner pools. The nodes with live sign s and label c form the pool
+    (c, s). An addition at source i with sign s draws its partner from pool
+    (label_i, s) when s > 0, and from every pool (c, s) with c != label_i
+    when s < 0; `live` alone decides membership, since it is 0 for every
+    inactive node. Each member k carries its add change add_delta[k]: the
+    change in |h_k - goal_k| if k gained one edge of the kind its own sign
+    wants. An edit changes the counts of its two endpoints only, and
+    `_refresh` moves each between pools and recomputes its entries. Each
+    pool keeps its members in two orders:
+
+    - By add change, in a lazy min-heap, for the rejection bound. An entry
+      counts only while its node is still in the pool with that add
+      change; stale entries are popped when they reach the top, and the
+      heap is rebuilt from the pool once it holds more than about twice
+      the pool's size. Float addition is monotone, so d_i + add_delta[k]
+      >= d_i + m for every member k when m is the pool minimum. If d_i + m
+      fails the gate, every candidate fails it, and `_bound_rejects` ends
+      the call at amortised O(1) cost. The pool is a superset of the
+      candidates (it also holds i and i's neighbours), so the bound never
+      rejects a call that has a partner.
+    - By (gap_abs, id), for the scan. `_scan` walks this order, skipping i
+      and i's neighbours, and stops at the first candidate that passes the
+      gate. By the partner rule that candidate is the partner. The order is
+      cut into runs of at most 128 keys, each with a floor: a lower bound on
+      its members' add changes. By the same monotonicity, a run whose
+      floor fails the gate holds no passing candidate and is skipped
+      without looking at its members.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal],
@@ -279,13 +472,10 @@ class _EditState:
         n = g.node_count
         if len(t) != n:
             raise ValueError("node table does not match graph size")
-        self.n = n
-        self.labels = t.labels
-        self.adj = _adjacency_sets(g)
-        self.deg = g.degrees.astype(np.int64)
-        self.same = same_label_counts(g, t)
-        self.goal = np.full(n, np.nan)
-        self.active = np.zeros(n, dtype=bool)
+        deg = g.degrees.astype(np.int64)
+        same = same_label_counts(g, t)
+        goal = np.full(n, np.nan)
+        active = np.zeros(n, dtype=bool)
         seen = set()
         for ng in goals:
             if not (0 <= ng.node < n):
@@ -294,29 +484,73 @@ class _EditState:
                 raise ValueError(f"duplicate goal for node {ng.node}")
             seen.add(ng.node)
             if ng.direction != 0:
-                if self.deg[ng.node] == 0:
+                if deg[ng.node] == 0:
                     raise ValueError(f"node {ng.node} has a move target but is isolated")
                 if t.labels[ng.node] < 0:
                     raise ValueError(f"node {ng.node} has a move target but no label")
-                self.goal[ng.node] = ng.h_goal
-                self.active[ng.node] = True
-        self.h = np.full(n, np.nan)
-        self.gap_abs = np.full(n, np.inf)
-        self.live = np.zeros(n, dtype=np.int8)
-        for v in np.flatnonzero(self.active):
-            self._refresh(int(v))
+                goal[ng.node] = ng.h_goal
+                active[ng.node] = True
+        act = np.flatnonzero(active)
+        h = np.full(n, np.nan)
+        h[act] = same[act] / deg[act]
+        diff = goal[act] - h[act]
+        gap = np.full(n, np.inf)
+        gap[act] = np.abs(diff)
+        live = np.zeros(n, dtype=np.int64)
+        live[act] = np.where(np.abs(diff) <= _EQ_TOL, 0, np.where(diff > 0, 1, -1))
+        add = np.abs((same + (live > 0)) / (deg + 1) - goal) - gap
+        add = np.where(live != 0, add, np.inf)
+
+        # Per-node state lives in Python lists: edits read and write single
+        # entries, which lists do several times faster than numpy scalars.
+        # Float values are the same, since both round each operation once.
+        self.labels = t.labels.tolist()
+        self.adj = _adjacency_sets(g)
+        self.deg = deg.tolist()
+        self.same = same.tolist()
+        self.goal = goal.tolist()
+        self.active = active.tolist()
+        self.h = h.tolist()
+        self.gap_abs = gap.tolist()
+        self.live = live.tolist()
+        self.add_delta = add.tolist()
+        self._pools: dict[tuple[int, int], _PartnerPool] = {}
+        pool_labels = np.unique(t.labels[act]).tolist()
+        for c in pool_labels:
+            for sign in (-1, 1):
+                ks = np.flatnonzero((t.labels == c) & (live == sign))
+                ks = ks[np.argsort(gap[ks], kind="stable")]
+                keys = list(zip(gap[ks].tolist(), ks.tolist()))
+                self._pools[c, sign] = _PartnerPool(keys, self.add_delta)
+        # The pools an addition at a source of label c and sign s draws from.
+        self._candidate_pools = {
+            (c, sign): ([self._pools[c, sign]] if sign > 0 else
+                        [self._pools[o, sign] for o in pool_labels if o != c])
+            for c in pool_labels for sign in (-1, 1)}
         self.log = log
         self.phase = phase
 
     def _refresh(self, v: int) -> None:
-        if not self.active[v] or self.deg[v] == 0:
-            self.live[v] = 0
+        """Recompute v's ratio, gap, sign and add change; move it between pools."""
+        c = self.labels[v]
+        live = self.live
+        if live[v]:
+            self._pools[c, live[v]].remove((self.gap_abs[v], v))
+        same, deg, goal = self.same[v], self.deg[v], self.goal[v]
+        if not self.active[v] or deg == 0:
+            live[v] = 0
             return
-        h = self.same[v] / self.deg[v]
+        h = same / deg
         self.h[v] = h
-        diff = self.goal[v] - h
-        self.gap_abs[v] = abs(diff)
-        self.live[v] = 0 if abs(diff) <= _EQ_TOL else (1 if diff > 0 else -1)
+        diff = goal - h
+        gap = abs(diff)
+        self.gap_abs[v] = gap
+        s = 0 if gap <= _EQ_TOL else (1 if diff > 0 else -1)
+        live[v] = s
+        if s:
+            d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
+            self.add_delta[v] = d
+            self._pools[c, s].add((gap, v), d, self.add_delta)
 
     def _apply(self, op: str, u: int, v: int) -> None:
         if op == "remove":
@@ -340,13 +574,25 @@ class _EditState:
         self._refresh(v)
         self.log.append(self.phase, op, u, v)
 
-    def _delta(self, v, new_same, new_deg):
-        """Change in |h_v - goal_v| if v's counts became (new_same, new_deg).
+    def _bound_rejects(self, i: int, s: int, d_i: float) -> bool:
+        """True if no addition partner of i can pass the gate for i's change d_i."""
+        best = math.inf
+        for pool in self._candidate_pools[self.labels[i], s]:
+            best = min(best, pool.min_delta(self.live, s, self.add_delta))
+        return d_i + best >= -_GATE_TOL
 
-        v may be one node or an array of nodes; elementwise float64 rounds
-        exactly like the scalar form.
+    def _scan(self, i: int, s: int, d_i: float) -> int:
+        """First gate-passing candidate in (gap, id) order; -1 if none.
+
+        With several pools (s < 0 and three or more labels) each pool's
+        first passing key is found, and the smallest of them wins.
         """
-        return np.abs(new_same / new_deg - self.goal[v]) - self.gap_abs[v]
+        best = None
+        for pool in self._candidate_pools[self.labels[i], s]:
+            key = pool.first_passing(i, self.adj[i], d_i, self.add_delta)
+            if key is not None and (best is None or key < best):
+                best = key
+        return -1 if best is None else best[1]
 
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
         """Partner for one edge addition at source i; -1 if none passes.
@@ -357,72 +603,67 @@ class _EditState:
         -_GATE_TOL, summed in that order. Of the passing candidates,
         the one with the smallest gap wins, ties to the lower id.
         """
-        if s > 0:
-            mask = self.labels == self.labels[i]
-        else:
-            mask = self.labels != self.labels[i]
-        mask &= self.active & (self.live == s)
-        mask[i] = False
-        if self.adj[i]:
-            mask[list(self.adj[i])] = False
-        ks = np.flatnonzero(mask)
-        eq = 1 if s > 0 else 0
-        ks = ks[d_i + self._delta(ks, self.same[ks] + eq, self.deg[ks] + 1) < -_GATE_TOL]
-        if ks.size == 0:
+        if self._bound_rejects(i, s, d_i):
             return -1
-        return int(ks[np.argmin(self.gap_abs[ks])])
+        return self._scan(i, s, d_i)
 
     def attempt_rewire(self, i: int) -> bool:
         """One paired remove+add on source i; returns False if none is valid.
 
-        The removed neighbour j is the best gate-passing one by the partner
-        rule. The addition gate depends on i's counts after the removal, not
-        on j, so no other j could succeed where the chosen one finds no
-        addition partner.
+        The addition gate depends on i's counts after the removal, not on
+        which neighbour j is removed, so the addition bound is checked
+        before any neighbour is looked at, and no other j could succeed
+        where the chosen one finds no addition partner. The removed
+        neighbour j is the best gate-passing one by the partner rule.
         """
-        s = int(self.live[i])
+        s = self.live[i]
         if s == 0 or self.deg[i] <= 1:
             return False
         want_diff = s > 0  # raising h removes heterophilous edges
         eq_rm = 0 if want_diff else 1
-        js = np.sort(np.fromiter(self.adj[i], dtype=np.int64, count=len(self.adj[i])))
-        js = js[self.active[js] & (self.live[js] == s) & (self.deg[js] > 1)
-                & ((self.labels[js] != self.labels[i]) == want_diff)]
-        d_rm_i = self._delta(i, self.same[i] - eq_rm, self.deg[i] - 1)
-        js = js[d_rm_i + self._delta(js, self.same[js] - eq_rm, self.deg[js] - 1) < -_GATE_TOL]
-        if js.size == 0:
-            return False
-        j = int(js[np.argmin(self.gap_abs[js])])
         same_i2 = self.same[i] - eq_rm
         deg_i2 = self.deg[i] - 1
+        goal_i = self.goal[i]
         eq_add = 1 if s > 0 else 0
-        d_add_i = (abs((same_i2 + eq_add) / (deg_i2 + 1) - self.goal[i])
-                   - abs(same_i2 / deg_i2 - self.goal[i]))
-        k = self._best_partner(i, s, d_add_i)
+        gap_i2 = abs(same_i2 / deg_i2 - goal_i)
+        d_add_i = abs((same_i2 + eq_add) / (deg_i2 + 1) - goal_i) - gap_i2
+        if self._bound_rejects(i, s, d_add_i):
+            return False
+        d_rm_i = gap_i2 - self.gap_abs[i]
+        label_i = self.labels[i]
+        best = None
+        for j in self.adj[i]:
+            if (self.live[j] != s or self.deg[j] <= 1
+                    or (self.labels[j] != label_i) != want_diff):
+                continue
+            gap_j = self.gap_abs[j]
+            d_j = abs((self.same[j] - eq_rm) / (self.deg[j] - 1) - self.goal[j]) - gap_j
+            if d_rm_i + d_j < -_GATE_TOL and (best is None or (gap_j, j) < best):
+                best = (gap_j, j)
+        if best is None:
+            return False
+        k = self._scan(i, s, d_add_i)
         if k < 0:
             return False
-        self._apply("remove", i, j)
+        self._apply("remove", i, best[1])
         self._apply("add", i, k)
         return True
 
     def attempt_refine(self, i: int) -> bool:
         """One beneficial edge addition at node i; False if none is valid."""
-        s = int(self.live[i])
+        s = self.live[i]
         if s == 0:
             return False
-        _, upper = edge_move_bounds(float(self.h[i]), float(self.goal[i]), int(self.deg[i]))
+        _, upper = edge_move_bounds(self.h[i], self.goal[i], self.deg[i])
         if upper < 1:
             return False
         eq = 1 if s > 0 else 0
-        k = self._best_partner(i, s, self._delta(i, self.same[i] + eq, self.deg[i] + 1))
+        d_i = abs((self.same[i] + eq) / (self.deg[i] + 1) - self.goal[i]) - self.gap_abs[i]
+        k = self._best_partner(i, s, d_i)
         if k < 0:
             return False
         self._apply("add", i, k)
         return True
-
-    def potential(self) -> float:
-        act = np.flatnonzero(self.active)
-        return float(self.gap_abs[act].sum())
 
     def finish(self) -> Graph:
         return _graph_from_adjacency(self.adj)
@@ -451,8 +692,7 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
         for i in rng.permutation(np.asarray(sources, dtype=np.int64)):
             i = int(i)
             while state.live[i] != 0:
-                lower, _ = edge_move_bounds(float(state.h[i]), float(state.goal[i]),
-                                            int(state.deg[i]))
+                lower, _ = edge_move_bounds(state.h[i], state.goal[i], state.deg[i])
                 if lower < 1 or not state.attempt_rewire(i):
                     break
     return state.finish(), state.log
@@ -469,7 +709,7 @@ def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     state = _EditState(g, t, goals, _phase_log(log, seed), "refine")
     rng = np.random.default_rng(seed)
     while True:
-        off_target = np.flatnonzero(state.live != 0)
+        off_target = np.flatnonzero(state.live)
         if off_target.size == 0:
             break
         applied = False
@@ -514,19 +754,15 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
         "bins": bin_count,
     })
     g_rewired, log = rewire_phase(g, t, goals, seed_rewire, log=log)
+    n_rewire = len(log.records)
     g_final, log = refine_phase(g_rewired, t, goals, seed_refine, log=log)
     final_hist = defined_histogram(local_homophily_all(g_final, t), bin_count)
-    deltas = (g_final.degrees - g.degrees).astype(int)
-    delta_hist: dict[int, int] = {}
-    for d in deltas:
-        delta_hist[int(d)] = delta_hist.get(int(d), 0) + 1
-    n_rewire = sum(1 for r in log.records if r.phase == "rewire")
-    n_refine = sum(1 for r in log.records if r.phase == "refine")
+    values, counts = np.unique(g_final.degrees - g.degrees, return_counts=True)
     report = GenerationReport(
         emd_original_goal=emd(source_hist, goal_hist),
         emd_generated_goal=emd(final_hist, goal_hist),
         edits_rewire=n_rewire // 2,
-        edits_refine=n_refine,
-        degree_delta_histogram=delta_hist,
+        edits_refine=len(log.records) - n_rewire,
+        degree_delta_histogram=dict(zip(values.tolist(), counts.tolist())),
     )
     return g_final, log, report

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: transport
 cost via a general LP solver, components via union-find, micro-F1 via a
 full confusion matrix, an edit-log checker that recounts neighborhoods
-from its own adjacency sets, and the set-based graph builder and
-line-by-line edge-list parser that the array-native ones replaced.
+from its own adjacency sets, the set-based graph builder and
+line-by-line edge-list parser that the array-native ones replaced, and the
+mask-based partner search that the generator's partner pools replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 from homshift import Graph, NodeTable, TheoryParams, aggregation_coefficient, two_class_sbm
+from homshift.rewire import _GATE_TOL as GATE_TOL
 
 
 @pytest.fixture(scope="session")
@@ -170,6 +172,35 @@ def reference_monte_carlo_gap(params: TheoryParams, trials: int,
                                - np.einsum("mi,mi->m", r_v, w_mat[:, :, 0]))
         done += m
     return gaps
+
+
+def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
+    """Addition partner of source i by a full candidate mask over all nodes.
+
+    The generator's search before partner pools: mask the active nodes with
+    live sign s and i's label (s > 0) or another label (s < 0), drop i and
+    its neighbours, gate every candidate in one numpy expression, and take
+    the smallest gap among those that pass, ties to the lower id; -1 if
+    none passes. Reads the state's per-node values; touches no pool.
+    """
+    labels = np.asarray(state.labels)
+    live = np.asarray(state.live)
+    same = np.asarray(state.same)
+    deg = np.asarray(state.deg)
+    goal = np.asarray(state.goal)
+    gap = np.asarray(state.gap_abs)
+    mask = labels == labels[i] if s > 0 else labels != labels[i]
+    mask &= np.asarray(state.active) & (live == s)
+    mask[i] = False
+    if state.adj[i]:
+        mask[list(state.adj[i])] = False
+    ks = np.flatnonzero(mask)
+    eq = 1 if s > 0 else 0
+    change = np.abs((same[ks] + eq) / (deg[ks] + 1) - goal[ks]) - gap[ks]
+    ks = ks[d_i + change < -GATE_TOL]
+    if ks.size == 0:
+        return -1
+    return int(ks[np.argmin(gap[ks])])
 
 
 def confusion_micro_f1(y_true, y_pred) -> float:

@@ -206,6 +206,11 @@ def test_load_predictions_rejects_bad_header(tmp_path):
 @pytest.mark.parametrize("text, lineno, fragment", [
     ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,1,x,0\n", 3, "invalid literal"),
     ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n\n1,1,0\n", 4, "expected 4 fields"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\nfoo,1,0,1\n", 3, "non-integer node id 'foo'"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n\n2.5,1,0,1\n", 4, "non-integer node id '2.5'"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n-3,1,0,1\n", 3, "negative node id -3"),
+    ("node_id,y_true,y_pred,sensitive\n7,1,0,1\n0,1,0,1\n\n7,0,0,1\n", 5,
+     "duplicate node id 7 (first on line 2)"),
 ])
 def test_load_predictions_error_names_file_and_line(tmp_path, text, lineno, fragment):
     path = tmp_path / "preds.csv"
@@ -214,3 +219,25 @@ def test_load_predictions_error_names_file_and_line(tmp_path, text, lineno, frag
         load_predictions(path)
     assert str(info.value).startswith(f"{path}: line {lineno}: ")
     assert fragment in str(info.value)
+
+
+def test_load_predictions_keeps_file_order_with_gapped_ids(tmp_path):
+    # prediction files may list only labeled nodes: ids with gaps, any order
+    path = tmp_path / "preds.csv"
+    path.write_text("node_id,y_true,y_pred,sensitive\n9,2,2,1\n3,0,1,0\n\n41,1,1,1\n",
+                    encoding="utf-8")
+    q = load_predictions(path)
+    assert q.y_true.tolist() == [2, 0, 1]
+    assert q.y_pred.tolist() == [2, 1, 1]
+    assert q.sensitive.tolist() == [1, 0, 1]
+
+
+def test_load_predictions_reads_what_int_reads(tmp_path):
+    # the bulk parse rejects `1_000`; the row-wise pass reads it as int()
+    # does, as the loader always has
+    path = tmp_path / "preds.csv"
+    path.write_text("node_id,y_true,y_pred,sensitive\n1_000, 1 ,0,1\n5,0,0,0\n",
+                    encoding="utf-8")
+    q = load_predictions(path)
+    assert q.y_true.tolist() == [1, 0]
+    assert q.y_pred.tolist() == [0, 0]

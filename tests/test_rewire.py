@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homshift import (
     BetaGoal,
@@ -31,9 +33,10 @@ from homshift import (
     two_class_sbm,
 )
 
-from homshift.rewire import _EditState
+from homshift import rewire
+from homshift.rewire import _RUN, _EditState
 
-from conftest import EditLogChecker, lp_transport_cost
+from conftest import EditLogChecker, lp_transport_cost, reference_best_partner
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +282,82 @@ def test_edit_log_roundtrip(tmp_path):
     assert list(json.loads(lines[1])) == sorted(["seq", "phase", "op", "u", "v"])
 
 
+@pytest.fixture(params=[2, None], ids=["chunk2", "chunk-default"])
+def log_chunk(request, monkeypatch):
+    """Edit logs are written and read in chunks of lines; a 2-line chunk
+    puts chunk boundaries between the header, blank lines and records."""
+    if request.param is not None:
+        monkeypatch.setattr(rewire, "_LOG_CHUNK", request.param)
+
+
+def test_edit_log_save_matches_per_record_json(tmp_path, log_chunk):
+    """The one-format writer gives json.dumps(..., sort_keys=True) bytes,
+    also for phase and op strings that need escaping."""
+    log = EditLog(header={"seed": None, "alpha": 0.5})
+    log.append("rewire", "remove", 0, 1)
+    log.append('re"wire\\', "add", 12345678901, 2)
+    log.append("réfine", "add\n", 3, 4)
+    path = tmp_path / "edits.jsonl"
+    log.save(path)
+    expected = json.dumps(log.header, sort_keys=True) + "\n" + "".join(
+        json.dumps({"seq": r.seq, "phase": r.phase, "op": r.op, "u": r.u, "v": r.v},
+                   sort_keys=True) + "\n" for r in log.records)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert EditLog.load(path) == log
+
+
+def test_edit_log_load_skips_blank_lines_and_reads_crlf(tmp_path, log_chunk):
+    path = tmp_path / "edits.jsonl"
+    path.write_bytes(b'{"seed": 1}\r\n\r\n\x0c{"op": "add", "phase": "refine", "seq": 0, '
+                     b'"u": 3, "v": 4}\r\n   \n')
+    log = EditLog.load(path)
+    assert log.header == {"seed": 1}
+    assert [(r.seq, r.phase, r.op, r.u, r.v) for r in log.records] == [(0, "refine", "add", 3, 4)]
+    # a file without a header line holds records only
+    path.write_text('{"op": "add", "phase": "refine", "seq": 0, "u": 3, "v": 4}\n')
+    assert EditLog.load(path).header == {}
+
+
+_RECORD = '{"op": "add", "phase": "refine", "seq": 1, "u": 3, "v": 4}'
+
+
+@pytest.mark.parametrize("bad, fragment", [
+    ('{"op": "add", "phase": "refine", "seq": 1, "u": 3', "invalid JSON"),
+    (_RECORD + " " + _RECORD, "invalid JSON"),
+    (_RECORD + ", " + _RECORD, "invalid JSON"),
+    ('[1, 2]', "expected a JSON object"),
+    ('{"op": "add", "phase": "refine", "seq": 1, "u": 3}', "no 'v' key"),
+    ('{"op": "add", "seq": 1, "u": 3, "v": 4}', "no 'phase' key"),
+    ('{"op": "add", "phase": "refine", "seq": "1", "u": 3, "v": 4}', "'seq' must be an integer"),
+    ('{"op": "add", "phase": "refine", "seq": 1, "u": 3.0, "v": 4}', "'u' must be an integer"),
+    ('{"op": "add", "phase": "refine", "seq": 1, "u": 3, "v": true}', "'v' must be an integer"),
+])
+def test_edit_log_load_error_names_file_and_line(tmp_path, log_chunk, bad, fragment):
+    # header on line 1, a good record on line 2, a blank line 3, the bad line 4
+    path = tmp_path / "edits.jsonl"
+    path.write_text('{"seed": 1}\n' + _RECORD + "\n\n" + bad + "\n" + _RECORD + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        EditLog.load(path)
+    assert str(info.value).startswith(f"{path}: line 4: ")
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("text, lineno, fragment", [
+    ("[]\n" + _RECORD + "\n", 1, "expected a JSON object"),
+    # only the first object can be the header; a later one without "op"
+    # is a bad record, also when a chunk boundary falls before it
+    ('{"seed": 1}\n\n{"phase": "refine", "seq": 0, "u": 3, "v": 4}\n', 3, "no 'op' key"),
+])
+def test_edit_log_load_header_errors(tmp_path, log_chunk, text, lineno, fragment):
+    path = tmp_path / "edits.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        EditLog.load(path)
+    assert str(info.value).startswith(f"{path}: line {lineno}: ")
+    assert fragment in str(info.value)
+
+
 def test_edit_log_replay_rejects_bad_records():
     g = Graph.from_edges(3, [(0, 1)])
 
@@ -424,6 +503,135 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
     state = _EditState(g, t, goals, EditLog(), "rewire")
     assert state.attempt_rewire(0)
     assert _trace(state) == [("remove", 0, 2), ("add", 0, 7)]
+
+
+# --------------------------------------------------------- partner pools
+
+
+def _check_pools(state):
+    """Every pool holds exactly its (label, live sign) members in (gap, id)
+    order, its run floors bound the members' add changes from below, and
+    its heap holds a current entry for every member, within its size cap."""
+    live = np.asarray(state.live)
+    labels = np.asarray(state.labels)
+    for (c, s), pool in state._pools.items():
+        members = np.flatnonzero((labels == c) & (live == s))
+        keys = sorted((state.gap_abs[v], int(v)) for v in members)
+        assert [key for run in pool.runs for key in run] == keys
+        assert pool.size == len(keys)
+        assert all(0 < len(run) <= 2 * _RUN for run in pool.runs)
+        assert pool.lasts == [run[-1] for run in pool.runs]
+        for floor, run in zip(pool.floors, pool.runs):
+            assert floor <= min(state.add_delta[k] for _, k in run)
+        current = {k for d, k in pool.heap if live[k] == s and state.add_delta[k] == d}
+        assert current >= {k for _, k in keys}
+        assert len(pool.heap) <= 2 * pool.size + 16
+
+
+def _capture_states(mp):
+    """Collect every _EditState as its phase finishes, pools checked."""
+    states = []
+    finish = _EditState.finish
+
+    def capturing_finish(self):
+        _check_pools(self)
+        states.append(self)
+        return finish(self)
+
+    mp.setattr(_EditState, "finish", capturing_finish)
+    return states
+
+
+@st.composite
+def _edit_problems(draw):
+    """A small random graph with 2 or 3 labels, and goals on a coarse grid
+    so that many nodes share a gap."""
+    n = draw(st.integers(6, 30))
+    n_labels = draw(st.sampled_from([2, 3]))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), min_size=n, max_size=4 * n))
+    g = Graph.from_edges(n, sorted(edges))
+    labels = np.array(draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n)))
+    t = NodeTable(labels, np.zeros(n, dtype=int))
+    grid = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0)
+    goals = []
+    for v in range(n):
+        if g.degrees[v] > 0 and draw(st.booleans()):
+            goals.append(NodeGoal(v, 0.5, draw(st.sampled_from(grid)), 1))
+    return g, t, goals, draw(st.integers(0, 2**16))
+
+
+def _checked_replay(g, t, goals, seed):
+    """Run both phases with every partner search checked against the mask
+    reference: each pool scan must return the reference's partner, and a
+    bound rejection needs the reference to find none. Pools are checked
+    as each phase ends. Returns the final graph, the log and the outcome
+    counts (found, none, rejected, tied: a found partner whose gap
+    another node of its sign shares)."""
+    scan, bound_rejects = _EditState._scan, _EditState._bound_rejects
+    seen = {"found": 0, "none": 0, "rejected": 0, "tied": 0}
+
+    def checked_scan(self, i, s, d_i):
+        got = scan(self, i, s, d_i)
+        assert got == reference_best_partner(self, i, s, d_i)
+        seen["found" if got >= 0 else "none"] += 1
+        if got >= 0 and sum(gap == self.gap_abs[got] and live == s
+                            for gap, live in zip(self.gap_abs, self.live)) > 1:
+            seen["tied"] += 1
+        return got
+
+    def checked_bound(self, i, s, d_i):
+        rejected = bound_rejects(self, i, s, d_i)
+        if rejected:
+            assert reference_best_partner(self, i, s, d_i) == -1
+            seen["rejected"] += 1
+        return rejected
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_EditState, "_scan", checked_scan)
+        mp.setattr(_EditState, "_bound_rejects", checked_bound)
+        states = _capture_states(mp)
+        g_rw, log = rewire_phase(g, t, goals, seed=seed)
+        g_fin, log = refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
+    assert len(states) == 2
+    return g_fin, log, seen
+
+
+@given(_edit_problems())
+@settings(max_examples=150, deadline=None)
+def test_pool_search_matches_mask_reference(problem):
+    """Replays both phases on small random graphs with the search checked,
+    then audits the log independently."""
+    g, t, goals, seed = problem
+    g_fin, log, _ = _checked_replay(g, t, goals, seed)
+    checker = EditLogChecker(g, t, goals).apply(log.records)
+    assert checker.edges() == tuple(map(tuple, g_fin.edge_array().tolist()))
+
+
+def test_pool_search_sees_ties_and_both_outcomes():
+    """The checked replay meets gap ties, rejections and found partners:
+    on a 3-label random graph with grid goals all three occur."""
+    rng = np.random.default_rng(2)
+    n = 120
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.06]
+    g = Graph.from_edges(n, edges)
+    t = NodeTable(np.arange(n) % 3, np.zeros(n, dtype=int))
+    goals = [NodeGoal(v, 0.5, (0.25, 0.5, 0.75)[v % 3], 1)
+             for v in range(n) if g.degrees[v] > 0]
+    _, _, seen = _checked_replay(g, t, goals, seed=4)
+    assert seen["found"] > 0 and seen["rejected"] > 0 and seen["tied"] > 0
+
+
+def test_pools_stay_bounded_after_generate(small_pair):
+    """After a full generate() on the 600-node SBM, both phases' pools match
+    their members and every heap stays within twice its pool plus slack."""
+    g, t = small_pair
+    with pytest.MonkeyPatch.context() as mp:
+        states = _capture_states(mp)
+        _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
+    assert len(states) == 2 and log.records
+    for state in states:
+        assert sum(pool.size for pool in state._pools.values()) == np.count_nonzero(state.live)
 
 
 # ------------------------------------------------------- phase invariants
