@@ -113,14 +113,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    gammas = args.gamma if args.gamma else [0.0]
+    stems: dict[str, float] = {}
+    for gm in gammas:
+        # `:g` keeps 6 significant digits, so close gammas can share a file name
+        other = stems.setdefault(f"split_gamma{gm:g}", gm)
+        if other != gm:
+            raise ValueError(f"--gamma {other!r} and --gamma {gm!r} would both write "
+                             f"split_gamma{gm:g}.csv")
     out = _out_dir(args)
     g, t = _load_pair(args)
     ratios = local_homophily_all(g, t)
-    gammas = args.gamma if args.gamma else [0.0]
-    for gm in gammas:
+    for stem, gm in stems.items():
         assignment = stratified_split(ratios, gm, args.bins, args.seed,
                                       train_frac=args.train_frac, val_frac=args.val_frac)
-        stem = f"split_gamma{gm:g}"
         save_split(assignment, out / f"{stem}.csv")
         save_split_diagnostics(assignment, out / f"{stem}.json")
         reloaded = load_split(out / f"{stem}.csv")

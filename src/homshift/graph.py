@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 import re
@@ -245,68 +244,127 @@ def save_edge_list(g: Graph, path) -> None:
         fh.write(("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist()))
 
 
+def read_id_table(path, columns, converters=None):
+    """Rows of a CSV keyed by node id, in file order; errors name the file and line.
+
+    The header's cells, stripped, must be `columns`, or start with them when
+    `columns` ends with `...` (the further columns are floats). Blank lines
+    are skipped, and a cell may be double-quoted on one line (README, "File
+    formats"). Column 0 holds unique non-negative node ids. `converters`
+    maps a column index to a function from cell text to int that raises
+    ValueError on a bad cell; errors call the column by the function's name.
+    Other columns are read as int() reads them.
+
+    Returns (ints, floats, lines): the (r, k) int64 array of the k named
+    columns, the (r, f) float64 array of the further ones (None if there are
+    none), and each row's line number. Rows are parsed in bulk; if that
+    fails, they are parsed again one by one with the same converters, which
+    names the first bad line or, for a value only int() or float() reads
+    (such as `1_000`), gives the table.
+    """
+    names = [c for c in columns if c is not ...]
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().split("\n")
+    header = [cell.strip() for cell in _cells(text[0])] if text[0].strip() else []
+    if header[:len(names)] != names or (columns[-1] is not ... and len(header) != len(names)):
+        raise ValueError(f"{path}: line 1: header must start with '{','.join(names)}'"
+                         f"{'' if columns[-1] is ... else ' and end there'}; got {text[0]!r}")
+    keep = [i for i in range(1, len(text)) if text[i].strip()]
+    body = [text[i] for i in keep]
+    lines = np.array(keep, dtype=np.int64) + 1
+    k, f = len(names), len(header) - len(names)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(body, dtype=[("ints", np.int64, (k,)), ("floats", np.float64, (f,))],
+                               delimiter=",", quotechar='"', comments=None,
+                               converters=converters, ndmin=1)
+        ints, floats = table["ints"], table["floats"]
+        # sort and diff rather than np.unique: 0.4 ms against 10 ms on 39.5k ids
+        # under numpy 2.4. Fewer rows than lines means a quote joined two lines.
+        ids = np.sort(ints[:, 0])
+        if ids.size != len(body) or (ids < 0).any() or (np.diff(ids) == 0).any():
+            raise ValueError("rejected by the bulk parse")
+    except (ValueError, OverflowError):
+        ints, floats = _parse_rows(path, body, lines, header, k, converters or {})
+    return ints, floats if f else None, lines
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of one CSV line, unquoted, as the bulk parse in read_id_table splits it."""
+    if '"' not in line:  # the same cells, without np.loadtxt's 0.2-1 ms per call
+        return line.split(",")
+    return np.loadtxt([line], dtype=str, delimiter=",", quotechar='"', comments=None,
+                      ndmin=1).tolist()
+
+
+def _parse_rows(path, body, lines, header, k, converters):
+    """read_id_table's row-by-row pass: (ints, floats), or raise at the first bad line."""
+    convert = [converters.get(c, int) if c < k else float for c in range(len(header))]
+    pattern = ",".join(["<integer node id>"] + [
+        "<integer>" if conv is int else f"<{conv.__name__.strip('_').replace('_', ' ')}>"
+        for conv in convert[1:k]]) + (",<number>..." if len(header) > k else "")
+    first_line: dict[int, int] = {}
+    rows = []
+    for lineno, line in zip(lines.tolist(), body):
+        where = f"{path}: line {lineno}: "
+        expected = f"{where}expected '{pattern}', got {line!r}"
+        cells = _cells(line)
+        if len(cells) != len(header):
+            raise ValueError(f"{expected} (expected {len(header)} fields, got {len(cells)})")
+        try:
+            node = int(cells[0])
+        except ValueError:
+            raise ValueError(f"{expected} (non-integer node id {cells[0]!r})") from None
+        if node < 0:
+            raise ValueError(f"{where}negative node id {node}")
+        if node in first_line:
+            raise ValueError(f"{where}duplicate node id {node} (first on line {first_line[node]})")
+        first_line[node] = lineno
+        rows.append([node])
+        for name, conv, cell in zip(header[1:], convert[1:], cells[1:]):
+            try:
+                rows[-1].append(conv(cell))
+            except ValueError as exc:
+                raise ValueError(f"{expected} ({name}: {exc})") from None
+        if not all(-2**63 <= v < 2**63 for v in rows[-1][:k]):
+            raise ValueError(f"{expected} (a value beyond int64)")
+    r, f = len(rows), len(header) - k
+    return (np.array([row[:k] for row in rows], dtype=np.int64).reshape(r, k),
+            np.array([row[k:] for row in rows], dtype=np.float64).reshape(r, f))
+
+
+def _integer_or_blank(cell: str) -> int:
+    """A node-table label or sensitive cell: blank is INVALID."""
+    if not cell.strip():
+        return INVALID
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"non-integer value {cell!r}") from None
+
+
 def load_node_table(path) -> NodeTable:
     """Read a node table CSV with header node_id,label,sensitive[,f0,f1,...].
 
-    node_id values must cover 0..n-1 exactly. Empty label/sensitive fields
-    become the INVALID marker; non-integer values in those columns are errors.
-    Any columns past the third are parsed as float features.
+    The file follows read_id_table's rules; its node ids must cover 0..n-1,
+    in any order, and rows are stored by id. A blank label or sensitive
+    cell becomes the INVALID marker; any columns past the third are parsed
+    as float features.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty node table") from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["node_id", "label", "sensitive"]:
-            raise ValueError(
-                f"{path}: header must start with node_id,label,sensitive; got {header[:3]}"
-            )
-        n_feat = len(header) - 3
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append((lineno, row))
-    n = len(rows)
+    ints, features, lines = read_id_table(path, ("node_id", "label", "sensitive", ...),
+                                          {1: _integer_or_blank, 2: _integer_or_blank})
+    n = ints.shape[0]
     if n == 0:
         raise ValueError(f"{path}: node table has no rows")
-    labels = np.full(n, INVALID, dtype=np.int64)
-    sensitive = np.full(n, INVALID, dtype=np.int64)
-    features = np.zeros((n, n_feat), dtype=np.float64) if n_feat else None
-    seen = np.zeros(n, dtype=bool)
-    for lineno, row in rows:
-        try:
-            node_id = int(row[0])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer node_id {row[0]!r}") from None
-        if not (0 <= node_id < n):
-            raise ValueError(f"{path}: line {lineno}: node_id {node_id} outside 0..{n - 1} (gap or duplicate elsewhere)")
-        if seen[node_id]:
-            raise ValueError(f"{path}: line {lineno}: duplicate node_id {node_id}")
-        seen[node_id] = True
-        for col, out in ((1, labels), (2, sensitive)):
-            cell = row[col].strip()
-            if cell == "":
-                continue  # stays INVALID
-            try:
-                out[node_id] = int(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-integer {header[col]} value {cell!r}"
-                ) from None
-        if features is not None:
-            try:
-                features[node_id] = [float(c) for c in row[3:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric feature value") from None
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"{path}: node_id {missing} missing (ids must cover 0..{n - 1})")
-    return NodeTable(labels, sensitive, features)
+    ids = ints[:, 0]
+    if ids.max() >= n:  # unique ids below n would cover 0..n-1
+        row = int(np.argmax(ids >= n))
+        raise ValueError(f"{path}: line {lines[row]}: node_id {ids[row]} outside 0..{n - 1}; "
+                         f"the ids must cover 0..{n - 1}")
+    by_id = np.argsort(ids)
+    return NodeTable(ints[by_id, 1], ints[by_id, 2],
+                     None if features is None else features[by_id])
 
 
 def save_node_table(t: NodeTable, path) -> None:
@@ -399,22 +457,17 @@ def filter_top_classes(
         raise ValueError(f"only {classes.shape[0]} classes available after exclusion, need {k}")
     # rank by descending count, ties toward the lower original class id
     order = np.lexsort((classes, -counts))
-    top = classes[order[:k]]
-    rank_of_class = {int(c): r for r, c in enumerate(top)}
-    keep_mask = np.isin(t.labels, top) & (t.sensitive >= 0)
+    top = order[:k]  # indices into the sorted `classes`, most frequent first
+    keep_mask = np.isin(t.labels, classes[top]) & (t.sensitive >= 0)
     keep = np.flatnonzero(keep_mask)
     if keep.shape[0] == 0:
         raise ValueError("no nodes survive the class/sensitive filter")
     sub_g, sub_t, node_map = induced_subgraph(g, t, keep)
     sub_g, sub_t, lcc_map = largest_connected_component(sub_g, sub_t)
     node_map = node_map[lcc_map]
-    new_labels = np.array([rank_of_class[int(c)] for c in sub_t.labels], dtype=np.int64)
+    rank = np.empty(classes.shape[0], dtype=np.int64)
+    rank[top] = np.arange(k)
     # the LCC may have dropped a class entirely; re-compact preserving rank order
-    present = np.unique(new_labels)
-    if present.shape[0] != k:
-        dense = {int(c): i for i, c in enumerate(present)}
-        new_labels = np.array([dense[int(c)] for c in new_labels], dtype=np.int64)
-    sens_present = np.unique(sub_t.sensitive)
-    sens_dense = {int(s): i for i, s in enumerate(sens_present)}
-    new_sens = np.array([sens_dense[int(s)] for s in sub_t.sensitive], dtype=np.int64)
+    _, new_labels = np.unique(rank[np.searchsorted(classes, sub_t.labels)], return_inverse=True)
+    _, new_sens = np.unique(sub_t.sensitive, return_inverse=True)
     return sub_g, NodeTable(new_labels, new_sens, sub_t.features), node_map

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import io
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import read_id_table
 
 
 @dataclass(frozen=True)
@@ -65,70 +65,23 @@ class PredictionTable:
         return int(max(y_true.max(), y_pred.max())) + 1
 
 
-_PREDICTION_HEADER = "node_id,y_true,y_pred,sensitive"
+_PREDICTION_COLUMNS = ("node_id", "y_true", "y_pred", "sensitive")
 
 
 def load_predictions(path) -> PredictionTable:
     """Predictions from a `node_id,y_true,y_pred,sensitive` CSV; errors name the file and line.
 
-    Rows stay in file order. Node ids must be non-negative integers, each
-    listed once; they need not cover 0..n-1 (a file may list only the
-    labeled nodes). The rows are parsed in bulk; when that fails, they are
-    parsed again one by one with int(), which names the bad line or, for
-    a value only int() reads (such as `1_000`), gives the table.
+    The file follows graph.read_id_table's rules: node ids are non-negative
+    integers, each listed once. They need not cover 0..n-1 (a file may list
+    only the labeled nodes), and rows stay in file order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header, _, body = fh.read().partition("\n")
-    if header.strip() != _PREDICTION_HEADER:
-        raise ValueError(f"{path}: line 1: prediction file must start with "
-                         f"'{_PREDICTION_HEADER}'")
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                               comments=None, ndmin=2)
-        if (table.shape[1] != 4 or (table[:, 0] < 0).any()
-                or np.unique(table[:, 0]).size != len(table)):
-            raise ValueError("rejected by the bulk parse")
-        cols = table.T
-    except ValueError:
-        rows = [(lineno, line.strip()) for lineno, line
-                in enumerate(body.split("\n"), start=2) if line.strip()]
-        cols = [np.array(col) for col in _prediction_columns(path, rows)]
-    return PredictionTable(cols[1], cols[2], cols[3])
-
-
-def _prediction_columns(path, rows: list[tuple[int, str]]) -> list[list[int]]:
-    """The four integer columns of (line number, text) rows; raises at the first bad one."""
-    cols: list[list[int]] = [[], [], [], []]
-    first_line: dict[int, int] = {}
-    for lineno, line in rows:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {line!r}")
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer node id "
-                             f"{parts[0]!r}") from None
-        if node < 0:
-            raise ValueError(f"{path}: line {lineno}: negative node id {node}")
-        if node in first_line:
-            raise ValueError(f"{path}: line {lineno}: duplicate node id {node} "
-                             f"(first on line {first_line[node]})")
-        first_line[node] = lineno
-        try:
-            values = [int(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        for col, value in zip(cols, [node, *values]):
-            col.append(value)
-    return cols
+    rows, _, _ = read_id_table(path, _PREDICTION_COLUMNS)
+    return PredictionTable(rows[:, 1], rows[:, 2], rows[:, 3])
 
 
 def save_predictions(p: PredictionTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PREDICTION_HEADER + "\n")
+        fh.write(",".join(_PREDICTION_COLUMNS) + "\n")
         for node in range(p.y_true.size):
             fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
 

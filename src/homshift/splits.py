@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import read_id_table
 from .homophily import HomophilyHistogram, bin_index, emd, histogram
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
 TAG_NAMES = ("train", "val", "test", "excluded")
-_NAME_TO_TAG = {name: tag for tag, name in enumerate(TAG_NAMES)}
 
 
 def concentrate(p: HomophilyHistogram, gamma: float) -> HomophilyHistogram:
@@ -201,29 +201,25 @@ def save_split(assignment: SplitAssignment, path) -> None:
             fh.write(f"{node},{TAG_NAMES[tag]}\n")
 
 
+def _tag(cell: str) -> int:
+    """A split tag name's code; whitespace around the name is ignored."""
+    try:
+        return TAG_NAMES.index(cell.strip())
+    except ValueError:
+        raise ValueError(f"unknown split tag {cell!r}") from None
+
+
 def load_split(path) -> np.ndarray:
-    """Split tags from a `node_id,split` CSV; errors name the file and line."""
-    tags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "node_id,split":
-            raise ValueError(f"{path}: line 1: split file must start with 'node_id,split'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                node_s, name = line.split(",")
-                node = int(node_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected '<integer node id>,<tag>', "
-                                 f"got {line!r}") from None
-            if node != len(tags):
-                raise ValueError(f"{path}: line {lineno}: node ids must be consecutive from 0")
-            if name not in _NAME_TO_TAG:
-                raise ValueError(f"{path}: line {lineno}: unknown split tag {name!r}")
-            tags.append(_NAME_TO_TAG[name])
-    return np.asarray(tags, dtype=np.int8)
+    """Split tags from a `node_id,split` CSV; errors name the file and line.
+
+    The file follows graph.read_id_table's rules, and its node ids must be
+    0, 1, 2, ... in file order.
+    """
+    rows, _, lines = read_id_table(path, ("node_id", "split"), {1: _tag})
+    bad = np.flatnonzero(rows[:, 0] != np.arange(rows.shape[0]))
+    if bad.size:
+        raise ValueError(f"{path}: line {lines[bad[0]]}: node ids must be consecutive from 0")
+    return rows[:, 1].astype(np.int8)
 
 
 def split_diagnostics(assignment: SplitAssignment) -> dict:

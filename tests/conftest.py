@@ -4,17 +4,32 @@ The oracles here deliberately avoid the library's own code paths: transport
 cost via a general LP solver, components via union-find, micro-F1 via a
 full confusion matrix, an edit-log checker that recounts neighborhoods
 from its own adjacency sets, the set-based graph builder and
-line-by-line edge-list parser that the array-native ones replaced, and the
-mask-based partner search that the generator's partner pools replaced.
+line-by-line edge-list parser that the array-native ones replaced, the
+mask-based partner search that the generator's partner pools replaced, and
+the three CSV loaders (node table, split, predictions) that one bulk
+id-keyed reader replaced.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from homshift import Graph, NodeTable, TheoryParams, aggregation_coefficient, two_class_sbm
+from homshift import (
+    INVALID,
+    TAG_NAMES,
+    Graph,
+    NodeTable,
+    PredictionTable,
+    TheoryParams,
+    aggregation_coefficient,
+    two_class_sbm,
+)
 from homshift.rewire import _GATE_TOL as GATE_TOL
 
 
@@ -136,6 +151,157 @@ def reference_load_edge_list(path, one_indexed: bool = False):
     if n_lines == 0:
         raise ValueError(f"{path}: empty edge list")
     return max_id + 1, pairs, self_loops, duplicates
+
+
+_REFERENCE_TAGS = {name: tag for tag, name in enumerate(TAG_NAMES)}
+_REFERENCE_PREDICTION_HEADER = "node_id,y_true,y_pred,sensitive"
+
+
+def reference_load_node_table(path) -> NodeTable:
+    """csv.reader node-table parse with per-cell int(), as homshift.load_node_table was.
+
+    Header node_id,label,sensitive[,f0,f1,...]; node_id values must cover 0..n-1 exactly. Empty label/sensitive fields
+    become the INVALID marker; non-integer values in those columns are errors.
+    Any columns past the third are parsed as float features.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty node table") from None
+        header = [h.strip() for h in header]
+        if header[:3] != ["node_id", "label", "sensitive"]:
+            raise ValueError(
+                f"{path}: header must start with node_id,label,sensitive; got {header[:3]}"
+            )
+        n_feat = len(header) - 3
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            rows.append((lineno, row))
+    n = len(rows)
+    if n == 0:
+        raise ValueError(f"{path}: node table has no rows")
+    labels = np.full(n, INVALID, dtype=np.int64)
+    sensitive = np.full(n, INVALID, dtype=np.int64)
+    features = np.zeros((n, n_feat), dtype=np.float64) if n_feat else None
+    seen = np.zeros(n, dtype=bool)
+    for lineno, row in rows:
+        try:
+            node_id = int(row[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer node_id {row[0]!r}") from None
+        if not (0 <= node_id < n):
+            raise ValueError(f"{path}: line {lineno}: node_id {node_id} outside 0..{n - 1} (gap or duplicate elsewhere)")
+        if seen[node_id]:
+            raise ValueError(f"{path}: line {lineno}: duplicate node_id {node_id}")
+        seen[node_id] = True
+        for col, out in ((1, labels), (2, sensitive)):
+            cell = row[col].strip()
+            if cell == "":
+                continue  # stays INVALID
+            try:
+                out[node_id] = int(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-integer {header[col]} value {cell!r}"
+                ) from None
+        if features is not None:
+            try:
+                features[node_id] = [float(c) for c in row[3:]]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric feature value") from None
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        raise ValueError(f"{path}: node_id {missing} missing (ids must cover 0..{n - 1})")
+    return NodeTable(labels, sensitive, features)
+
+
+def reference_load_split(path) -> np.ndarray:
+    """Line-split parse of a `node_id,split` CSV, as homshift.load_split was."""
+    tags = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "node_id,split":
+            raise ValueError(f"{path}: line 1: split file must start with 'node_id,split'")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                node_s, name = line.split(",")
+                node = int(node_s)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected '<integer node id>,<tag>', "
+                                 f"got {line!r}") from None
+            if node != len(tags):
+                raise ValueError(f"{path}: line {lineno}: node ids must be consecutive from 0")
+            if name not in _REFERENCE_TAGS:
+                raise ValueError(f"{path}: line {lineno}: unknown split tag {name!r}")
+            tags.append(_REFERENCE_TAGS[name])
+    return np.asarray(tags, dtype=np.int8)
+
+
+def reference_load_predictions(path) -> PredictionTable:
+    """Bulk np.loadtxt then int() row rescan, as homshift.load_predictions was.
+
+    Rows stay in file order. Node ids must be non-negative integers, each
+    listed once; they need not cover 0..n-1 (a file may list only the
+    labeled nodes). The rows are parsed in bulk; when that fails, they are
+    parsed again one by one with int(), which names the bad line or, for
+    a value only int() reads (such as `1_000`), gives the table.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header, _, body = fh.read().partition("\n")
+    if header.strip() != _REFERENCE_PREDICTION_HEADER:
+        raise ValueError(f"{path}: line 1: prediction file must start with "
+                         f"'{_REFERENCE_PREDICTION_HEADER}'")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                               comments=None, ndmin=2)
+        if (table.shape[1] != 4 or (table[:, 0] < 0).any()
+                or np.unique(table[:, 0]).size != len(table)):
+            raise ValueError("rejected by the bulk parse")
+        cols = table.T
+    except ValueError:
+        rows = [(lineno, line.strip()) for lineno, line
+                in enumerate(body.split("\n"), start=2) if line.strip()]
+        cols = [np.array(col) for col in _reference_prediction_columns(path, rows)]
+    return PredictionTable(cols[1], cols[2], cols[3])
+
+
+def _reference_prediction_columns(path, rows: list[tuple[int, str]]) -> list[list[int]]:
+    """The four integer columns of (line number, text) rows; raises at the first bad one."""
+    cols: list[list[int]] = [[], [], [], []]
+    first_line: dict[int, int] = {}
+    for lineno, line in rows:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {line!r}")
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-integer node id "
+                             f"{parts[0]!r}") from None
+        if node < 0:
+            raise ValueError(f"{path}: line {lineno}: negative node id {node}")
+        if node in first_line:
+            raise ValueError(f"{path}: line {lineno}: duplicate node id {node} "
+                             f"(first on line {first_line[node]})")
+        first_line[node] = lineno
+        try:
+            values = [int(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        for col, value in zip(cols, [node, *values]):
+            col.append(value)
+    return cols
 
 
 def reference_monte_carlo_gap(params: TheoryParams, trials: int,

@@ -131,6 +131,18 @@ def test_split_outputs(sbm_files, tmp_path):
     assert pool == round(0.8 * valid)
 
 
+def test_split_rejects_gammas_that_share_a_file_name(sbm_files, tmp_path, capsys):
+    # both print as 0.123457 under the 6-significant-digit file name
+    root, _, _ = sbm_files
+    out = tmp_path / "out"
+    rc = main(["split", "--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv"),
+               "--gamma", "0.1234567", "--gamma", "0.1234568", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "0.1234567" in err and "0.1234568" in err and "split_gamma0.123457.csv" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- metrics
 
 
@@ -193,6 +205,56 @@ def test_theory_no_sensitive_signal(tmp_path):
         fields = line.split(",")
         assert float(fields[1]) == 0.0
         assert abs(float(fields[2])) < 0.05
+
+
+# ------------------------------------------------------- config sidecar
+
+
+def _argv_from_config(config: dict, out) -> list[str]:
+    """The command line that a `<command>.config.json` records, writing into `out`."""
+    argv = [config["subcommand"]]
+    for key, value in sorted(config.items()):
+        if key in ("command", "subcommand", "out") or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate", "split", "metrics", "theory"])
+def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
+    root, g, t = sbm_files
+    (tmp_path / "edges1.txt").write_text("".join(f"{u + 1} {v + 1}\n" for u, v in g.edges))
+    _write_predictions(tmp_path / "a.csv", t.labels, t.labels[::-1], t.sensitive)
+    _write_predictions(tmp_path / "b.csv", t.labels, t.labels, t.sensitive)
+    graph = ["--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv")]
+    argv = {
+        "analyze": ["--graph", str(tmp_path / "edges1.txt"), "--one-indexed",
+                    "--nodes", str(root / "nodes.csv"), "--bins", "7"],
+        "generate": graph + ["--alpha", "3.0", "--beta", "10.0", "--seed", "5"],
+        "split": graph + ["--gamma", "0.0", "--gamma", "1.5", "--train-frac", "0.7",
+                          "--seed", "4"],
+        "metrics": ["--run-a", str(tmp_path / "a.csv"), "--run-b", str(tmp_path / "b.csv"),
+                    "--baseline", str(tmp_path / "b.csv"), "--dataset", "toy"],
+        "theory": ["--alpha-grid=-0.1,0.0", "--trials", "20", "--seed", "2"],
+    }[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, *argv, "--out", str(first)]) == 0
+    config = json.loads((first / f"{command}.config.json").read_text())
+    assert main(_argv_from_config(config, second)) == 0
+
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name == f"{command}.config.json":
+            rerun = json.loads((second / name).read_text())
+            assert rerun.pop("out") == str(second) and config.pop("out") == str(first)
+            assert rerun == config
+        else:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- errors

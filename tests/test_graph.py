@@ -17,11 +17,20 @@ from homshift import (
     largest_connected_component,
     load_edge_list,
     load_node_table,
+    load_predictions,
+    load_split,
     save_edge_list,
     save_node_table,
 )
 
-from conftest import reference_from_edges, reference_load_edge_list, union_find_components
+from conftest import (
+    reference_from_edges,
+    reference_load_edge_list,
+    reference_load_node_table,
+    reference_load_predictions,
+    reference_load_split,
+    union_find_components,
+)
 
 
 def test_from_edges_canonicalizes_order_and_duplicates():
@@ -251,6 +260,144 @@ def test_node_table_missing_values_become_invalid(tmp_path):
     assert t.sensitive.tolist() == [1, INVALID]
 
 
+_TABLE_LOADERS = {
+    "node": (load_node_table, reference_load_node_table),
+    "split": (load_split, reference_load_split),
+    "pred": (load_predictions, reference_load_predictions),
+}
+
+
+@st.composite
+def _id_table_files(draw):
+    """(kind, new-loader text, reference text) for a node table, split or prediction file.
+
+    Cells may be padded (` 3 `), quoted (`"3"`) or written with an
+    underscore (`1_0`); blank and whitespace-only lines and CRLF endings
+    occur. About half the files carry one fault: a negative, duplicate,
+    gapped or swapped id, a bad cell, or a wrong field count. Quoting is
+    transparent: the old split and prediction loaders did not read quotes,
+    so their reference text drops them. Tag cells are never padded (the old
+    split loader kept that space in the tag).
+    """
+    kind = draw(st.sampled_from(sorted(_TABLE_LOADERS)))
+    n = draw(st.integers(0, 12))
+    features = draw(st.integers(0, 2)) if kind == "node" else 0
+    if kind == "pred":
+        ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    elif kind == "node":
+        ids = draw(st.permutations(range(n)))
+    else:
+        ids = list(range(n))
+    header = {"node": ["node_id", "label", "sensitive"] + [f"f{c}" for c in range(features)],
+              "split": ["node_id", "split"],
+              "pred": ["node_id", "y_true", "y_pred", "sensitive"]}[kind]
+    rows = []
+    for node in ids:
+        if kind == "node":
+            row = [draw(st.sampled_from(["", " ", "-1", "0", "2", "11"])),
+                   draw(st.sampled_from(["", "0", "1"]))]
+            row += [draw(st.sampled_from([repr(draw(st.floats(-1e3, 1e3))), "1e-3", "25"]))
+                    for _ in range(features)]
+        elif kind == "split":
+            row = [draw(st.sampled_from(["train", "val", "test", "excluded"]))]
+        else:
+            row = [draw(st.sampled_from(["0", "1", "12"])) for _ in range(2)]
+            row += [draw(st.sampled_from(["0", "1"]))]
+        rows.append([str(node)] + row)
+
+    fault = draw(st.sampled_from([None] * 6 + ["negative", "duplicate", "gap", "swap",
+                                               "bad cell", "field count"]))
+    if fault and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if fault == "negative":
+            rows[i][0] = str(-int(rows[i][0]) - 1)
+        elif fault == "duplicate":
+            rows[i][0] = rows[j][0]
+        elif fault == "gap":
+            rows[i][0] = str(n + draw(st.integers(0, 3)))
+        elif fault == "swap":
+            rows[i][0], rows[j][0] = rows[j][0], rows[i][0]
+        elif fault == "bad cell":
+            rows[i][draw(st.integers(1, len(header) - 1))] = \
+                draw(st.sampled_from(["x", "1.5", "sideways", "2", "-3"]))
+        else:
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+
+    def styled(cell, col, header_row):
+        digits = [k for k in range(1, len(cell)) if cell[k - 1:k + 1].isdigit()]
+        if digits and not header_row and draw(st.integers(0, 5)) == 0:
+            cell = cell[:digits[0]] + "_" + cell[digits[0]:]
+        style = draw(st.sampled_from(["plain", "plain", "pad", "quote", "quote_pad"]))
+        if "pad" in style and (kind == "node" or not (header_row or (kind, col) == ("split", 1))):
+            cell = f" {cell} "
+        return (f'"{cell}"', cell) if "quote" in style else (cell, cell)
+
+    lines = [list(zip(*(styled(c, col, True) for col, c in enumerate(header))))]
+    for row in rows:
+        lines.append(list(zip(*(styled(c, col, False) for col, c in enumerate(row)))))
+        for _ in range(draw(st.integers(0, 1))):
+            blank = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append([(blank,), (blank,)])
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from(["", ending]))
+    texts = [ending.join(",".join(line[which]) for line in lines) + tail for which in (0, 1)]
+    return kind, texts[0], texts[1] if kind != "node" else texts[0]
+
+
+@given(_id_table_files())
+@settings(max_examples=400, deadline=None)
+def test_id_table_loaders_match_references(tmp_path_factory, case):
+    kind, text, reference_text = case
+    load, reference_load = _TABLE_LOADERS[kind]
+    root = tmp_path_factory.mktemp("tables")
+    path, reference_path = root / "table.csv", root / "reference.csv"
+    path.write_bytes(text.encode("utf-8"))
+    reference_path.write_bytes(reference_text.encode("utf-8"))
+    try:
+        expected = reference_load(reference_path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            load(path)
+        if str(exc).startswith(f"{reference_path}: "):
+            assert str(info.value).startswith(f"{path}: ")
+        return
+    got = load(path)
+    if kind == "split":
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        return
+    names = ("labels", "sensitive", "features") if kind == "node" else \
+        ("y_true", "y_pred", "sensitive")
+    for name in names:
+        want, have = getattr(expected, name), getattr(got, name)
+        assert (want is None) == (have is None)
+        if want is not None:
+            assert want.dtype == have.dtype and np.array_equal(want, have)
+
+
+def test_id_tables_share_one_cell_grammar(tmp_path):
+    # quotes and padding read alike in all three formats (the old split and
+    # prediction loaders rejected quoted cells, and kept the space in ` train`)
+    split = tmp_path / "split.csv"
+    split.write_text('"node_id", split\n"0", train \n1,"val"\n', encoding="utf-8")
+    assert load_split(split).tolist() == [0, 1]
+    preds = tmp_path / "preds.csv"
+    preds.write_text('node_id,y_true,y_pred,sensitive\r\n"4", 1 ,"0",1\r\n', encoding="utf-8")
+    assert load_predictions(preds).y_true.tolist() == [1]
+    # a node table may add feature columns; the other headers must match exactly
+    split.write_text("node_id,split,extra\n0,train,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="header must start with 'node_id,split' and end there"):
+        load_split(split)
+    # a quoted cell cannot span lines, though the bulk parse alone would join them
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text('node_id,label,sensitive\n"1\n",0,0\n0,1,1\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: .*expected 3 fields, got 1"):
+        load_node_table(nodes)
+    # int() reads any size; the table holds int64
+    nodes.write_text("node_id,label,sensitive\n0,9223372036854775808,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: .*a value beyond int64"):
+        load_node_table(nodes)
+
+
 def test_induced_subgraph_maps_ids():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     t = NodeTable(np.arange(5), np.zeros(5, dtype=int))
@@ -319,6 +466,21 @@ def test_filter_top_classes_frequency_tie_prefers_lower_class_id():
     sub, sub_t, _ = filter_top_classes(g, NodeTable(labels, sens), 2)
     # counts tie at 2; class 3 ranks ahead of class 5
     assert sub_t.labels.tolist() == [1, 1, 0, 0]
+
+
+def test_filter_top_classes_recompacts_when_the_lcc_drops_a_class():
+    # class 7: nodes 0-3, class 5: node 4, both in the 5-node component;
+    # class 9: nodes 5-7, alone in a 3-node component that the LCC drops
+    labels = np.array([7, 7, 7, 7, 5, 9, 9, 9])
+    sens = np.array([1, 3, 1, 3, 3, 0, 0, 0])
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
+    sub, sub_t, node_map = filter_top_classes(g, NodeTable(labels, sens), 3)
+    assert node_map.tolist() == [0, 1, 2, 3, 4]
+    # ranks 7 -> 0, 9 -> 1, 5 -> 2; with 9 gone, rank 2 compacts to 1
+    assert sub_t.labels.tolist() == [0, 0, 0, 0, 1]
+    # sensitive values 1 and 3 compact to 0 and 1 in ascending order
+    assert sub_t.sensitive.tolist() == [0, 1, 0, 1, 1]
+    assert np.array_equal(sub.edges, [[0, 1], [1, 2], [2, 3], [3, 4]])
 
 
 def test_graph_is_immutable():

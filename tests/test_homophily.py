@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 from homshift import (
     BetaGoal,
@@ -205,6 +205,29 @@ def test_beta_goal_matches_cdf_oracle(a, b_shape):
     edges = np.linspace(0.0, 1.0, bins + 1)
     expected = np.diff(stats.beta.cdf(edges, a, b_shape))
     assert np.allclose(h.mass, expected, atol=1e-8)
+
+
+def _quad_beta_mass(a: float, b: float, bins: int) -> np.ndarray:
+    """Per-bin Beta(a, b) mass by adaptive quadrature of the density, renormalized."""
+    log_norm = special.betaln(a, b)
+
+    def density(x: float) -> float:
+        if x <= 0.0 or x >= 1.0:
+            return 0.0
+        return float(np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_norm))
+
+    edges = np.arange(bins + 1, dtype=np.float64) / bins
+    mass = np.array([integrate.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+                     for lo, hi in zip(edges[:-1], edges[1:])])
+    return mass / mass.sum()
+
+
+@pytest.mark.parametrize("bins", [2, 10])
+@pytest.mark.parametrize("b_shape", [0.5, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 3.0, 10.0])
+def test_beta_goal_matches_quadrature(a, b_shape, bins):
+    h = beta_goal_histogram(BetaGoal(a, b_shape), bins)
+    assert np.abs(h.mass - _quad_beta_mass(a, b_shape, bins)).max() <= 1e-10
 
 
 def test_beta_goal_requires_two_bins():
