@@ -40,7 +40,7 @@ def main() -> None:
                                     seed=args.seed)
     print(f"goal Beta({args.alpha:g},{args.beta:g}) over {args.bins} bins")
     print(f"edits: {report.edits_rewire} rewires + {report.edits_refine} "
-          f"refinements ({len(log.records)} log records)")
+          f"refinements ({len(log)} log records)")
     print(f"EMD to goal: {report.emd_original_goal:.4f} -> "
           f"{report.emd_generated_goal:.4f}")
     print(f"global homophily after: {global_homophily(rewired, table):.3f}")

@@ -4,6 +4,7 @@ Every subcommand writes its artifacts into --out with fixed filenames plus
 a `<command>.config.json` sidecar echoing the full configuration, so any
 output can be regenerated from its sidecar alone. Outputs are validated
 before exit; exit status is 0 only when everything was written and checked.
+The sidecar is written last, after the checks, so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ def _load_pair(args):
     return g, t
 
 
+def _ratios_csv(ratios: np.ndarray) -> str:
+    """ratios.csv's text: one `node_id,ratio` row per node, blank for NaN."""
+    return "node_id,ratio\n" + "".join([f"{node},{'' if x != x else repr(x)}\n"
+                                        for node, x in enumerate(ratios.tolist())])
+
+
 def _cmd_analyze(args) -> int:
     out = _out_dir(args)
     g, t = _load_pair(args)
@@ -68,9 +75,7 @@ def _cmd_analyze(args) -> int:
     ratios = local_homophily_all(g, t)
     hist = defined_histogram(ratios, args.bins)
     with open(out / "ratios.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,ratio\n")
-        for node, r in enumerate(ratios):
-            fh.write(f"{node},{'' if np.isnan(r) else repr(float(r))}\n")
+        fh.write(_ratios_csv(ratios))
     edges = hist.edges()
     with open(out / "histogram.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin,lo,hi,mass\n")
@@ -84,9 +89,9 @@ def _cmd_analyze(args) -> int:
         "valid_ratio_nodes": int((~np.isnan(ratios)).sum()),
         "bins": args.bins,
     }, out / "summary.json")
-    _write_config(out, "analyze", args)
     if abs(hist.mass.sum() - 1.0) > 1e-9:
         raise RuntimeError("histogram mass does not sum to 1")
+    _write_config(out, "analyze", args)
     return 0
 
 
@@ -105,10 +110,10 @@ def _cmd_generate(args) -> int:
         "degree_delta_histogram": {str(k): v for k, v in
                                    sorted(report.degree_delta_histogram.items())},
     }, out / "report.json")
-    _write_config(out, "generate", args)
     replayed = EditLog.load(out / "edit_log.jsonl").replay(g)
     if replayed != generated:
         raise RuntimeError("edit log replay does not reproduce the generated graph")
+    _write_config(out, "generate", args)
     return 0
 
 

@@ -73,9 +73,20 @@ def load_predictions(path) -> PredictionTable:
 
     The file follows graph.read_id_table's rules: node ids are non-negative
     integers, each listed once. They need not cover 0..n-1 (a file may list
-    only the labeled nodes), and rows stay in file order.
+    only the labeled nodes), and rows stay in file order. The file must
+    hold a row, class ids must be non-negative and the sensitive attribute
+    0 or 1; the error names the first line that breaks a rule.
     """
-    rows, _, _ = read_id_table(path, _PREDICTION_COLUMNS)
+    rows, _, lines = read_id_table(path, _PREDICTION_COLUMNS)
+    if rows.shape[0] == 0:
+        raise ValueError(f"{path}: prediction table is empty")
+    negative = (rows[:, 1:3] < 0).any(axis=1)
+    bad = negative | ((rows[:, 3] != 0) & (rows[:, 3] != 1))
+    if bad.any():
+        r = int(np.argmax(bad))
+        what = (f"class ids must be non-negative, got y_true {rows[r, 1]} and y_pred {rows[r, 2]}"
+                if negative[r] else f"sensitive attribute must be 0 or 1, got {rows[r, 3]}")
+        raise ValueError(f"{path}: line {lines[r]}: {what}")
     return PredictionTable(rows[:, 1], rows[:, 2], rows[:, 3])
 
 

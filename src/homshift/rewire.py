@@ -196,6 +196,10 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
 _LOG_CHUNK = 1024
 
 
+# The keys of one edit-log record, in the order of EditLog's columns.
+_RECORD_KEYS = ("seq", "phase", "op", "u", "v")
+
+
 @dataclass(frozen=True)
 class EditRecord:
     seq: int
@@ -223,44 +227,69 @@ def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
 
 @dataclass
 class EditLog:
-    """Ordered, replayable record of the generator's edge edits."""
+    """Ordered, replayable record of the generator's edge edits.
+
+    The records are held as five parallel columns of plain ints and strs
+    (`seqs`, `phases`, `ops`, `us`, `vs`), with no Python object per record,
+    so a long log gives the garbage collector nothing to traverse.
+    `records` builds `EditRecord`s from the columns on each access.
+    """
 
     header: dict = field(default_factory=dict)
-    records: list[EditRecord] = field(default_factory=list)
+    seqs: list[int] = field(default_factory=list)
+    phases: list[str] = field(default_factory=list)
+    ops: list[str] = field(default_factory=list)
+    us: list[int] = field(default_factory=list)
+    vs: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    @property
+    def records(self) -> list[EditRecord]:
+        """A read-only view: a new list of `EditRecord`s built from the columns."""
+        return list(map(EditRecord, self.seqs, self.phases, self.ops, self.us, self.vs))
 
     def append(self, phase: str, op: str, u: int, v: int) -> None:
-        self.records.append(EditRecord(len(self.records), phase, op, u, v))
+        self.seqs.append(len(self.seqs))
+        self.phases.append(phase)
+        self.ops.append(op)
+        self.us.append(u)
+        self.vs.append(v)
 
     def replay(self, g: Graph) -> Graph:
         """Apply the log to `g`; raises if any record does not fit."""
         adj = _adjacency_sets(g)
-        for rec in self.records:
-            u, v = rec.u, rec.v
-            if u == v or not (0 <= u < g.node_count and 0 <= v < g.node_count):
-                raise ValueError(f"record {rec.seq}: invalid endpoints ({u}, {v})")
-            if rec.op == "remove":
+        n = g.node_count
+        for seq, op, u, v in zip(self.seqs, self.ops, self.us, self.vs):
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"record {seq}: invalid endpoints ({u}, {v})")
+            if op == "remove":
                 if v not in adj[u]:
-                    raise ValueError(f"record {rec.seq}: removing missing edge ({u}, {v})")
+                    raise ValueError(f"record {seq}: removing missing edge ({u}, {v})")
                 adj[u].discard(v)
                 adj[v].discard(u)
-            elif rec.op == "add":
+            elif op == "add":
                 if v in adj[u]:
-                    raise ValueError(f"record {rec.seq}: adding duplicate edge ({u}, {v})")
+                    raise ValueError(f"record {seq}: adding duplicate edge ({u}, {v})")
                 adj[u].add(v)
                 adj[v].add(u)
             else:
-                raise ValueError(f"record {rec.seq}: unknown op {rec.op!r}")
+                raise ValueError(f"record {seq}: unknown op {op!r}")
         return _graph_from_adjacency(adj)
 
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys."""
-        quoted = {w: json.dumps(w) for w in {x for r in self.records for x in (r.phase, r.op)}}
+        quoted = {w: json.dumps(w) for w in {*self.phases, *self.ops}}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-            for a in range(0, len(self.records), _LOG_CHUNK):
+            for a in range(0, len(self), _LOG_CHUNK):
+                b = a + _LOG_CHUNK
                 fh.write("".join(['{"op": %s, "phase": %s, "seq": %d, "u": %d, "v": %d}\n'
-                                  % (quoted[r.op], quoted[r.phase], r.seq, r.u, r.v)
-                                  for r in self.records[a:a + _LOG_CHUNK]]))
+                                  % (quoted[op], quoted[phase], seq, u, v)
+                                  for op, phase, seq, u, v in zip(
+                                      self.ops[a:b], self.phases[a:b], self.seqs[a:b],
+                                      self.us[a:b], self.vs[a:b])]))
 
     @staticmethod
     def load(path) -> "EditLog":
@@ -269,11 +298,13 @@ class EditLog:
         Each non-blank line holds one JSON object. The first is the header
         unless it has an "op" key. A record needs "phase" and "op", and
         integer "seq", "u" and "v". Each chunk of lines is decoded as one
-        JSON array; only when that fails, or gives a different number of
-        objects than lines or a malformed record, is the file decoded again
+        JSON array and its columns are pulled out of the decoded objects;
+        only when that fails, or gives a different number of objects than
+        lines or a non-integer "seq", "u" or "v", is the file decoded again
         line by line to find the bad line.
         """
         log = EditLog()
+        columns = (log.seqs, log.phases, log.ops, log.us, log.vs)
         first = True
         with open(path, "r", encoding="utf-8") as fh:
             for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
@@ -287,16 +318,19 @@ class EditLog:
                     if objs and isinstance(objs[0], dict) and "op" not in objs[0]:
                         log.header = objs.pop(0)
                         lines.pop(0)
+                if len(objs) != len(lines):
+                    return EditLog._from_lines(path)
+                if not objs:
+                    continue
                 try:
-                    records = [EditRecord(o["seq"], o["phase"], o["op"], o["u"], o["v"])
-                               for o in objs]
+                    chunk = [[o[key] for o in objs] for key in _RECORD_KEYS]
                 except (KeyError, TypeError):
                     return EditLog._from_lines(path)
-                if len(records) != len(lines) or not all(
-                        type(r.seq) is int and type(r.u) is int and type(r.v) is int
-                        for r in records):
+                seqs, _, _, us, vs = chunk
+                if {*map(type, seqs), *map(type, us), *map(type, vs)} != {int}:
                     return EditLog._from_lines(path)
-                log.records.extend(records)
+                for column, values in zip(columns, chunk):
+                    column.extend(values)
         return log
 
     @staticmethod
@@ -321,15 +355,18 @@ class EditLog:
                     first = False
                     continue
                 first = False
-                for key in ("seq", "phase", "op", "u", "v"):
+                for key in _RECORD_KEYS:
                     if key not in obj:
                         raise ValueError(f"{where}: record has no {key!r} key")
                 for key in ("seq", "u", "v"):
                     if type(obj[key]) is not int:
                         raise ValueError(f"{where}: {key!r} must be an integer, "
                                          f"got {obj[key]!r}")
-                log.records.append(EditRecord(obj["seq"], obj["phase"], obj["op"],
-                                              obj["u"], obj["v"]))
+                log.seqs.append(obj["seq"])
+                log.phases.append(obj["phase"])
+                log.ops.append(obj["op"])
+                log.us.append(obj["u"])
+                log.vs.append(obj["v"])
         return log
 
 
@@ -445,8 +482,13 @@ class _EditState:
     inactive node. Each member k carries its add change add_delta[k]: the
     change in |h_k - goal_k| if k gained one edge of the kind its own sign
     wants. An edit changes the counts of its two endpoints only, and
-    `_refresh` moves each between pools and recomputes its entries. Each
-    pool keeps its members in two orders:
+    `_refresh` moves each between pools and recomputes its entries. It runs
+    once per endpoint after all of a move's edits: after a refine addition
+    on (i, k), and after both edits of a rewire pair on i, j and k, since no
+    pool is read between the pair's removal and its addition. A node that
+    reaches its goal leaves its pool and keeps a stale add_delta, which no
+    search reads; every heap entry and floor stays exact or a lower bound.
+    Each pool keeps its members in two orders:
 
     - By add change, in a lazy min-heap, for the rejection bound. An entry
       counts only while its node is still in the pool with that add
@@ -552,7 +594,12 @@ class _EditState:
             self.add_delta[v] = d
             self._pools[c, s].add((gap, v), d, self.add_delta)
 
-    def _apply(self, op: str, u: int, v: int) -> None:
+    def _edit(self, op: str, u: int, v: int) -> None:
+        """Change the edge (u, v) and the counts of u and v, and log it.
+
+        The pools are left alone: the caller refreshes both endpoints
+        before the next partner search.
+        """
         if op == "remove":
             if v not in self.adj[u]:
                 raise RuntimeError("internal: removing missing edge")
@@ -570,8 +617,6 @@ class _EditState:
         if self.labels[u] == self.labels[v] and self.labels[u] >= 0:
             self.same[u] += delta
             self.same[v] += delta
-        self._refresh(u)
-        self._refresh(v)
         self.log.append(self.phase, op, u, v)
 
     def _bound_rejects(self, i: int, s: int, d_i: float) -> bool:
@@ -615,6 +660,10 @@ class _EditState:
         before any neighbour is looked at, and no other j could succeed
         where the chosen one finds no addition partner. The removed
         neighbour j is the best gate-passing one by the partner rule.
+
+        The partner k is picked before (i, j) is removed, so both edits are
+        applied and then i, j and k are refreshed once each; j != k, since
+        j is a neighbour of i and k is not.
         """
         s = self.live[i]
         if s == 0 or self.deg[i] <= 1:
@@ -645,8 +694,12 @@ class _EditState:
         k = self._scan(i, s, d_add_i)
         if k < 0:
             return False
-        self._apply("remove", i, best[1])
-        self._apply("add", i, k)
+        j = best[1]
+        self._edit("remove", i, j)
+        self._edit("add", i, k)
+        self._refresh(i)
+        self._refresh(j)
+        self._refresh(k)
         return True
 
     def attempt_refine(self, i: int) -> bool:
@@ -662,7 +715,9 @@ class _EditState:
         k = self._best_partner(i, s, d_i)
         if k < 0:
             return False
-        self._apply("add", i, k)
+        self._edit("add", i, k)
+        self._refresh(i)
+        self._refresh(k)
         return True
 
     def finish(self) -> Graph:
@@ -691,9 +746,10 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     if sources:
         for i in rng.permutation(np.asarray(sources, dtype=np.int64)):
             i = int(i)
+            # For a live node this is edge_move_bounds(...)[0] < 1: its
+            # lower bound is _ceil_tol(gap * degree).
             while state.live[i] != 0:
-                lower, _ = edge_move_bounds(state.h[i], state.goal[i], state.deg[i])
-                if lower < 1 or not state.attempt_rewire(i):
+                if state.gap_abs[i] * state.deg[i] <= 1e-9 or not state.attempt_rewire(i):
                     break
     return state.finish(), state.log
 
@@ -754,7 +810,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
         "bins": bin_count,
     })
     g_rewired, log = rewire_phase(g, t, goals, seed_rewire, log=log)
-    n_rewire = len(log.records)
+    n_rewire = len(log)
     g_final, log = refine_phase(g_rewired, t, goals, seed_refine, log=log)
     final_hist = defined_histogram(local_homophily_all(g_final, t), bin_count)
     values, counts = np.unique(g_final.degrees - g.degrees, return_counts=True)
@@ -762,7 +818,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
         emd_original_goal=emd(source_hist, goal_hist),
         emd_generated_goal=emd(final_hist, goal_hist),
         edits_rewire=n_rewire // 2,
-        edits_refine=len(log.records) - n_rewire,
+        edits_refine=len(log) - n_rewire,
         degree_delta_histogram=dict(zip(values.tolist(), counts.tolist())),
     )
     return g_final, log, report

@@ -1,6 +1,7 @@
 """End-to-end coverage of the homshift command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from homshift import (
     save_node_table,
     two_class_sbm,
 )
-from homshift.cli import main
+from homshift import cli
+from homshift.cli import _ratios_csv, main
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,38 @@ def test_analyze_one_indexed_matches(tmp_path):
         (tmp_path / "b" / "ratios.csv").read_bytes()
 
 
+def _per_node_ratios_csv(ratios) -> str:
+    """The per-node ratios.csv writer that _ratios_csv replaced, as a reference."""
+    text = "node_id,ratio\n"
+    for node, r in enumerate(ratios):
+        text += f"{node},{'' if np.isnan(r) else repr(float(r))}\n"
+    return text
+
+
+def test_ratios_csv_matches_the_per_node_writer():
+    rng = np.random.default_rng(8)
+    ratios = np.concatenate([
+        [np.nan, 0.0, 1.0, 5e-05, 1e-300, 5e-324, 1 / 3, 2 / 3, 0.1, np.nan],
+        rng.random(200), rng.integers(0, 7, 50) / 7])
+    ratios[rng.random(ratios.size) < 0.1] = np.nan
+    assert _ratios_csv(ratios) == _per_node_ratios_csv(ratios)
+    assert _ratios_csv(np.array([], dtype=np.float64)) == "node_id,ratio\n"
+
+
+def test_analyze_writes_no_sidecar_when_the_mass_check_fails(tmp_path, monkeypatch, capsys):
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "n.csv").write_text("node_id,label,sensitive\n0,0,0\n1,1,1\n2,0,0\n")
+    half = SimpleNamespace(bin_count=2, mass=np.array([0.25, 0.25]),
+                           edges=lambda: np.array([0.0, 0.5, 1.0]))
+    monkeypatch.setattr(cli, "defined_histogram", lambda ratios, bins: half)
+    out = tmp_path / "out"
+    rc = main(["analyze", "--graph", str(tmp_path / "g.txt"),
+               "--nodes", str(tmp_path / "n.csv"), "--bins", "2", "--out", str(out)])
+    assert rc == 1
+    assert "histogram mass does not sum to 1" in capsys.readouterr().err
+    assert not (out / "analyze.config.json").exists()
+
+
 # ------------------------------------------------------------- generate
 
 
@@ -102,6 +136,20 @@ def test_generate_outputs_and_determinism(sbm_files, tmp_path):
     # identical seeds produce identical artifacts, byte for byte
     for name in ("generated_edges.txt", "edit_log.jsonl", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_generate_writes_no_sidecar_when_the_replay_check_fails(
+        sbm_files, tmp_path, monkeypatch, capsys):
+    root, g, _ = sbm_files
+    monkeypatch.setattr(EditLog, "replay", lambda self, graph: graph)
+    out = tmp_path / "out"
+    rc = main(["generate", "--graph", str(root / "edges.txt"),
+               "--nodes", str(root / "nodes.csv"),
+               "--alpha", "3.0", "--beta", "10.0", "--seed", "5", "--out", str(out)])
+    assert rc == 1
+    assert "replay does not reproduce" in capsys.readouterr().err
+    assert (out / "edit_log.jsonl").exists()
+    assert not (out / "generate.config.json").exists()
 
 
 # ---------------------------------------------------------------- split
@@ -179,6 +227,31 @@ def test_metrics_single_class_parity_is_zero(tmp_path):
                  "--out", str(out)]) == 0
     a = json.loads((out / "metrics_a.json").read_text())
     assert a["sp"] == 0.0 and a["f1"] == 1.0
+
+
+@pytest.mark.parametrize("flag", ["--run-a", "--run-b", "--baseline"])
+def test_metrics_error_names_the_bad_prediction_file(tmp_path, capsys, flag):
+    _write_predictions(tmp_path / "good.csv", [1, 0, 1], [1, 0, 0], [0, 1, 1])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("node_id,y_true,y_pred,sensitive\n0,1,1,0\n1,0,0,2\n", encoding="utf-8")
+    files = {"--run-a": tmp_path / "good.csv", "--run-b": tmp_path / "good.csv",
+             "--baseline": tmp_path / "good.csv", flag: bad}
+    argv = ["metrics", "--out", str(tmp_path / "out")]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3: sensitive attribute must be 0 or 1, got 2" in err
+    assert not (tmp_path / "out" / "metrics.config.json").exists()
+
+
+def test_metrics_error_names_an_empty_prediction_file(tmp_path, capsys):
+    _write_predictions(tmp_path / "good.csv", [1, 0], [1, 0], [0, 1])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("node_id,y_true,y_pred,sensitive\n", encoding="utf-8")
+    assert main(["metrics", "--run-a", str(tmp_path / "good.csv"), "--run-b", str(empty),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"{empty}: prediction table is empty" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- theory

@@ -241,3 +241,36 @@ def test_load_predictions_reads_what_int_reads(tmp_path):
     q = load_predictions(path)
     assert q.y_true.tolist() == [1, 0]
     assert q.y_pred.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("text, lineno, fragment", [
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,0,0,2\n", 3,
+     "sensitive attribute must be 0 or 1, got 2"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n\n4,1,0,-1\n", 4,
+     "sensitive attribute must be 0 or 1, got -1"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,-1,0,0\n", 3,
+     "class ids must be non-negative, got y_true -1 and y_pred 0"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,0,-2,0\n", 3,
+     "class ids must be non-negative, got y_true 0 and y_pred -2"),
+    # the first bad line is named, whichever rule it breaks
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,0,0,5\n2,-1,0,0\n", 3,
+     "sensitive attribute must be 0 or 1"),
+    ("node_id,y_true,y_pred,sensitive\n0,1,0,1\n1,-1,0,5\n2,0,0,7\n", 3,
+     "class ids must be non-negative"),
+])
+def test_load_predictions_value_error_names_file_and_line(tmp_path, text, lineno, fragment):
+    path = tmp_path / "preds.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_predictions(path)
+    assert str(info.value).startswith(f"{path}: line {lineno}: {fragment}")
+
+
+@pytest.mark.parametrize("text", ["node_id,y_true,y_pred,sensitive\n",
+                                  "node_id,y_true,y_pred,sensitive\n\n  \n"])
+def test_load_predictions_empty_table_names_file(tmp_path, text):
+    path = tmp_path / "preds.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_predictions(path)
+    assert str(info.value) == f"{path}: prediction table is empty"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from homshift import (
     BetaGoal,
     EditLog,
+    EditRecord,
     Graph,
     HomophilyHistogram,
     NodeGoal,
@@ -382,6 +383,50 @@ def test_edit_log_replay_rejects_bad_records():
         out_of_range.replay(g)
 
 
+def _sample_log():
+    log = EditLog(header={"seed": 2, "alpha": 3.0, "beta": 10.0, "bins": 10})
+    for k in range(7):
+        log.append("rewire" if k < 4 else "refine", "remove" if k in (0, 2) else "add",
+                   k, 10 * k + 1)
+    return log
+
+
+def test_edit_log_columns_survive_save_and_load(tmp_path, log_chunk):
+    log = _sample_log()
+    path = tmp_path / "edits.jsonl"
+    log.save(path)
+    loaded = EditLog.load(path)
+    assert loaded == log
+    assert len(loaded) == len(log) == 7
+    assert loaded.records == log.records
+    assert loaded.records == [EditRecord(k, "rewire" if k < 4 else "refine",
+                                         "remove" if k in (0, 2) else "add", k, 10 * k + 1)
+                              for k in range(7)]
+
+    # equality looks at every column and the header
+    for column in ("seqs", "phases", "ops", "us", "vs"):
+        other = EditLog.load(path)
+        values = getattr(other, column)
+        values[3] += 1 if isinstance(values[3], int) else "x"
+        assert other != log
+    other = EditLog.load(path)
+    other.header["seed"] = 3
+    assert other != log
+
+    empty = tmp_path / "empty.jsonl"
+    EditLog(header={"seed": 1}).save(empty)
+    assert len(EditLog.load(empty)) == 0 and EditLog.load(empty).records == []
+
+
+def test_edit_log_records_is_a_read_only_view():
+    log = _sample_log()
+    view = log.records
+    view.append(EditRecord(99, "refine", "add", 0, 1))
+    assert len(log) == 7 and log.records == view[:7]
+    with pytest.raises(AttributeError):
+        log.records = []
+
+
 # ------------------------------------------------------------- hand traces
 
 
@@ -634,6 +679,52 @@ def test_pools_stay_bounded_after_generate(small_pair):
         assert sum(pool.size for pool in state._pools.values()) == np.count_nonzero(state.live)
 
 
+def _check_matches_fresh_state(state, t, goals):
+    """The state a phase ends in holds what a new _EditState built from its
+    final graph holds: live signs, ratios, gaps and pool members, and the
+    add change of every live node (it is left stale once a node is on target)."""
+    fresh = _EditState(state.finish(), t, goals, EditLog(), state.phase)
+    assert state.live == fresh.live
+    assert np.array_equal(state.h, fresh.h, equal_nan=True)
+    assert state.gap_abs == fresh.gap_abs
+    live = [v for v, s in enumerate(state.live) if s]
+    assert [state.add_delta[v] for v in live] == [fresh.add_delta[v] for v in live]
+    assert state._pools.keys() == fresh._pools.keys()
+    for c_s, pool in state._pools.items():
+        assert ([key for run in pool.runs for key in run]
+                == [key for run in fresh._pools[c_s].runs for key in run])
+
+
+def _phase_states(g, t, goals, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        states = _capture_states(mp)
+        g_rw, log = rewire_phase(g, t, goals, seed=seed)
+        refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
+    assert [state.phase for state in states] == ["rewire", "refine"]
+    return states
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 10.0), (10.0, 3.0)])
+def test_phase_end_state_matches_a_fresh_state(small_pair, alpha, beta):
+    g, t = small_pair
+    ratios = local_homophily_all(g, t)
+    source = histogram(ratios[~np.isnan(ratios)], 10)
+    plan = transport_plan(source, beta_goal_histogram(BetaGoal(alpha, beta), 10))
+    goals = assign_node_goals(plan, ratios, 10, seed=5)
+    states = _phase_states(g, t, goals, seed=21)
+    assert len(states[0].log) > 0
+    for state in states:
+        _check_matches_fresh_state(state, t, goals)
+
+
+@given(_edit_problems())
+@settings(max_examples=60, deadline=None)
+def test_phase_end_state_matches_a_fresh_state_on_small_graphs(problem):
+    g, t, goals, seed = problem
+    for state in _phase_states(g, t, goals, seed):
+        _check_matches_fresh_state(state, t, goals)
+
+
 # ------------------------------------------------------- phase invariants
 
 
@@ -741,6 +832,16 @@ def test_generate_report_consistency(small_pair, gen_run):
     n_add = sum(1 for r in log.records if r.op == "add")
     n_remove = sum(1 for r in log.records if r.op == "remove")
     assert int(deltas.sum()) == 2 * (n_add - n_remove)
+
+
+def test_generate_log_holds_plain_columns(gen_run):
+    """The log keeps no object per record: five lists of ints and strs."""
+    _, log, report = gen_run
+    assert set(vars(log)) == {"header", "seqs", "phases", "ops", "us", "vs"}
+    assert {type(x) for col in (log.seqs, log.us, log.vs) for x in col} == {int}
+    assert {type(x) for col in (log.phases, log.ops) for x in col} == {str}
+    assert len(log) == 2 * report.edits_rewire + report.edits_refine
+    assert log.seqs == list(range(len(log)))
 
 
 def test_generate_header_and_determinism(small_pair, gen_run):
