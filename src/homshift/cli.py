@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,8 +90,6 @@ def _cmd_analyze(args) -> int:
         "valid_ratio_nodes": int((~np.isnan(ratios)).sum()),
         "bins": args.bins,
     }, out / "summary.json")
-    if abs(hist.mass.sum() - 1.0) > 1e-9:
-        raise RuntimeError("histogram mass does not sum to 1")
     _write_config(out, "analyze", args)
     return 0
 
@@ -119,6 +118,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_split(args) -> int:
     gammas = args.gamma if args.gamma else [0.0]
+    for gm in gammas:
+        if not (math.isfinite(gm) and gm >= 0):
+            raise ValueError(f"--gamma must be a finite non-negative number, got {gm!r}")
     stems: dict[str, float] = {}
     for gm in gammas:
         # `:g` keeps 6 significant digits, so close gammas can share a file name

@@ -35,6 +35,8 @@ class HomophilyHistogram:
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != (self.bin_count,):
             raise ValueError(f"mass must have shape ({self.bin_count},)")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("mass entries must be finite")
         if np.any(mass < -1e-15):
             raise ValueError("mass entries must be non-negative")
         mass = np.clip(mass, 0.0, None)

@@ -10,21 +10,19 @@ and makes the edit log a monotone certificate.
 
 Partner rule: among the partners that pass the gate, an edit takes the one
 with the smallest remaining gap |h - goal|, ties to the lower node id. A
-rewire first picks the removed neighbour this way, then the added partner;
-the addition gate does not depend on which neighbour was removed.
+rewire picks both the removed neighbour and the added partner this way;
+the addition gate does not depend on which neighbour is removed.
 
 Partner search never builds an O(n) candidate mask. The possible partners
 sit in pools, one per (label, move direction), kept up to date edit by
-edit (see `_EditState`). A pool's smallest possible change gives an exact
-O(1) test that no partner exists, and otherwise a scan in (gap, id) order
-stops at the first partner that passes the gate, which by the partner rule
-is the one to take.
+edit (see `_EditState`). A scan in (gap, id) order skips whole runs that
+cannot pass and stops at the first partner that passes the gate, which by
+the partner rule is the one to take.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import json
 import math
@@ -376,30 +374,23 @@ _RUN = 64
 
 
 class _PartnerPool:
-    """The nodes of one (label, live sign), in the two orders partner search uses.
+    """The nodes of one (label, live sign) in (gap, id) order, cut into runs.
 
     `runs` holds the members' (gap_abs, id) keys in ascending order, cut
     into consecutive runs, and `lasts[r]` is run r's last key. `floors[r]`
     is a lower bound on the add changes in run r: exact when the run is
     built or fully scanned, lowered by insertions, left alone by removals.
-    `heap` is a lazy min-heap of (add change, id) entries.
     """
 
-    __slots__ = ("runs", "lasts", "floors", "heap", "size")
+    __slots__ = ("runs", "lasts", "floors")
 
     def __init__(self, keys: list[tuple[float, int]], add_delta: list[float]):
         self.runs = [keys[a:a + _RUN] for a in range(0, len(keys), _RUN)]
         self.lasts = [run[-1] for run in self.runs]
         self.floors = [min([add_delta[k] for _, k in run]) for run in self.runs]
-        self.size = len(keys)
-        self.rebuild_heap(add_delta)
 
-    def rebuild_heap(self, add_delta: list[float]) -> None:
-        self.heap = [(add_delta[k], k) for run in self.runs for _, k in run]
-        heapq.heapify(self.heap)
-
-    def add(self, key: tuple[float, int], d: float, add_delta: list[float]) -> None:
-        """Insert key, whose node's add change d is already in add_delta."""
+    def add(self, key: tuple[float, int], d: float) -> None:
+        """Insert key, whose node's add change is d."""
         if self.runs:
             r = min(bisect.bisect_left(self.lasts, key), len(self.runs) - 1)
             run = self.runs[r]
@@ -416,35 +407,19 @@ class _PartnerPool:
             self.runs.append([key])
             self.lasts.append(key)
             self.floors.append(d)
-        self.size += 1
-        if len(self.heap) >= 2 * self.size + 16:
-            self.rebuild_heap(add_delta)
-        else:
-            heapq.heappush(self.heap, (d, key[1]))
 
     def remove(self, key: tuple[float, int]) -> None:
-        """Drop key; its heap entry goes stale and is popped later."""
+        """Drop key."""
         r = bisect.bisect_left(self.lasts, key)
         run = self.runs[r] if r < len(self.runs) else []
         idx = bisect.bisect_left(run, key)
         if idx == len(run) or run[idx] != key:
             raise RuntimeError("internal: node missing from its partner pool")
         del run[idx]
-        self.size -= 1
         if run:
             self.lasts[r] = run[-1]
         else:
             del self.runs[r], self.lasts[r], self.floors[r]
-
-    def min_delta(self, live: list[int], s: int, add_delta: list[float]) -> float:
-        """Smallest add change among the members; pops stale heap tops."""
-        heap = self.heap
-        while heap:
-            d, k = heap[0]
-            if live[k] == s and add_delta[k] == d:
-                return d
-            heapq.heappop(heap)
-        return math.inf
 
     def first_passing(self, i: int, adj_i: set[int], d_i: float,
                       add_delta: list[float]) -> tuple[float, int] | None:
@@ -487,26 +462,16 @@ class _EditState:
     on (i, k), and after both edits of a rewire pair on i, j and k, since no
     pool is read between the pair's removal and its addition. A node that
     reaches its goal leaves its pool and keeps a stale add_delta, which no
-    search reads; every heap entry and floor stays exact or a lower bound.
-    Each pool keeps its members in two orders:
+    search reads; every floor stays exact or a lower bound.
 
-    - By add change, in a lazy min-heap, for the rejection bound. An entry
-      counts only while its node is still in the pool with that add
-      change; stale entries are popped when they reach the top, and the
-      heap is rebuilt from the pool once it holds more than about twice
-      the pool's size. Float addition is monotone, so d_i + add_delta[k]
-      >= d_i + m for every member k when m is the pool minimum. If d_i + m
-      fails the gate, every candidate fails it, and `_bound_rejects` ends
-      the call at amortised O(1) cost. The pool is a superset of the
-      candidates (it also holds i and i's neighbours), so the bound never
-      rejects a call that has a partner.
-    - By (gap_abs, id), for the scan. `_scan` walks this order, skipping i
-      and i's neighbours, and stops at the first candidate that passes the
-      gate. By the partner rule that candidate is the partner. The order is
-      cut into runs of at most 128 keys, each with a floor: a lower bound on
-      its members' add changes. By the same monotonicity, a run whose
-      floor fails the gate holds no passing candidate and is skipped
-      without looking at its members.
+    Each pool keeps its members in (gap_abs, id) order. `_best_partner`
+    walks this order, skipping i and i's neighbours, and stops at the first
+    candidate that passes the gate. By the partner rule that candidate is
+    the partner. The order is cut into runs of at most 128 keys, each with
+    a floor: a lower bound on its members' add changes. Float addition is
+    monotone, so d_i + add_delta[k] >= d_i + floor for every member k of
+    the run; a run whose floor fails the gate holds no passing candidate
+    and is skipped without looking at its members.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal],
@@ -592,7 +557,7 @@ class _EditState:
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
             self.add_delta[v] = d
-            self._pools[c, s].add((gap, v), d, self.add_delta)
+            self._pools[c, s].add((gap, v), d)
 
     def _edit(self, op: str, u: int, v: int) -> None:
         """Change the edge (u, v) and the counts of u and v, and log it.
@@ -619,18 +584,16 @@ class _EditState:
             self.same[v] += delta
         self.log.append(self.phase, op, u, v)
 
-    def _bound_rejects(self, i: int, s: int, d_i: float) -> bool:
-        """True if no addition partner of i can pass the gate for i's change d_i."""
-        best = math.inf
-        for pool in self._candidate_pools[self.labels[i], s]:
-            best = min(best, pool.min_delta(self.live, s, self.add_delta))
-        return d_i + best >= -_GATE_TOL
+    def _best_partner(self, i: int, s: int, d_i: float) -> int:
+        """Partner for one edge addition at source i; -1 if none passes.
 
-    def _scan(self, i: int, s: int, d_i: float) -> int:
-        """First gate-passing candidate in (gap, id) order; -1 if none.
-
-        With several pools (s < 0 and three or more labels) each pool's
-        first passing key is found, and the smallest of them wins.
+        Candidates are the active, non-adjacent nodes that move in direction
+        s and share i's label (s > 0) or differ from it (s < 0). A candidate
+        k passes when d_i (i's change) plus k's own change is below
+        -_GATE_TOL, summed in that order. Of the passing candidates,
+        the one with the smallest gap wins, ties to the lower id. With
+        several pools (s < 0 and three or more labels) each pool's first
+        passing key is found, and the smallest of them wins.
         """
         best = None
         for pool in self._candidate_pools[self.labels[i], s]:
@@ -639,29 +602,16 @@ class _EditState:
                 best = key
         return -1 if best is None else best[1]
 
-    def _best_partner(self, i: int, s: int, d_i: float) -> int:
-        """Partner for one edge addition at source i; -1 if none passes.
-
-        Candidates are the active, non-adjacent nodes that move in direction
-        s and share i's label (s > 0) or differ from it (s < 0). A candidate
-        k passes when d_i (i's change) plus k's own change is below
-        -_GATE_TOL, summed in that order. Of the passing candidates,
-        the one with the smallest gap wins, ties to the lower id.
-        """
-        if self._bound_rejects(i, s, d_i):
-            return -1
-        return self._scan(i, s, d_i)
-
     def attempt_rewire(self, i: int) -> bool:
         """One paired remove+add on source i; returns False if none is valid.
 
         The addition gate depends on i's counts after the removal, not on
-        which neighbour j is removed, so the addition bound is checked
-        before any neighbour is looked at, and no other j could succeed
-        where the chosen one finds no addition partner. The removed
-        neighbour j is the best gate-passing one by the partner rule.
+        which neighbour j is removed, so the partner k is searched for
+        before any neighbour is looked at, and no j could succeed where k
+        is not found. The removed neighbour j is the best gate-passing one
+        by the partner rule.
 
-        The partner k is picked before (i, j) is removed, so both edits are
+        Both are picked from the state before the edit, so both edits are
         applied and then i, j and k are refreshed once each; j != k, since
         j is a neighbour of i and k is not.
         """
@@ -676,7 +626,8 @@ class _EditState:
         eq_add = 1 if s > 0 else 0
         gap_i2 = abs(same_i2 / deg_i2 - goal_i)
         d_add_i = abs((same_i2 + eq_add) / (deg_i2 + 1) - goal_i) - gap_i2
-        if self._bound_rejects(i, s, d_add_i):
+        k = self._best_partner(i, s, d_add_i)
+        if k < 0:
             return False
         d_rm_i = gap_i2 - self.gap_abs[i]
         label_i = self.labels[i]
@@ -690,9 +641,6 @@ class _EditState:
             if d_rm_i + d_j < -_GATE_TOL and (best is None or (gap_j, j) < best):
                 best = (gap_j, j)
         if best is None:
-            return False
-        k = self._scan(i, s, d_add_i)
-        if k < 0:
             return False
         j = best[1]
         self._edit("remove", i, j)

@@ -25,15 +25,18 @@ def concentrate(p: HomophilyHistogram, gamma: float) -> HomophilyHistogram:
 
     Empty bins stay empty for every gamma (0**gamma is taken as 0, even at
     gamma=0), so structurally absent homophily levels never gain mass.
+    Raises if gamma is negative or NaN, or so large that every bin's power
+    underflows to 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
     mass = p.mass.copy()
     pos = mass > 0
-    if not pos.any():
-        raise ValueError("all histogram bins are empty")
     out = np.zeros_like(mass)
     out[pos] = mass[pos] ** gamma
+    if not out.any():
+        raise ValueError(f"gamma {gamma!r} is too large: every bin's mass**gamma "
+                         "underflows to 0")
     return HomophilyHistogram(p.bin_count, out / out.sum())
 
 

@@ -1,7 +1,6 @@
 """End-to-end coverage of the homshift command-line interface."""
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from homshift import (
     save_node_table,
     two_class_sbm,
 )
-from homshift import cli
 from homshift.cli import _ratios_csv, main
 
 
@@ -98,20 +96,6 @@ def test_ratios_csv_matches_the_per_node_writer():
     assert _ratios_csv(np.array([], dtype=np.float64)) == "node_id,ratio\n"
 
 
-def test_analyze_writes_no_sidecar_when_the_mass_check_fails(tmp_path, monkeypatch, capsys):
-    (tmp_path / "g.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "n.csv").write_text("node_id,label,sensitive\n0,0,0\n1,1,1\n2,0,0\n")
-    half = SimpleNamespace(bin_count=2, mass=np.array([0.25, 0.25]),
-                           edges=lambda: np.array([0.0, 0.5, 1.0]))
-    monkeypatch.setattr(cli, "defined_histogram", lambda ratios, bins: half)
-    out = tmp_path / "out"
-    rc = main(["analyze", "--graph", str(tmp_path / "g.txt"),
-               "--nodes", str(tmp_path / "n.csv"), "--bins", "2", "--out", str(out)])
-    assert rc == 1
-    assert "histogram mass does not sum to 1" in capsys.readouterr().err
-    assert not (out / "analyze.config.json").exists()
-
-
 # ------------------------------------------------------------- generate
 
 
@@ -188,6 +172,20 @@ def test_split_rejects_gammas_that_share_a_file_name(sbm_files, tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert "0.1234567" in err and "0.1234568" in err and "split_gamma0.123457.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+def test_split_rejects_a_gamma_that_is_not_finite_and_non_negative(
+        sbm_files, tmp_path, capsys, bad):
+    root, _, _ = sbm_files
+    out = tmp_path / "out"
+    rc = main(["split", "--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv"),
+               "--gamma", "1.0", f"--gamma={bad}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"--gamma must be a finite non-negative number, got {float(bad)!r}" in err
+    assert "would both write" not in err
     assert not out.exists()
 
 

@@ -141,6 +141,9 @@ def test_histogram_type_validation():
         HomophilyHistogram(2, np.array([0.6, 0.3]))
     with pytest.raises(ValueError):
         HomophilyHistogram(2, np.array([1.2, -0.2]))
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            HomophilyHistogram(2, np.array(bad))
     with pytest.raises(ValueError):
         BetaGoal(0.0, 1.0)
 

@@ -555,22 +555,18 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
 
 def _check_pools(state):
     """Every pool holds exactly its (label, live sign) members in (gap, id)
-    order, its run floors bound the members' add changes from below, and
-    its heap holds a current entry for every member, within its size cap."""
+    order, cut into runs of at most 2 * _RUN keys, and its run floors bound
+    the members' add changes from below."""
     live = np.asarray(state.live)
     labels = np.asarray(state.labels)
     for (c, s), pool in state._pools.items():
         members = np.flatnonzero((labels == c) & (live == s))
         keys = sorted((state.gap_abs[v], int(v)) for v in members)
         assert [key for run in pool.runs for key in run] == keys
-        assert pool.size == len(keys)
         assert all(0 < len(run) <= 2 * _RUN for run in pool.runs)
         assert pool.lasts == [run[-1] for run in pool.runs]
         for floor, run in zip(pool.floors, pool.runs):
             assert floor <= min(state.add_delta[k] for _, k in run)
-        current = {k for d, k in pool.heap if live[k] == s and state.add_delta[k] == d}
-        assert current >= {k for _, k in keys}
-        assert len(pool.heap) <= 2 * pool.size + 16
 
 
 def _capture_states(mp):
@@ -608,16 +604,15 @@ def _edit_problems(draw):
 
 def _checked_replay(g, t, goals, seed):
     """Run both phases with every partner search checked against the mask
-    reference: each pool scan must return the reference's partner, and a
-    bound rejection needs the reference to find none. Pools are checked
-    as each phase ends. Returns the final graph, the log and the outcome
-    counts (found, none, rejected, tied: a found partner whose gap
-    another node of its sign shares)."""
-    scan, bound_rejects = _EditState._scan, _EditState._bound_rejects
-    seen = {"found": 0, "none": 0, "rejected": 0, "tied": 0}
+    reference: each search must return the reference's partner, or -1 when
+    the reference finds none. Pools are checked as each phase ends. Returns
+    the final graph, the log and the outcome counts (found, none, tied: a
+    found partner whose gap another node of its sign shares)."""
+    search = _EditState._best_partner
+    seen = {"found": 0, "none": 0, "tied": 0}
 
-    def checked_scan(self, i, s, d_i):
-        got = scan(self, i, s, d_i)
+    def checked_search(self, i, s, d_i):
+        got = search(self, i, s, d_i)
         assert got == reference_best_partner(self, i, s, d_i)
         seen["found" if got >= 0 else "none"] += 1
         if got >= 0 and sum(gap == self.gap_abs[got] and live == s
@@ -625,16 +620,8 @@ def _checked_replay(g, t, goals, seed):
             seen["tied"] += 1
         return got
 
-    def checked_bound(self, i, s, d_i):
-        rejected = bound_rejects(self, i, s, d_i)
-        if rejected:
-            assert reference_best_partner(self, i, s, d_i) == -1
-            seen["rejected"] += 1
-        return rejected
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_EditState, "_scan", checked_scan)
-        mp.setattr(_EditState, "_bound_rejects", checked_bound)
+        mp.setattr(_EditState, "_best_partner", checked_search)
         states = _capture_states(mp)
         g_rw, log = rewire_phase(g, t, goals, seed=seed)
         g_fin, log = refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
@@ -654,8 +641,8 @@ def test_pool_search_matches_mask_reference(problem):
 
 
 def test_pool_search_sees_ties_and_both_outcomes():
-    """The checked replay meets gap ties, rejections and found partners:
-    on a 3-label random graph with grid goals all three occur."""
+    """The checked replay meets found partners, searches that find none,
+    and gap ties: on a 3-label random graph with grid goals all three occur."""
     rng = np.random.default_rng(2)
     n = 120
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.06]
@@ -664,19 +651,20 @@ def test_pool_search_sees_ties_and_both_outcomes():
     goals = [NodeGoal(v, 0.5, (0.25, 0.5, 0.75)[v % 3], 1)
              for v in range(n) if g.degrees[v] > 0]
     _, _, seen = _checked_replay(g, t, goals, seed=4)
-    assert seen["found"] > 0 and seen["rejected"] > 0 and seen["tied"] > 0
+    assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
 
 
 def test_pools_stay_bounded_after_generate(small_pair):
-    """After a full generate() on the 600-node SBM, both phases' pools match
-    their members and every heap stays within twice its pool plus slack."""
+    """After a full generate() on the 600-node SBM, both phases' pools hold
+    exactly the live nodes."""
     g, t = small_pair
     with pytest.MonkeyPatch.context() as mp:
         states = _capture_states(mp)
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
     assert len(states) == 2 and log.records
     for state in states:
-        assert sum(pool.size for pool in state._pools.values()) == np.count_nonzero(state.live)
+        assert (sum(len(run) for pool in state._pools.values() for run in pool.runs)
+                == np.count_nonzero(state.live))
 
 
 def _check_matches_fresh_state(state, t, goals):

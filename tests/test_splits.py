@@ -56,6 +56,11 @@ def test_concentrate_rejects_negative_gamma():
         concentrate(h, -0.5)
 
 
+def test_concentrate_keeps_a_sole_full_bin_at_infinite_gamma():
+    h = HomophilyHistogram(3, np.array([0.0, 1.0, 0.0]))
+    assert concentrate(h, float("inf")).mass.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_invert_uniform_is_fixed_point():
     h = HomophilyHistogram(4, np.full(4, 0.25))
     assert np.allclose(invert(h).mass, h.mass, atol=1e-15)
@@ -227,6 +232,14 @@ def test_split_input_validation(beta_ratios):
         stratified_split(beta_ratios, 1.0, 10, seed=0, train_frac=1.0)
     with pytest.raises(ValueError, match="val_frac"):
         stratified_split(beta_ratios, 1.0, 10, seed=0, val_frac=-0.1)
+
+
+@pytest.mark.parametrize("gamma, fragment", [(float("nan"), "got nan"),
+                                             (float("inf"), "gamma inf is too large"),
+                                             (1e6, "gamma 1000000.0 is too large")])
+def test_split_names_a_gamma_it_cannot_use(beta_ratios, gamma, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        stratified_split(beta_ratios, gamma, 10, seed=0)
 
 
 # ------------------------------------------------------------ round trip
