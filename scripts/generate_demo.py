@@ -2,14 +2,18 @@
 
 Builds a two-class SBM, runs the full generation pipeline, and prints the
 edit budget alongside the before/after distance to the goal. Pass --out to
-keep the artifacts (edge list, edit log, report).
+keep the artifacts (edge list, node table, edit log); the written edit log
+is read back and replayed onto the source graph, as `homshift generate`
+does, and the script exits 1 if that does not give the generated graph.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from homshift import (
     BetaGoal,
+    EditLog,
     generate,
     global_homophily,
     save_edge_list,
@@ -51,6 +55,11 @@ def main() -> None:
         save_node_table(table, args.out / "nodes.csv")
         log.save(args.out / "edit_log.jsonl")
         print(f"wrote generated_edges.txt, nodes.csv, edit_log.jsonl to {args.out}")
+        if EditLog.load(args.out / "edit_log.jsonl").replay(graph) != rewired:
+            print("error: edit log replay does not reproduce the generated graph",
+                  file=sys.stderr)
+            sys.exit(1)
+        print("edit log replays onto the source graph")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +215,14 @@ def _adjacency_sets(g: Graph) -> list[set[int]]:
     return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(g.node_count)]
 
 
+def _int64_ids(ids: list) -> np.ndarray:
+    """ids as an int64 array; an id beyond int64 becomes -1, out of range as it was."""
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        return np.asarray([x if -2**63 <= x < 2**63 else -1 for x in ids], dtype=np.int64)
+
+
 def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     """The graph whose node v has neighbour set adj[v]."""
     degrees = [len(nbrs) for nbrs in adj]
@@ -256,25 +265,57 @@ class EditLog:
         self.vs.append(v)
 
     def replay(self, g: Graph) -> Graph:
-        """Apply the log to `g`; raises if any record does not fit."""
-        adj = _adjacency_sets(g)
+        """Apply the log to `g`; raises naming the first record that does not fit.
+
+        A record is checked for valid endpoints, then for removing a missing
+        or adding a present edge, then for an unknown op. Every valid record
+        toggles its edge, so with the records grouped by canonical edge key
+        lo * n + hi, a record sees its edge present when g holds it XOR an
+        odd number of the group's records come before it, and the edge ends
+        present when g holds it XOR the group is odd. Up to the first bad
+        record every record is valid, so the first bad record found this
+        way is the first one a record-by-record replay meets.
+        """
+        m = len(self)
+        if m == 0:
+            return g
         n = g.node_count
-        for seq, op, u, v in zip(self.seqs, self.ops, self.us, self.vs):
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"record {seq}: invalid endpoints ({u}, {v})")
-            if op == "remove":
-                if v not in adj[u]:
-                    raise ValueError(f"record {seq}: removing missing edge ({u}, {v})")
-                adj[u].discard(v)
-                adj[v].discard(u)
-            elif op == "add":
-                if v in adj[u]:
-                    raise ValueError(f"record {seq}: adding duplicate edge ({u}, {v})")
-                adj[u].add(v)
-                adj[v].add(u)
-            else:
-                raise ValueError(f"record {seq}: unknown op {op!r}")
-        return _graph_from_adjacency(adj)
+        u, v = _int64_ids(self.us), _int64_ids(self.vs)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad_ends = (lo == hi) | (lo < 0) | (hi >= n)
+        keys = lo * n + hi
+        keys[bad_ends] = -1 - np.flatnonzero(bad_ends)  # one group each, in no edge of g
+        remove = np.fromiter(map(operator.eq, self.ops, itertools.repeat("remove")), bool, m)
+        add = np.fromiter(map(operator.eq, self.ops, itertools.repeat("add")), bool, m)
+        # The groups in key order, each in log order; rank is the place in its group.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        starts = np.flatnonzero(new)
+        rank = np.arange(m) - starts[np.cumsum(new) - 1]
+        edge_keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending, as g.edges is
+        at = np.searchsorted(edge_keys, keys)
+        in_g = np.zeros(m, dtype=bool)
+        if edge_keys.size:
+            in_g = edge_keys[np.minimum(at, edge_keys.size - 1)] == keys
+        present = in_g ^ (rank % 2 == 1)
+        rm, ad = remove[order], add[order]
+        bad = bad_ends[order] | (rm & ~present) | (ad & present) | ~(rm | ad)
+        if bad.any():
+            r = int(order[bad].min())
+            seq, op, a, b = self.seqs[r], self.ops[r], self.us[r], self.vs[r]
+            if bad_ends[r]:
+                raise ValueError(f"record {seq}: invalid endpoints ({a}, {b})")
+            if remove[r]:
+                raise ValueError(f"record {seq}: removing missing edge ({a}, {b})")
+            if add[r]:
+                raise ValueError(f"record {seq}: adding duplicate edge ({a}, {b})")
+            raise ValueError(f"record {seq}: unknown op {op!r}")
+        touched = np.zeros(edge_keys.size, dtype=bool)
+        touched[at[in_g]] = True
+        ends_present = in_g[starts] ^ (np.diff(np.append(starts, m)) % 2 == 1)
+        final = np.concatenate((edge_keys[~touched], keys[starts[ends_present]]))
+        return Graph.from_edges(n, np.column_stack(np.divmod(final, n)))
 
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys."""
@@ -294,12 +335,12 @@ class EditLog:
         """Read a log; every error names the file and line.
 
         Each non-blank line holds one JSON object. The first is the header
-        unless it has an "op" key. A record needs "phase" and "op", and
-        integer "seq", "u" and "v". Each chunk of lines is decoded as one
+        unless it has an "op" key. A record needs string "phase" and "op",
+        and integer "seq", "u" and "v". Each chunk of lines is decoded as one
         JSON array and its columns are pulled out of the decoded objects;
         only when that fails, or gives a different number of objects than
-        lines or a non-integer "seq", "u" or "v", is the file decoded again
-        line by line to find the bad line.
+        lines or a value of the wrong type, is the file decoded again line
+        by line to find the bad line.
         """
         log = EditLog()
         columns = (log.seqs, log.phases, log.ops, log.us, log.vs)
@@ -324,8 +365,14 @@ class EditLog:
                     chunk = [[o[key] for o in objs] for key in _RECORD_KEYS]
                 except (KeyError, TypeError):
                     return EditLog._from_lines(path)
-                seqs, _, _, us, vs = chunk
+                seqs, phases, ops, us, vs = chunk
                 if {*map(type, seqs), *map(type, us), *map(type, vs)} != {int}:
+                    return EditLog._from_lines(path)
+                try:  # a few distinct words per log, so checking them is cheap
+                    words = {*phases, *ops}
+                except TypeError:  # an unhashable phase or op, such as a list
+                    return EditLog._from_lines(path)
+                if {*map(type, words)} != {str}:
                     return EditLog._from_lines(path)
                 for column, values in zip(columns, chunk):
                     column.extend(values)
@@ -359,6 +406,10 @@ class EditLog:
                 for key in ("seq", "u", "v"):
                     if type(obj[key]) is not int:
                         raise ValueError(f"{where}: {key!r} must be an integer, "
+                                         f"got {obj[key]!r}")
+                for key in ("phase", "op"):
+                    if type(obj[key]) is not str:
+                        raise ValueError(f"{where}: {key!r} must be a string, "
                                          f"got {obj[key]!r}")
                 log.seqs.append(obj["seq"])
                 log.phases.append(obj["phase"])
@@ -444,7 +495,10 @@ class _PartnerPool:
 
 
 class _EditState:
-    """Mutable working state shared by the two edit phases.
+    """Mutable working state of the two edit phases, one loop method each.
+
+    `generate` runs both loops on one state; `rewire_phase` and
+    `refine_phase` each build a state for their one loop.
 
     Every edit picks its partner by the module's partner rule: the smallest
     remaining gap among gate-passing partners, ties to the lower id. In a
@@ -668,6 +722,33 @@ class _EditState:
         self._refresh(k)
         return True
 
+    def run_rewire(self, seed) -> None:
+        """The rewire phase's loop (see `rewire_phase`), logged as "rewire"."""
+        self.phase = "rewire"
+        rng = np.random.default_rng(seed)
+        # The sources are the nodes with a goal and a direction, in id order.
+        for i in rng.permutation(np.flatnonzero(self.active)).tolist():
+            # For a live node this is edge_move_bounds(...)[0] < 1: its
+            # lower bound is _ceil_tol(gap * degree).
+            while self.live[i] != 0:
+                if self.gap_abs[i] * self.deg[i] <= 1e-9 or not self.attempt_rewire(i):
+                    break
+
+    def run_refine(self, seed) -> None:
+        """The refine phase's loop (see `refine_phase`), logged as "refine"."""
+        self.phase = "refine"
+        rng = np.random.default_rng(seed)
+        while True:
+            off_target = np.flatnonzero(self.live)
+            if off_target.size == 0:
+                break
+            applied = False
+            for i in rng.permutation(off_target).tolist():
+                while self.live[i] != 0 and self.attempt_refine(i):
+                    applied = True
+            if not applied:
+                break
+
     def finish(self) -> Graph:
         return _graph_from_adjacency(self.adj)
 
@@ -689,16 +770,7 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     of their endpoints, so every log record lowers the potential.
     """
     state = _EditState(g, t, goals, _phase_log(log, seed), "rewire")
-    rng = np.random.default_rng(seed)
-    sources = sorted(ng.node for ng in goals if ng.direction != 0)
-    if sources:
-        for i in rng.permutation(np.asarray(sources, dtype=np.int64)):
-            i = int(i)
-            # For a live node this is edge_move_bounds(...)[0] < 1: its
-            # lower bound is _ceil_tol(gap * degree).
-            while state.live[i] != 0:
-                if state.gap_abs[i] * state.deg[i] <= 1e-9 or not state.attempt_rewire(i):
-                    break
+    state.run_rewire(seed)
     return state.finish(), state.log
 
 
@@ -711,18 +783,7 @@ def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     node's current state) until no beneficial pair remains.
     """
     state = _EditState(g, t, goals, _phase_log(log, seed), "refine")
-    rng = np.random.default_rng(seed)
-    while True:
-        off_target = np.flatnonzero(state.live)
-        if off_target.size == 0:
-            break
-        applied = False
-        for i in rng.permutation(off_target):
-            i = int(i)
-            while state.live[i] != 0 and state.attempt_refine(i):
-                applied = True
-        if not applied:
-            break
+    state.run_refine(seed)
     return state.finish(), state.log
 
 
@@ -757,9 +818,15 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
         "beta": goal.beta,
         "bins": bin_count,
     })
-    g_rewired, log = rewire_phase(g, t, goals, seed_rewire, log=log)
+    # One state serves both phases: the state the rewire phase ends in is
+    # what refine_phase would build from the rewired graph. Its pools may be
+    # cut into other runs, with lower floors, but a search returns the
+    # first passing key in (gap, id) order whatever the cuts and floors.
+    state = _EditState(g, t, goals, log, "rewire")
+    state.run_rewire(seed_rewire)
     n_rewire = len(log)
-    g_final, log = refine_phase(g_rewired, t, goals, seed_refine, log=log)
+    state.run_refine(seed_refine)
+    g_final = state.finish()
     final_hist = defined_histogram(local_homophily_all(g_final, t), bin_count)
     values, counts = np.unique(g_final.degrees - g.degrees, return_counts=True)
     report = GenerationReport(

@@ -116,15 +116,38 @@ def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
     return floors
 
 
+def _train_scale(n_b: np.ndarray, w: np.ndarray, target: float) -> float:
+    """The c at which f(c) = sum_b n_b * min(1, c * w_b) reaches `target`.
+
+    f is piecewise linear in c: with the positive-weight bins sorted by w
+    descending, the first k are saturated for c in [1/w_k, 1/w_(k+1)], where
+    f(c) = N_k + c * S_k, N_k the count of those k bins and S_k the sum of
+    n_b * w_b over the rest. c comes from the first segment whose right end
+    reaches the target, in closed form, so it holds for weights of any size.
+    Where no segment reaches it (the target is above the population by dust),
+    every bin saturates at c = 1 / min w.
+    """
+    pos = w > 0
+    order = np.argsort(-w[pos], kind="stable")
+    ws, ns = w[pos][order], n_b[pos][order]
+    saturated = np.concatenate(([0], np.cumsum(ns)))
+    rest = np.concatenate((np.cumsum((ns * ws)[::-1])[::-1], [0.0]))
+    reaches = np.flatnonzero(saturated[1:] + rest[1:] / ws >= target)
+    if reaches.size == 0:
+        return float(1.0 / ws[-1])
+    k = int(reaches[0])
+    return float((target - saturated[k]) / rest[k])
+
+
 def stratified_split(ratios, gamma: float, bin_count: int, seed,
                      train_frac: float = 0.8, val_frac: float = 0.2) -> SplitAssignment:
     """Split nodes by local-homophily bin with gamma-concentrated train mass.
 
     Per-bin train weights are w_b = P_b^gamma / (P_b^gamma + inv(P^gamma)_b);
-    a single scalar c, found by bisection, rescales them so the clamped
-    per-bin demands sum to train_frac of the eligible nodes. Nodes without a
-    defined ratio (NaN) are tagged EXCLUDED. The val set is a uniform
-    val_frac subset of the training pool.
+    a single scalar c rescales them so the clamped per-bin demands
+    n_b * min(1, c * w_b) sum to train_frac of the eligible nodes. Nodes
+    without a defined ratio (NaN) are tagged EXCLUDED. The val set is a
+    uniform val_frac subset of the training pool.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     if ratios.size == 0:
@@ -148,18 +171,9 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
     w = np.divide(pg, denom, out=np.zeros_like(pg), where=denom > 0)
 
     target = train_frac * n_valid
-    positive = w > 0
-    if n_b[positive].sum() < target - 1e-9:
+    if n_b[w > 0].sum() < target - 1e-9:
         raise ValueError("requested training fraction exceeds the weighted population")
-    lo, hi = 0.0, 1.0 / w[positive].min()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.sum(n_b * np.minimum(1.0, mid * w)) < target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-
+    c = _train_scale(n_b, w, target)
     quotas = n_b * np.minimum(1.0, c * w)
     pool_counts = largest_remainder(quotas, int(round(target)), caps=n_b)
 

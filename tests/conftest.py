@@ -5,9 +5,10 @@ cost via a general LP solver, components via union-find, micro-F1 via a
 full confusion matrix, an edit-log checker that recounts neighborhoods
 from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
-mask-based partner search that the generator's partner pools replaced, and
-the three CSV loaders (node table, split, predictions) that one bulk
-id-keyed reader replaced.
+mask-based partner search that the generator's partner pools replaced, the
+three CSV loaders (node table, split, predictions) that one bulk id-keyed
+reader replaced, and the set-based edit-log replay that key arithmetic
+replaced.
 """
 
 from __future__ import annotations
@@ -367,6 +368,33 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     if ks.size == 0:
         return -1
     return int(ks[np.argmin(gap[ks])])
+
+
+def reference_replay(log, g: Graph) -> Graph:
+    """`log` applied to `g` one record at a time on adjacency sets.
+
+    The replay before key arithmetic: each record is checked for valid
+    endpoints, then for removing a missing or adding a present edge, then
+    for an unknown op, and the first bad one raises.
+    """
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
+    n = g.node_count
+    for seq, op, u, v in zip(log.seqs, log.ops, log.us, log.vs):
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"record {seq}: invalid endpoints ({u}, {v})")
+        if op == "remove":
+            if v not in adj[u]:
+                raise ValueError(f"record {seq}: removing missing edge ({u}, {v})")
+            adj[u].discard(v)
+            adj[v].discard(u)
+        elif op == "add":
+            if v in adj[u]:
+                raise ValueError(f"record {seq}: adding duplicate edge ({u}, {v})")
+            adj[u].add(v)
+            adj[v].add(u)
+        else:
+            raise ValueError(f"record {seq}: unknown op {op!r}")
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def confusion_micro_f1(y_true, y_pred) -> float:

@@ -14,6 +14,7 @@ from homshift import (
     BetaGoal,
     EditLog,
     EditRecord,
+    GenerationReport,
     Graph,
     HomophilyHistogram,
     NodeGoal,
@@ -35,9 +36,15 @@ from homshift import (
 )
 
 from homshift import rewire
+from homshift.homophily import defined_histogram
 from homshift.rewire import _RUN, _EditState
 
-from conftest import EditLogChecker, lp_transport_cost, reference_best_partner
+from conftest import (
+    EditLogChecker,
+    lp_transport_cost,
+    reference_best_partner,
+    reference_replay,
+)
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +390,111 @@ def test_edit_log_replay_rejects_bad_records():
         out_of_range.replay(g)
 
 
+@pytest.mark.parametrize("bad, fragment", [
+    ('{"op": "add", "phase": ["x"], "seq": 1, "u": 3, "v": 4}', "'phase' must be a string"),
+    ('{"op": "add", "phase": {"p": 1}, "seq": 1, "u": 3, "v": 4}', "'phase' must be a string"),
+    ('{"op": 7, "phase": "refine", "seq": 1, "u": 3, "v": 4}', "'op' must be a string"),
+    ('{"op": null, "phase": "refine", "seq": 1, "u": 3, "v": 4}', "'op' must be a string"),
+])
+def test_edit_log_load_rejects_non_string_phase_or_op(tmp_path, log_chunk, bad, fragment):
+    path = tmp_path / "edits.jsonl"
+    path.write_text('{"seed": 1}\n' + _RECORD + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        EditLog.load(path)
+    assert str(info.value).startswith(f"{path}: line 3: ")
+    assert fragment in str(info.value)
+
+
+def _replay_outcome(replay, log, g):
+    """The graph a replay gives, or the message it raises."""
+    try:
+        return replay(log, g)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _replay_cases(draw):
+    """A graph on 0-6 nodes and a log of mostly valid toggles of its pairs,
+    mixed with a wrong op for a pair's state (a missing or duplicate edge),
+    records of any endpoints (ids beyond int64 too) and unknown ops, some
+    of them no string."""
+    n = draw(st.integers(0, 6))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph.from_edges(n, sorted(edges))
+    present = set(edges)
+    ids = st.integers(-1, n) | st.sampled_from([2**63, -2**63 - 1, 2**70])
+    rate = draw(st.sampled_from([0, 2, 6]))  # percent of each kind of bad record
+    log = EditLog()
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 99)) // max(rate, 1) if rate else 3
+        if not pairs or kind == 0:
+            a, b = draw(ids), draw(ids)
+            op = draw(st.sampled_from(["add", "remove"]))
+        else:
+            a, b = draw(st.sampled_from(pairs))
+            op = "remove" if (a, b) in present else "add"
+            if kind == 1:
+                op = "add" if op == "remove" else "remove"
+            elif kind == 2:
+                op = draw(st.sampled_from(["move", 7, None, ("add",)]))
+            else:
+                present ^= {(a, b)}
+            if draw(st.booleans()):
+                a, b = b, a
+        log.append("rewire", op, a, b)
+    return g, log
+
+
+@given(_replay_cases())
+@settings(max_examples=400, deadline=None)
+def test_edit_log_replay_matches_the_set_reference(case):
+    g, log = case
+    assert (_replay_outcome(EditLog.replay, log, g)
+            == _replay_outcome(reference_replay, log, g))
+
+
+def test_edit_log_replay_edge_cases():
+    # a graph with no edges: an edge added, removed and added again is present
+    empty = Graph.from_edges(4, [])
+    log = EditLog()
+    for op in ("add", "remove", "add"):
+        log.append("refine", op, 2, 1)
+    log.append("refine", "add", 0, 3)
+    assert log.replay(empty) == Graph.from_edges(4, [(1, 2), (0, 3)])
+    assert EditLog().replay(empty) == empty
+    log.append("refine", "remove", 3, 2)
+    with pytest.raises(ValueError, match=r"^record 4: removing missing edge \(3, 2\)$"):
+        log.replay(empty)
+    # no nodes at all: every record has bad endpoints
+    nodeless = EditLog()
+    nodeless.append("refine", "add", 0, 1)
+    with pytest.raises(ValueError, match=r"^record 0: invalid endpoints \(0, 1\)$"):
+        nodeless.replay(Graph.from_edges(0, []))
+
+    g = Graph.from_edges(3, [(0, 1)])
+    # ids beyond int64 are out of range, but an earlier bad record comes first
+    huge = EditLog()
+    huge.append("rewire", "remove", 1, 0)
+    huge.append("rewire", "add", 0, 2**64)
+    with pytest.raises(ValueError, match=rf"^record 1: invalid endpoints \(0, {2**64}\)$"):
+        huge.replay(g)
+    huge.ops[0] = "add"
+    with pytest.raises(ValueError, match=r"^record 0: adding duplicate edge \(1, 0\)$"):
+        huge.replay(g)
+    # an op that is no string is an unknown op, after the endpoint check
+    for op in (7, None, ["add"]):
+        odd = EditLog()
+        odd.append("rewire", op, 0, 2)
+        with pytest.raises(ValueError, match=r"^record 0: unknown op "):
+            odd.replay(g)
+        assert str(_replay_outcome(EditLog.replay, odd, g)).endswith(repr(op))
+    odd.us[0] = 2
+    with pytest.raises(ValueError, match="invalid endpoints"):
+        odd.replay(g)
+
+
 def _sample_log():
     log = EditLog(header={"seed": 2, "alpha": 3.0, "beta": 10.0, "bins": 10})
     for k in range(7):
@@ -655,16 +767,17 @@ def test_pool_search_sees_ties_and_both_outcomes():
 
 
 def test_pools_stay_bounded_after_generate(small_pair):
-    """After a full generate() on the 600-node SBM, both phases' pools hold
-    exactly the live nodes."""
+    """After a full generate() on the 600-node SBM, the one state both
+    phases ran on has pools that hold exactly the live nodes."""
     g, t = small_pair
     with pytest.MonkeyPatch.context() as mp:
         states = _capture_states(mp)
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
-    assert len(states) == 2 and log.records
-    for state in states:
-        assert (sum(len(run) for pool in state._pools.values() for run in pool.runs)
-                == np.count_nonzero(state.live))
+    assert len(states) == 1 and log.records
+    state, = states
+    assert state.phase == "refine"
+    assert (sum(len(run) for pool in state._pools.values() for run in pool.runs)
+            == np.count_nonzero(state.live))
 
 
 def _check_matches_fresh_state(state, t, goals):
@@ -867,6 +980,47 @@ def _multiclass_pair():
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.12]
     return Graph.from_edges(n, edges), NodeTable(np.arange(n) % 3, np.zeros(n, dtype=int))
+
+
+def _two_state_generate(g, t, goal, bin_count, seed):
+    """generate() from the public phase functions: rewire_phase, then
+    refine_phase on a state built anew from the rewired graph."""
+    ratios = local_homophily_all(g, t)
+    source_hist = defined_histogram(ratios, bin_count)
+    goal_hist = beta_goal_histogram(goal, bin_count)
+    plan = transport_plan(source_hist, goal_hist)
+    seed_assign, seed_rewire, seed_refine = np.random.SeedSequence(seed).spawn(3)
+    goals = assign_node_goals(plan, ratios, bin_count, seed_assign)
+    log = EditLog(header={"seed": seed, "alpha": goal.alpha, "beta": goal.beta,
+                          "bins": bin_count})
+    g_rw, log = rewire_phase(g, t, goals, seed_rewire, log=log)
+    n_rewire = len(log)
+    g_fin, log = refine_phase(g_rw, t, goals, seed_refine, log=log)
+    final_hist = defined_histogram(local_homophily_all(g_fin, t), bin_count)
+    values, counts = np.unique(g_fin.degrees - g.degrees, return_counts=True)
+    return g_fin, log, GenerationReport(
+        emd_original_goal=emd(source_hist, goal_hist),
+        emd_generated_goal=emd(final_hist, goal_hist),
+        edits_rewire=n_rewire // 2,
+        edits_refine=len(log) - n_rewire,
+        degree_delta_histogram=dict(zip(values.tolist(), counts.tolist())),
+    )
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 10.0), (10.0, 3.0)])
+def test_generate_matches_the_two_phase_functions(small_pair, alpha, beta):
+    g, t = small_pair
+    got = generate(g, t, BetaGoal(alpha, beta), 10, seed=11)
+    assert got[2].edits_rewire > 0 and got[2].edits_refine > 0
+    assert got == _two_state_generate(g, t, BetaGoal(alpha, beta), 10, 11)
+
+
+@given(_edit_problems(), st.sampled_from([(3.0, 10.0), (10.0, 3.0), (2.0, 2.0)]))
+@settings(max_examples=60, deadline=None)
+def test_generate_matches_the_two_phase_functions_on_small_graphs(problem, shape):
+    g, t, _, seed = problem
+    goal = BetaGoal(*shape)
+    assert generate(g, t, goal, 5, seed) == _two_state_generate(g, t, goal, 5, seed)
 
 
 def test_generate_multiclass():

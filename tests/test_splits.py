@@ -22,7 +22,7 @@ from homshift import (
     split_diagnostics,
     stratified_split,
 )
-from homshift.splits import largest_remainder
+from homshift.splits import _train_scale, largest_remainder
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +221,45 @@ def test_split_gamma_shifts_more_than_flat(beta_ratios):
     flat = stratified_split(beta_ratios, 0.0, 10, seed=2).emd_train_test
     skew = stratified_split(beta_ratios, 3.0, 10, seed=2).emd_train_test
     assert skew > flat
+
+
+def _train_weights(ratios, gamma, bin_count):
+    """Per-bin counts and train weights, as stratified_split derives them."""
+    n_b = np.bincount(bin_index(ratios, bin_count), minlength=bin_count)
+    pg = concentrate(HomophilyHistogram(bin_count, n_b / n_b.sum()), gamma).mass
+    pg_bar = invert(HomophilyHistogram(bin_count, pg)).mass
+    denom = pg + pg_bar
+    return n_b, np.divide(pg, denom, out=np.zeros_like(pg), where=denom > 0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0, 20.0, 60.0, 170.0])
+def test_split_train_scale_meets_the_target_at_any_gamma(beta_ratios, gamma):
+    """At gamma 20 and up the smallest weight is below 1e-60, which a fixed
+    number of halvings over [0, 1 / min w] cannot resolve."""
+    n_b, w = _train_weights(beta_ratios, gamma, 10)
+    target = 0.8 * n_b.sum()
+    c = _train_scale(n_b, w, target)
+    quotas = n_b * np.minimum(1.0, c * w)
+    assert abs(quotas.sum() - target) <= 1e-9 * target
+
+    split = stratified_split(beta_ratios, gamma, 10, seed=3)
+    pool = split.per_bin_train_share * n_b
+    assert np.all(np.abs(pool - quotas) < 1.0 + 1e-9)
+    # a bin with a larger weight never gets a smaller share, up to one unit
+    # of rounding in each bin
+    for a in range(10):
+        for b in range(10):
+            if n_b[a] and n_b[b] and w[a] > w[b]:
+                assert (split.per_bin_train_share[a] + 1 / n_b[a]
+                        >= split.per_bin_train_share[b] - 1 / n_b[b])
+
+
+def test_split_train_scale_closed_form_segments():
+    # two saturating bins with weights 1 and 0.5 and one with weight 0.1:
+    # f(c) = 10 * min(1, c) + 10 * min(1, c / 2) + 100 * min(1, c / 10)
+    n_b, w = np.array([10, 10, 100, 0]), np.array([1.0, 0.5, 0.1, 0.0])
+    for target, c in [(5.0, 0.2), (25.0, 1.0), (32.5, 1.5), (70.0, 5.0), (120.0, 10.0)]:
+        assert _train_scale(n_b, w, target) == pytest.approx(c, rel=1e-12)
 
 
 def test_split_input_validation(beta_ratios):
