@@ -7,7 +7,6 @@ import logging
 import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -123,13 +122,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbours of v, a read-only view into `indices`."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not 0 <= u < self.node_count:
-            return False
-        nbrs = self.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return bool(i < nbrs.size and nbrs[i] == v)
 
 
 def _check_pair(u: int, v: int, node_count: int) -> None:

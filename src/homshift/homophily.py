@@ -51,9 +51,6 @@ class HomophilyHistogram:
     def centers(self) -> np.ndarray:
         return (np.arange(self.bin_count, dtype=np.float64) + 0.5) / self.bin_count
 
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.mass)
-
 
 @dataclass(frozen=True)
 class BetaGoal:
@@ -87,19 +84,6 @@ def global_homophily(g: Graph, t: NodeTable) -> float:
     if g.edge_count == 0:
         raise ValueError("global homophily undefined on an edgeless graph")
     return float(_same_label_edge_mask(g, t).sum()) / g.edge_count
-
-
-def local_homophily(g: Graph, t: NodeTable, node: int) -> float:
-    """Fraction of `node`'s neighbors sharing its label."""
-    if not (0 <= node < g.node_count):
-        raise ValueError(f"node {node} out of range")
-    neighbors = g.neighbors(node)
-    if neighbors.size == 0:
-        raise ValueError(f"node {node} is isolated; local homophily undefined")
-    label = int(t.labels[node])
-    if label < 0:
-        raise ValueError(f"node {node} has no valid label")
-    return int((t.labels[neighbors] == label).sum()) / neighbors.size
 
 
 def local_homophily_all(g: Graph, t: NodeTable) -> np.ndarray:

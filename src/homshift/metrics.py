@@ -117,33 +117,11 @@ def per_class_statistical_parity(p: PredictionTable) -> np.ndarray:
     return np.array([statistical_parity(p, c) for c in range(p.class_count)])
 
 
-def multiclass_statistical_parity(p: PredictionTable, conditional_pairs: bool = False) -> float:
-    """Worst-case statistical parity across classes.
-
-    Default takes the max over one-vs-rest per-class parities. With
-    conditional_pairs=True it instead maximizes over unordered class pairs,
-    comparing group rates conditioned on the prediction landing in the pair;
-    both readings coincide for binary tasks.
-    """
+def multiclass_statistical_parity(p: PredictionTable) -> float:
+    """Worst-case statistical parity: the max over one-vs-rest per-class parities."""
     if p.class_count < 2:
         raise ValueError("multiclass parity needs at least 2 classes")
-    if not conditional_pairs:
-        return float(per_class_statistical_parity(p).max())
-    _, y_pred, sens = p.evaluated()
-    if not (sens == 0).any() or not (sens == 1).any():
-        raise ValueError("both sensitive groups must be nonempty on the evaluated subset")
-    best = None
-    for a in range(p.class_count):
-        for b in range(a + 1, p.class_count):
-            keep = (y_pred == a) | (y_pred == b)
-            if not ((keep & (sens == 0)).any() and (keep & (sens == 1)).any()):
-                continue
-            r0, r1 = _group_rates(y_pred[keep], sens[keep], a)
-            gap = abs(r0 - r1)
-            best = gap if best is None else max(best, gap)
-    if best is None:
-        raise ValueError("no class pair has predictions in both sensitive groups")
-    return float(best)
+    return float(per_class_statistical_parity(p).max())
 
 
 def micro_f1(p: PredictionTable) -> float:

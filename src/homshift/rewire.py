@@ -81,37 +81,20 @@ class NodeGoal:
 def transport_plan(p: HomophilyHistogram, q: HomophilyHistogram) -> TransportPlan:
     """Optimal transport from p to q under the |center_i - center_j| cost.
 
-    Uses the monotone (north-west-corner on sorted bins) coupling, which is
-    exactly optimal for convex 1-D costs. Diagonal mass is left in place.
+    Uses the monotone coupling, which is exactly optimal for convex 1-D
+    costs: cell (i, j) holds the overlap of bin i's interval of p's CDF with
+    bin j's interval of q's CDF. Diagonal mass is left in place.
     """
     if p.bin_count != q.bin_count:
         raise ValueError("histograms must share a bin count")
-    b = p.bin_count
-    remaining = p.mass.copy()
-    need = q.mass.copy()
-    plan = np.zeros((b, b))
-    i = j = 0
-    while i < b and j < b:
-        moved = min(remaining[i], need[j])
-        if moved > 0:
-            plan[i, j] += moved
-            remaining[i] -= moved
-            need[j] -= moved
-        done_i = remaining[i] <= 1e-15
-        done_j = need[j] <= 1e-15
-        if done_i and done_j:
-            i += 1
-            j += 1
-        elif done_i:
-            i += 1
-        elif done_j:
-            j += 1
-        else:  # both positive yet min()==0 is impossible; defensive only
-            raise RuntimeError("transport coupling stalled")
+    cp = np.concatenate(([0.0], np.cumsum(p.mass)))
+    cq = np.concatenate(([0.0], np.cumsum(q.mass)))
+    plan = np.minimum.outer(cp[1:], cq[1:]) - np.maximum.outer(cp[:-1], cq[:-1])
+    plan = np.maximum(plan, 0.0)
     if (np.abs(plan.sum(axis=1) - p.mass).max() > 1e-9
             or np.abs(plan.sum(axis=0) - q.mass).max() > 1e-9):
         raise RuntimeError("transport plan marginals drifted beyond 1e-9")
-    return TransportPlan(b, plan)
+    return TransportPlan(p.bin_count, plan)
 
 
 def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list[NodeGoal]:
@@ -318,10 +301,20 @@ class EditLog:
         return Graph.from_edges(n, np.column_stack(np.divmod(final, n)))
 
     def save(self, path) -> None:
-        """Write the header, then one JSON object per record with sorted keys."""
-        quoted = {w: json.dumps(w) for w in {*self.phases, *self.ops}}
+        """Write the header, then one JSON object per record with sorted keys.
+
+        A phase or op that is not a string, which `load` would refuse, raises
+        ValueError naming it before the file is opened.
+        """
+        phases, ops = set(self.phases), set(self.ops)
+        for key, words in (("phase", phases), ("op", ops)):
+            for word in words:
+                if type(word) is not str:
+                    raise ValueError(f"{key!r} must be a string, got {word!r}")
+        quoted = {w: json.dumps(w) for w in phases | ops}
+        header = json.dumps(self.header, sort_keys=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(self.header, sort_keys=True) + "\n")
+            fh.write(header + "\n")
             for a in range(0, len(self), _LOG_CHUNK):
                 b = a + _LOG_CHUNK
                 fh.write("".join(['{"op": %s, "phase": %s, "seq": %d, "u": %d, "v": %d}\n'
@@ -528,8 +521,7 @@ class _EditState:
     and is skipped without looking at its members.
     """
 
-    def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal],
-                 log: EditLog, phase: str):
+    def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
         n = g.node_count
         if len(t) != n:
             raise ValueError("node table does not match graph size")
@@ -549,6 +541,8 @@ class _EditState:
                     raise ValueError(f"node {ng.node} has a move target but is isolated")
                 if t.labels[ng.node] < 0:
                     raise ValueError(f"node {ng.node} has a move target but no label")
+                if not 0.0 <= ng.h_goal <= 1.0:  # NaN fails too
+                    raise ValueError(f"node {ng.node} has goal {ng.h_goal!r} outside [0, 1]")
                 goal[ng.node] = ng.h_goal
                 active[ng.node] = True
         act = np.flatnonzero(active)
@@ -589,7 +583,6 @@ class _EditState:
                         [self._pools[o, sign] for o in pool_labels if o != c])
             for c in pool_labels for sign in (-1, 1)}
         self.log = log
-        self.phase = phase
 
     def _refresh(self, v: int) -> None:
         """Recompute v's ratio, gap, sign and add change; move it between pools."""
@@ -613,8 +606,8 @@ class _EditState:
             self.add_delta[v] = d
             self._pools[c, s].add((gap, v), d)
 
-    def _edit(self, op: str, u: int, v: int) -> None:
-        """Change the edge (u, v) and the counts of u and v, and log it.
+    def _edit(self, phase: str, op: str, u: int, v: int) -> None:
+        """Change the edge (u, v) and the counts of u and v, and log it under phase.
 
         The pools are left alone: the caller refreshes both endpoints
         before the next partner search.
@@ -636,7 +629,7 @@ class _EditState:
         if self.labels[u] == self.labels[v] and self.labels[u] >= 0:
             self.same[u] += delta
             self.same[v] += delta
-        self.log.append(self.phase, op, u, v)
+        self.log.append(phase, op, u, v)
 
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
         """Partner for one edge addition at source i; -1 if none passes.
@@ -697,8 +690,8 @@ class _EditState:
         if best is None:
             return False
         j = best[1]
-        self._edit("remove", i, j)
-        self._edit("add", i, k)
+        self._edit("rewire", "remove", i, j)
+        self._edit("rewire", "add", i, k)
         self._refresh(i)
         self._refresh(j)
         self._refresh(k)
@@ -717,14 +710,13 @@ class _EditState:
         k = self._best_partner(i, s, d_i)
         if k < 0:
             return False
-        self._edit("add", i, k)
+        self._edit("refine", "add", i, k)
         self._refresh(i)
         self._refresh(k)
         return True
 
     def run_rewire(self, seed) -> None:
         """The rewire phase's loop (see `rewire_phase`), logged as "rewire"."""
-        self.phase = "rewire"
         rng = np.random.default_rng(seed)
         # The sources are the nodes with a goal and a direction, in id order.
         for i in rng.permutation(np.flatnonzero(self.active)).tolist():
@@ -736,7 +728,6 @@ class _EditState:
 
     def run_refine(self, seed) -> None:
         """The refine phase's loop (see `refine_phase`), logged as "refine"."""
-        self.phase = "refine"
         rng = np.random.default_rng(seed)
         while True:
             off_target = np.flatnonzero(self.live)
@@ -769,7 +760,7 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     removal and the addition each strictly shrink the summed goal distance
     of their endpoints, so every log record lowers the potential.
     """
-    state = _EditState(g, t, goals, _phase_log(log, seed), "rewire")
+    state = _EditState(g, t, goals, _phase_log(log, seed))
     state.run_rewire(seed)
     return state.finish(), state.log
 
@@ -782,7 +773,7 @@ def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     beneficial edges (each capped by the additions-only upper bound at the
     node's current state) until no beneficial pair remains.
     """
-    state = _EditState(g, t, goals, _phase_log(log, seed), "refine")
+    state = _EditState(g, t, goals, _phase_log(log, seed))
     state.run_refine(seed)
     return state.finish(), state.log
 
@@ -822,7 +813,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     # what refine_phase would build from the rewired graph. Its pools may be
     # cut into other runs, with lower floors, but a search returns the
     # first passing key in (gap, id) order whatever the cuts and floors.
-    state = _EditState(g, t, goals, log, "rewire")
+    state = _EditState(g, t, goals, log)
     state.run_rewire(seed_rewire)
     n_rewire = len(log)
     state.run_refine(seed_refine)

@@ -137,25 +137,6 @@ def alpha_slope(params: TheoryParams) -> float:
     return 2.0 * params.d * params.mu_s**2 * params.k / denom
 
 
-def sample_training_representations(params: TheoryParams,
-                                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of the n x 2 representation matrix R and one-hot labels Y.
-
-    Row i is b_coef * s_i * [p_i, q_i] with p_i ~ N(mu_l, sigma),
-    q_i ~ N(mu_s, sigma) and s_i = -1 for the k (y=0, s=0) rows, +1 after.
-    """
-    b_coef = _check_b_coef(params)
-    n, k = params.n, params.k
-    feats = rng.normal((params.mu_l, params.mu_s), params.sigma, size=(n, 2))
-    signs = np.ones((n, 1))
-    signs[:k] = -1.0
-    r_mat = b_coef * signs * feats
-    y_mat = np.zeros((n, 2))
-    y_mat[:k, 0] = 1.0
-    y_mat[k:, 1] = 1.0
-    return r_mat, y_mat
-
-
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
@@ -196,10 +177,11 @@ def monte_carlo_gap(params: TheoryParams, trials: int, rng) -> TheoryResult:
     """Simulate the logit gap by fitting ridge regression per trial.
 
     Each trial fits W = (R^T R + lambda I)^{-1} R^T Y on fresh training
-    representations (rows b * s_i * f_i, see
-    `sample_training_representations`), draws the two test nodes at
-    homophily h + alpha (same label, opposite sensitive value), and records
-    the difference of their correct-class logits, (r_u - r_v) . W_0.
+    representations, draws the two test nodes at homophily h + alpha (same
+    label, opposite sensitive value), and records the difference of their
+    correct-class logits, (r_u - r_v) . W_0. Row i of R is b * s_i * f_i,
+    with features f_i ~ N(mu, sigma^2 I) and s_i = -1 for the k
+    (y=0, s=0) rows, +1 after; Y one-hot encodes y.
 
     The fit depends on the training features only through two statistics,
     so a trial draws those exactly instead of all n x 2 features and costs

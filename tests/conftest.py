@@ -7,8 +7,10 @@ from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
-reader replaced, and the set-based edit-log replay that key arithmetic
-replaced.
+reader replaced, the set-based edit-log replay that key arithmetic
+replaced, the one-node local homophily that the all-nodes count replaced,
+and the per-node training-representation sampler that the simulator's
+sufficient statistics replaced.
 """
 
 from __future__ import annotations
@@ -303,6 +305,32 @@ def _reference_prediction_columns(path, rows: list[tuple[int, str]]) -> list[lis
         for col, value in zip(cols, [node, *values]):
             col.append(value)
     return cols
+
+
+def reference_local_homophily(g: Graph, t: NodeTable, node: int) -> float:
+    """Fraction of a labeled, non-isolated node's neighbours sharing its label,
+    counted over its neighbour list."""
+    neighbors = g.neighbors(node)
+    return int((t.labels[neighbors] == t.labels[node]).sum()) / neighbors.size
+
+
+def reference_training_representations(params: TheoryParams,
+                                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of the n x 2 representation matrix R and one-hot labels Y.
+
+    Row i is b_coef * s_i * [p_i, q_i] with p_i ~ N(mu_l, sigma),
+    q_i ~ N(mu_s, sigma) and s_i = -1 for the k (y=0, s=0) rows, +1 after.
+    """
+    b_coef = aggregation_coefficient(params.h, params.d)
+    n, k = params.n, params.k
+    feats = rng.normal((params.mu_l, params.mu_s), params.sigma, size=(n, 2))
+    signs = np.ones((n, 1))
+    signs[:k] = -1.0
+    r_mat = b_coef * signs * feats
+    y_mat = np.zeros((n, 2))
+    y_mat[:k, 0] = 1.0
+    y_mat[k:, 1] = 1.0
+    return r_mat, y_mat
 
 
 def reference_monte_carlo_gap(params: TheoryParams, trials: int,

@@ -38,8 +38,8 @@ def test_from_edges_canonicalizes_order_and_duplicates():
     assert np.array_equal(g.edges, [[0, 3], [1, 2]])
     assert np.array_equal(g.neighbors(3), [0])
     assert g.degrees.tolist() == [1, 1, 1, 1]
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(0, 1)
+    assert np.array_equal(g.neighbors(1), [2]) and np.array_equal(g.neighbors(2), [1])
+    assert 1 not in g.neighbors(0)
 
 
 def test_graph_equality_is_on_node_count_and_edges():

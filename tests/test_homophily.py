@@ -15,11 +15,10 @@ from homshift import (
     global_homophily,
     histogram,
     homophily_histogram,
-    local_homophily,
     local_homophily_all,
 )
 
-from conftest import lp_transport_cost
+from conftest import lp_transport_cost, reference_local_homophily
 
 
 def _labeled_path():
@@ -54,23 +53,7 @@ def test_global_homophily_edgeless_error():
 
 def test_local_homophily_hand_values():
     g, t = _labeled_path()
-    assert local_homophily(g, t, 0) == 1.0
-    assert local_homophily(g, t, 1) == 0.5
-    assert local_homophily(g, t, 2) == 0.5
-    assert local_homophily(g, t, 3) == 1.0
-
-
-def test_local_homophily_errors():
-    g, t = _labeled_path()
-    with pytest.raises(ValueError):
-        local_homophily(g, t, 7)
-    g_iso = Graph.from_edges(3, [(0, 1)])
-    t_iso = NodeTable(np.array([0, 0, 0]), np.zeros(3, dtype=int))
-    with pytest.raises(ValueError, match="isolated"):
-        local_homophily(g_iso, t_iso, 2)
-    t_bad = NodeTable(np.array([0, -1, 0]), np.zeros(3, dtype=int))
-    with pytest.raises(ValueError, match="label"):
-        local_homophily(g_iso, t_bad, 1)
+    assert local_homophily_all(g, t).tolist() == [1.0, 0.5, 0.5, 1.0]
 
 
 def test_local_homophily_all_nan_for_isolated_and_unlabeled():
@@ -95,7 +78,7 @@ def test_local_homophily_all_matches_scalar_path(seed):
         if g.degrees[v] == 0 or t.labels[v] < 0:
             assert np.isnan(r[v])
         else:
-            assert r[v] == pytest.approx(local_homophily(g, t, v), abs=1e-12)
+            assert r[v] == pytest.approx(reference_local_homophily(g, t, v), abs=1e-12)
 
 
 def test_histogram_matches_binned_counts():

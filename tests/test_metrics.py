@@ -63,18 +63,6 @@ def test_multiclass_parity_hand_fixture():
     p = _table([0] * 20, y_pred, sens)
     assert per_class_statistical_parity(p) == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
     assert multiclass_statistical_parity(p) == pytest.approx(0.5, abs=1e-12)
-    # pairwise conditioning tells a sharper story on the same table
-    assert multiclass_statistical_parity(p, conditional_pairs=True) == \
-        pytest.approx(13 / 24, abs=1e-12)
-
-
-def test_conditional_pairs_match_binary_parity():
-    rng = np.random.default_rng(0)
-    y_pred = rng.integers(0, 2, 500)
-    sens = rng.integers(0, 2, 500)
-    p = _table(np.zeros(500, dtype=int), y_pred, sens)
-    assert multiclass_statistical_parity(p, conditional_pairs=True) == \
-        pytest.approx(statistical_parity(p, 0), abs=1e-15)
 
 
 def test_parity_of_independent_predictions_is_small():

@@ -405,6 +405,15 @@ def test_edit_log_load_rejects_non_string_phase_or_op(tmp_path, log_chunk, bad, 
     assert fragment in str(info.value)
 
 
+def test_edit_log_save_refuses_what_load_refuses(tmp_path):
+    log = EditLog(header={"seed": 1})
+    log.append("refine", 7, 3, 4)
+    path = tmp_path / "edits.jsonl"
+    with pytest.raises(ValueError, match="'op' must be a string, got 7"):
+        log.save(path)
+    assert not path.exists()
+
+
 def _replay_outcome(replay, log, g):
     """The graph a replay gives, or the message it raises."""
     try:
@@ -611,6 +620,16 @@ def test_refine_phase_on_target_is_identity(tiny_pair):
     assert np.array_equal(g2.edge_array(), g.edge_array())
 
 
+@pytest.mark.parametrize("phase", [rewire_phase, refine_phase])
+@pytest.mark.parametrize("h_goal", [1.5, -0.2, math.nan])
+def test_phases_reject_a_moving_goal_outside_unit_interval(phase, h_goal):
+    g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 4), (1, 5)])
+    t = NodeTable(np.array([0, 1, 0, 0, 1, 1]), np.zeros(6, dtype=int))
+    goals = [NodeGoal(0, 1.0, 0.5, -1), NodeGoal(1, 1.0, h_goal, 1)]
+    with pytest.raises(ValueError, match=r"^node 1 has goal .* outside \[0, 1\]$"):
+        phase(g, t, goals, seed=0)
+
+
 # -------------------------------------------------------- partner choice
 
 
@@ -625,7 +644,7 @@ def _addition_state(partner_goals):
     t = NodeTable(np.array([0, 1, 0, 0, 1, 1, 1, 1, 1, 1]), np.zeros(10, dtype=int))
     goals = [NodeGoal(0, 1.0, 0.5, -1), NodeGoal(1, 1.0, 0.0, -1)]
     goals += [NodeGoal(v, 1.0, h, -1) for v, h in zip((4, 5), partner_goals)]
-    return _EditState(g, t, goals, EditLog(), "refine")
+    return _EditState(g, t, goals, EditLog())
 
 
 def _trace(state):
@@ -657,7 +676,7 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
     t = NodeTable(np.array([0, 1, 1, 1, 0, 1, 1, 0, 1]), np.zeros(9, dtype=int))
     goals = [NodeGoal(0, 0.25, 0.75, 1), NodeGoal(1, 0.5, 0.55, 1),
              NodeGoal(2, 0.5, 1.0, 1), NodeGoal(7, 0.0, 0.5, 1)]
-    state = _EditState(g, t, goals, EditLog(), "rewire")
+    state = _EditState(g, t, goals, EditLog())
     assert state.attempt_rewire(0)
     assert _trace(state) == [("remove", 0, 2), ("add", 0, 7)]
 
@@ -775,7 +794,6 @@ def test_pools_stay_bounded_after_generate(small_pair):
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
     assert len(states) == 1 and log.records
     state, = states
-    assert state.phase == "refine"
     assert (sum(len(run) for pool in state._pools.values() for run in pool.runs)
             == np.count_nonzero(state.live))
 
@@ -784,7 +802,7 @@ def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
     final graph holds: live signs, ratios, gaps and pool members, and the
     add change of every live node (it is left stale once a node is on target)."""
-    fresh = _EditState(state.finish(), t, goals, EditLog(), state.phase)
+    fresh = _EditState(state.finish(), t, goals, EditLog())
     assert state.live == fresh.live
     assert np.array_equal(state.h, fresh.h, equal_nan=True)
     assert state.gap_abs == fresh.gap_abs
@@ -801,7 +819,7 @@ def _phase_states(g, t, goals, seed):
         states = _capture_states(mp)
         g_rw, log = rewire_phase(g, t, goals, seed=seed)
         refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
-    assert [state.phase for state in states] == ["rewire", "refine"]
+    assert len(states) == 2
     return states
 
 

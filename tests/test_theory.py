@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_monte_carlo_gap
+from conftest import reference_monte_carlo_gap, reference_training_representations
 
 from homshift import (
     TheoryParams,
@@ -22,7 +22,6 @@ from homshift import (
     expected_logit_gap,
     expected_weights,
     monte_carlo_gap,
-    sample_training_representations,
     save_sweep,
     sweep_alpha,
 )
@@ -105,7 +104,7 @@ def test_expected_weights_matches_ridge_solve_at_zero_noise():
     # aggregated design needs lambda * b^2 to reproduce it exactly
     p = _params(n=6, k=2, d=3, h=0.8, alpha_shift=0.0,
                 mu_l=1.3, mu_s=0.7, sigma=0.0, lambda_reg=0.9)
-    r, y = sample_training_representations(p, np.random.default_rng(0))
+    r, y = reference_training_representations(p, np.random.default_rng(0))
     b = aggregation_coefficient(p.h, p.d)
     w = np.linalg.solve(r.T @ r + p.lambda_reg * b * b * np.eye(2), r.T @ y)
     assert np.allclose(w, expected_weights(p), atol=1e-12)
@@ -118,7 +117,7 @@ def test_expected_weights_matches_low_noise_fit():
     p = _params(n=2000, k=1000, h=0.5, alpha_shift=0.0,
                 mu_l=1.3, mu_s=0.4, sigma=1e-8, lambda_reg=1e-3)
     ew = expected_weights(p)
-    r, y = sample_training_representations(p, np.random.default_rng(2))
+    r, y = reference_training_representations(p, np.random.default_rng(2))
     w = np.linalg.solve(r.T @ r + p.lambda_reg * np.eye(2), r.T @ y)
     assert np.abs(w - ew).max() < 5e-3 * np.abs(ew).max()
 
@@ -161,7 +160,7 @@ def test_logit_gap_is_affine_in_alpha():
 def test_representation_rows_at_zero_noise():
     p = _params(n=4, k=2, d=2, h=1.0, alpha_shift=0.0,
                 mu_l=1.0, mu_s=0.5, sigma=0.0)
-    r, y = sample_training_representations(p, np.random.default_rng(0))
+    r, y = reference_training_representations(p, np.random.default_rng(0))
     assert r.shape == (4, 2) and y.shape == (4, 2)
     assert np.allclose(r[:2], [[-3.0, -1.5]] * 2, atol=1e-15)
     assert np.allclose(r[2:], [[3.0, 1.5]] * 2, atol=1e-15)
@@ -171,7 +170,7 @@ def test_representation_rows_at_zero_noise():
 def test_representation_means_concentrate():
     p = _params(n=20_000, k=10_000, alpha_shift=0.0,
                 mu_l=1.2, mu_s=0.6, sigma=0.5)
-    r, _ = sample_training_representations(p, np.random.default_rng(4))
+    r, _ = reference_training_representations(p, np.random.default_rng(4))
     b = aggregation_coefficient(p.h, p.d)
     bound = 3 * b * p.sigma / math.sqrt(p.k)
     assert np.all(np.abs(r[:p.k].mean(axis=0) + b * np.array([1.2, 0.6])) < bound)
