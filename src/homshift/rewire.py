@@ -303,14 +303,24 @@ class EditLog:
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys.
 
-        A phase or op that is not a string, which `load` would refuse, raises
-        ValueError naming it before the file is opened.
+        What `load` would refuse, or `%d` would write as another number,
+        raises ValueError before the file is opened: a phase or op that is
+        not a string, named, or a seq, u or v that is not an int or numpy
+        integer (a bool, a float, a str), named with its record's seq.
         """
         phases, ops = set(self.phases), set(self.ops)
         for key, words in (("phase", phases), ("op", ops)):
             for word in words:
                 if type(word) is not str:
                     raise ValueError(f"{key!r} must be a string, got {word!r}")
+        # a log holds a type or two of id, so only a failure walks the records
+        bad = {t for t in {*map(type, self.seqs), *map(type, self.us), *map(type, self.vs)}
+               if t is bool or not issubclass(t, (int, np.integer))}
+        if bad:
+            for seq, u, v in zip(self.seqs, self.us, self.vs):
+                for key, value in (("seq", seq), ("u", u), ("v", v)):
+                    if type(value) in bad:
+                        raise ValueError(f"seq {seq!r}: {key!r} must be an integer, got {value!r}")
         quoted = {w: json.dumps(w) for w in phases | ops}
         header = json.dumps(self.header, sort_keys=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -212,10 +212,10 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
 
 
 def save_split(assignment: SplitAssignment, path) -> None:
+    ends = [f",{name}\n" for name in TAG_NAMES]
+    rows = [f"{node}{ends[tag]}" for node, tag in enumerate(assignment.tags.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node_id,split\n")
-        for node, tag in enumerate(assignment.tags):
-            fh.write(f"{node},{TAG_NAMES[tag]}\n")
+        fh.write("".join(["node_id,split\n"] + rows))
 
 
 def _tag(cell: str) -> int:

@@ -7,10 +7,11 @@ from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
-reader replaced, the set-based edit-log replay that key arithmetic
-replaced, the one-node local homophily that the all-nodes count replaced,
-and the per-node training-representation sampler that the simulator's
-sufficient statistics replaced.
+reader replaced, the row-by-row split writer that a single join
+replaced, the set-based edit-log replay that key arithmetic replaced, the
+one-node local homophily that the all-nodes count replaced, and the
+per-node training-representation sampler that the simulator's sufficient
+statistics replaced.
 """
 
 from __future__ import annotations
@@ -305,6 +306,14 @@ def _reference_prediction_columns(path, rows: list[tuple[int, str]]) -> list[lis
         for col, value in zip(cols, [node, *values]):
             col.append(value)
     return cols
+
+
+def reference_save_split(assignment, path) -> None:
+    """Row-by-row split writer, as homshift.save_split was."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("node_id,split\n")
+        for node, tag in enumerate(assignment.tags):
+            fh.write(f"{node},{TAG_NAMES[tag]}\n")
 
 
 def reference_local_homophily(g: Graph, t: NodeTable, node: int) -> float:

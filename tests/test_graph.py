@@ -1,3 +1,10 @@
+import collections
+import functools
+import gzip
+import io
+import os
+import socket
+import urllib.request
 from unittest import mock
 
 import numpy as np
@@ -22,6 +29,8 @@ from homshift import (
     save_edge_list,
     save_node_table,
 )
+from homshift.graph import _integer_or_blank, _parse_rows, read_id_table
+from homshift.splits import _tag
 
 from conftest import (
     reference_from_edges,
@@ -143,7 +152,7 @@ _SEPARATORS = (" ", "  ", "\t", ",", ", ", " ,", ",,")
 
 @st.composite
 def _edge_list_files(draw):
-    """Edge-list text: comments, blanks, commas, CRLF, self-loops, reversed duplicates."""
+    """Edge-list text: comments, blanks, commas, CRLF or CR, self-loops, reversed duplicates."""
     lines = []
     for kind in draw(st.lists(st.sampled_from(["edge"] * 6 + ["comment", "blank", "bad"]),
                               max_size=25)):
@@ -160,7 +169,7 @@ def _edge_list_files(draw):
             pad = draw(st.sampled_from(["", " ", "\t"]))
             tail = draw(st.sampled_from(["", " # trailing", "#x"]))
             lines.append(pad + line + pad + tail)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
@@ -220,6 +229,92 @@ def test_load_edge_list_errors(tmp_path):
     neg.write_text("0 1\n")
     with pytest.raises(ValueError, match="negative"):
         load_edge_list(neg, one_indexed=True)
+
+
+_STYLE_EDGES = [(0, 1), (2, 1), (0, 2), (3, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("separators", [(" ",), ("\t",), (" \t ",), (",",), (", ",), (",,",),
+                                        (" ", ",", "\t", ", ", ",,", " ,")])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_edge_list_styles_give_one_graph(tmp_path, separators, ending):
+    lines = ["# an edge list", ""]
+    for i, (u, v) in enumerate(_STYLE_EDGES):
+        lines.append(f"{u}{separators[i % len(separators)]}{v}" + (" # note" if i == 2 else ""))
+    path = tmp_path / "edges.txt"
+    path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(ending.join(lines + ["4" + separators[-1] + "y"]).encode("utf-8"))
+    want = Graph.from_edges(6, _STYLE_EDGES)
+    for name in (path, str(path)):
+        with mock.patch.object(homshift.graph, "_parse_pairs",
+                               wraps=homshift.graph._parse_pairs) as parse:
+            assert load_edge_list(name) == want
+        # the file is parsed by name; only a comma sends it to the text pass
+        sources = [type(call.args[0]) for call in parse.call_args_list]
+        comma = any("," in sep for sep in separators)
+        assert sources == ([str, io.StringIO] if comma else [str])
+        with pytest.raises(ValueError) as info:
+            load_edge_list(str(bad) if isinstance(name, str) else bad)
+        assert str(info.value) == (f"{bad}: line {len(lines) + 1}: non-integer node id in "
+                                   f"{'4' + separators[-1] + 'y'!r}")
+
+
+def test_load_edge_list_opens_only_the_named_local_file(tmp_path, monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("load_edge_list reached for the network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.setattr(socket.socket, "connect", no_network)
+    monkeypatch.chdir(tmp_path)
+    with gzip.open(tmp_path / "edges.txt.gz", "wt", encoding="utf-8") as fh:
+        fh.write("0 1\n")
+    # numpy's DataSource would open the compressed sibling of a missing file
+    for missing in (tmp_path / "edges.txt", str(tmp_path / "edges.txt"), "edges.txt"):
+        with pytest.raises(FileNotFoundError):
+            load_edge_list(missing)
+    # ... and fetch a URL; a URL-shaped name is a local path, like open() reads it
+    url = "http://localhost:9/edges.txt"
+    with pytest.raises(FileNotFoundError):
+        load_edge_list(url)
+    (tmp_path / "http:" / "localhost:9").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost:9" / "edges.txt").write_text("0 1\n1 2\n")
+    assert load_edge_list(url) == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_load_edge_list_reads_an_absolute_path_without_a_working_directory(tmp_path,
+                                                                         monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 2\n")
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    with pytest.raises(FileNotFoundError):
+        os.getcwd()
+    want = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with mock.patch.object(homshift.graph, "_parse_pairs",
+                           wraps=homshift.graph._parse_pairs) as parse:
+        assert load_edge_list(path) == want
+        assert load_edge_list(str(path)) == want
+    # numpy's DataSource needs a working directory: the text pass reads the file
+    assert [type(call.args[0]) for call in parse.call_args_list] == [io.StringIO] * 2
+
+
+def test_load_edge_list_reads_compressed_suffixes_as_plain_text(tmp_path):
+    want = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for suffix in homshift.graph._COMPRESSED_SUFFIXES:
+        plain = tmp_path / f"edges.txt{suffix}"
+        plain.write_text("0 1\n1 2\n")
+        assert load_edge_list(plain) == want
+    packed = tmp_path / "packed.txt.gz"
+    with gzip.open(packed, "wt", encoding="utf-8") as fh:
+        fh.write("0 1\n1 2\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(packed)
+    # every suffix numpy decompresses by is kept off the by-name parse
+    openers = np.lib._datasource._file_openers
+    assert set(openers.keys()) - {None} <= set(homshift.graph._COMPRESSED_SUFFIXES)
 
 
 def test_node_table_round_trip(tmp_path):
@@ -396,6 +491,89 @@ def test_id_tables_share_one_cell_grammar(tmp_path):
     nodes.write_text("node_id,label,sensitive\n0,9223372036854775808,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: .*a value beyond int64"):
         load_node_table(nodes)
+
+
+_CONVERTER_CELLS = {
+    _integer_or_blank: ["", " ", "\t", "0", "1", "+2", "-1", " 3 ", "1_000", "007", "-0", "x"],
+    _tag: ["train", "val", " test ", "excluded\t", "test", "Train"],
+}
+
+
+@st.composite
+def _converter_tables(draw):
+    """(columns, converter, text, converter cell texts) for a node table or split file.
+
+    Converter cells repeat, and may be blank, padded, quoted, signed or
+    written with an underscore; a few are bad ("x", "Train"). Ids are
+    unique and mostly plain, so most files pass the bulk parse; a feature
+    `1_0` passes only the row-by-row one.
+    """
+    convert = draw(st.sampled_from(sorted(_CONVERTER_CELLS, key=lambda c: c.__name__)))
+    columns = ("node_id", "label", "sensitive", ...) if convert is _integer_or_blank \
+        else ("node_id", "split")
+    features = draw(st.integers(0, 2)) if convert is _integer_or_blank else 0
+    header = [c for c in columns if c is not ...] + [f"f{i}" for i in range(features)]
+    n = draw(st.integers(0, 15))
+    pool = draw(st.lists(st.sampled_from(_CONVERTER_CELLS[convert]), min_size=1, max_size=4))
+    lines, cells = [",".join(header)], []
+    for node in draw(st.permutations(range(n))):
+        row = [draw(st.sampled_from(["", "", "", "+"])) + str(node)]
+        for _ in range(len(columns) - 2 if convert is _integer_or_blank else 1):
+            cell = draw(st.sampled_from(pool))
+            cells.append(cell)
+            row.append(f'"{cell}"' if draw(st.integers(0, 3)) == 0 else cell)
+        row += [draw(st.sampled_from(["0.5", "-2", "+4", "1e-3", "1_0",
+                                      repr(draw(st.floats(-9, 9)))])) for _ in range(features)]
+        lines.append(",".join(row))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return columns, convert, ending.join(lines) + ending, cells
+
+
+@given(_converter_tables())
+@settings(max_examples=300, deadline=None)
+def test_read_id_table_bulk_parse_matches_rows_and_converts_each_text_once(tmp_path_factory, case):
+    columns, convert, text, cells = case
+    path = tmp_path_factory.mktemp("tables") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    calls = []
+
+    @functools.wraps(convert)
+    def counted(cell):
+        calls.append(cell)
+        return convert(cell)
+
+    k = sum(c is not ... for c in columns)
+    converters = {c: counted for c in range(1, k)}
+
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    with mock.patch.object(homshift.graph, "_parse_rows", wraps=_parse_rows) as rows:
+        got = outcome(read_id_table, path, columns, converters)
+    # the row-by-row pass on its own, over the lines read_id_table reads
+    raw = path.read_text(encoding="utf-8").split("\n")
+    keep = [i for i in range(1, len(raw)) if raw[i].strip()]
+    header = [cell.strip() for cell in raw[0].split(",")]
+    want = outcome(_parse_rows, path, [raw[i] for i in keep], np.array(keep) + 1, header, k,
+                   {c: convert for c in range(1, k)})
+    if isinstance(want, str):
+        assert got == want
+        return
+    ints, floats, lines = got
+    assert ints.dtype == want[0].dtype and np.array_equal(ints, want[0])
+    assert lines.tolist() == [i + 1 for i in keep]
+    if len(header) > k:
+        assert floats.dtype == want[1].dtype and np.array_equal(floats, want[1])
+    else:
+        assert floats is None
+    if not rows.called:  # the bulk parse took the table
+        assert set(collections.Counter(calls).values()) <= {1}
+        assert set(calls) == set(cells)
 
 
 def test_induced_subgraph_maps_ids():

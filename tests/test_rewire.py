@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,25 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     log.append("refine", 7, 3, 4)
     path = tmp_path / "edits.jsonl"
     with pytest.raises(ValueError, match="'op' must be a string, got 7"):
+        log.save(path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("u", 1.7), ("v", "3"), ("u", True), ("v", None), ("seq", 2.0), ("seq", np.float64(2)),
+])
+def test_edit_log_save_refuses_ids_it_cannot_write_as_they_are(tmp_path, key, value):
+    log = EditLog(header={"seed": 1})
+    log.append("rewire", "add", 0, 1)
+    log.append("rewire", "add", np.int64(1), np.int32(2))  # numpy integers are ids
+    log.append("rewire", "remove", 0, 1)
+    log.save(tmp_path / "valid.jsonl")
+    assert EditLog.load(tmp_path / "valid.jsonl").records == log.records
+    {"seq": log.seqs, "u": log.us, "v": log.vs}[key][2] = value
+    path = tmp_path / "edits.jsonl"
+    seq = value if key == "seq" else 2
+    with pytest.raises(ValueError, match=re.escape(f"seq {seq!r}: {key!r} must be an integer, "
+                                                   f"got {value!r}")):
         log.save(path)
     assert not path.exists()
 

@@ -13,6 +13,7 @@ from homshift import (
     TRAIN,
     VAL,
     HomophilyHistogram,
+    SplitAssignment,
     bin_index,
     concentrate,
     invert,
@@ -23,6 +24,8 @@ from homshift import (
     stratified_split,
 )
 from homshift.splits import _train_scale, largest_remainder
+
+from conftest import reference_save_split
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +285,16 @@ def test_split_names_a_gamma_it_cannot_use(beta_ratios, gamma, fragment):
 
 
 # ------------------------------------------------------------ round trip
+
+
+@given(st.lists(st.integers(0, 3), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_save_split_matches_row_writer(tmp_path_factory, tags):
+    a = SplitAssignment(np.array(tags, dtype=np.int8), 0.0, 1, None, 0.0, np.zeros(1))
+    root = tmp_path_factory.mktemp("write")
+    save_split(a, root / "bulk.csv")
+    reference_save_split(a, root / "rows.csv")
+    assert (root / "bulk.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
 
 def test_split_save_load_roundtrip(tmp_path, beta_ratios):
