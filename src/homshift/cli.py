@@ -25,7 +25,6 @@ from .metrics import (
     delta_metrics,
     load_predictions,
     micro_f1,
-    multiclass_statistical_parity,
     per_class_statistical_parity,
 )
 from .rewire import EditLog, generate
@@ -147,8 +146,11 @@ def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
     table = load_predictions(path)
     f1 = micro_f1(table)
     if table.class_count >= 2:
-        sp = multiclass_statistical_parity(table)
-        per_class = [float(x) for x in per_class_statistical_parity(table)]
+        try:
+            per_class = [float(x) for x in per_class_statistical_parity(table)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        sp = max(per_class)  # the multiclass parity
     else:
         sp = 0.0
         per_class = [0.0]
@@ -169,11 +171,16 @@ def _cmd_metrics(args) -> int:
         _dump_json({"delta_f1": d_f1, "delta_sp": d_sp}, out / "delta.json")
     if args.baseline:
         _, rec_base = _score(args.baseline, args.dataset, "baseline")
-        adj_a = baseline_adjust(rec_a, rec_base)
-        _dump_json({"f1": adj_a.f1, "sp": adj_a.sp}, out / "adjusted_a.json")
-        if rec_b is not None:
-            adj_b = baseline_adjust(rec_b, rec_base)
-            _dump_json({"f1": adj_b.f1, "sp": adj_b.sp}, out / "adjusted_b.json")
+        for run, rec, name in ((args.run_a, rec_a, "adjusted_a.json"),
+                               (args.run_b, rec_b, "adjusted_b.json")):
+            if rec is None:
+                continue
+            try:
+                adj = baseline_adjust(rec, rec_base)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {args.baseline} has {rec_base.n_eval} rows, "
+                                 f"{run} has {rec.n_eval}") from None
+            _dump_json({"f1": adj.f1, "sp": adj.sp}, out / name)
     _write_config(out, "metrics", args)
     return 0
 

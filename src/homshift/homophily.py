@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .graph import Graph, NodeTable
 
@@ -136,6 +135,9 @@ def beta_goal_histogram(goal: BetaGoal, bin_count: int) -> HomophilyHistogram:
     Each bin mass is the difference of the regularized incomplete beta
     function (the Beta CDF) at the bin's edges.
     """
+    # imported here so that importing homshift loads no scipy
+    from scipy import special
+
     if bin_count < 2:
         raise ValueError("bin_count must be at least 2")
     edges = np.arange(bin_count + 1, dtype=np.float64) / bin_count

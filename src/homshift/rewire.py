@@ -178,7 +178,8 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
 _LOG_CHUNK = 1024
 
 
-# The keys of one edit-log record, in the order of EditLog's columns.
+# The keys of one edit-log record, in the order its missing keys are named:
+# seq, then the keys of EditLog's columns.
 _RECORD_KEYS = ("seq", "phase", "op", "u", "v")
 
 
@@ -215,33 +216,99 @@ def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     return Graph.from_edges(len(adj), np.column_stack((u[keep], v[keep])))
 
 
+def _is_header(obj) -> bool:
+    """The header rule, for the first non-blank line: an object with no "op" key."""
+    return isinstance(obj, dict) and "op" not in obj
+
+
+def _bulk_chunk(lines: list[str], header_open: bool, index: int):
+    """(header or None, column values) of a chunk's non-blank lines decoded
+    as one JSON array; None where the rules below fail. No JSON string holds
+    the raw newline of the ",\\n" between lines, and no key starts with the
+    "{" that must open every line, so a line's object could run on into the
+    next only inside an array: with no "[" but the outer one, each line
+    decodes to the object it holds alone."""
+    text = "[" + ",\n".join(lines) + "]"
+    try:
+        objs = json.loads(text)
+    except ValueError:
+        return None
+    if len(objs) != len(lines) or {line[0] for line in lines} != {"{"} or "[" in text[1:]:
+        return None
+    header = objs.pop(0) if header_open and _is_header(objs[0]) else None
+    try:
+        seqs, phases, ops, us, vs = [list(map(operator.itemgetter(key), objs))
+                                     for key in _RECORD_KEYS]
+        words = {*phases, *ops}  # a few distinct words per log, so checking them is cheap
+    except (KeyError, TypeError):  # a missing key, a non-object, an unhashable phase or op
+        return None
+    if ({*map(type, seqs), *map(type, us), *map(type, vs)} - {int} or {*map(type, words)} - {str}
+            or seqs != list(range(index, index + len(seqs)))):
+        return None
+    return header, (phases, ops, us, vs)
+
+
+def _line_chunk(path, block: list[str], start: int, header_open: bool, index: int):
+    """(header or None, column values) of a chunk's lines, decoded one at a
+    time from line number `start` and seq `index`; raises naming the first
+    bad line."""
+    header, objs = None, []
+    for lineno, line in enumerate(map(str.strip, block), start=start):
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {line!r}")
+        if header_open:
+            header_open = False
+            if _is_header(obj):
+                header = obj
+                continue
+        for key in _RECORD_KEYS:
+            if key not in obj:
+                raise ValueError(f"{where}: record has no {key!r} key")
+        for key in ("seq", "u", "v"):
+            if type(obj[key]) is not int:
+                raise ValueError(f"{where}: {key!r} must be an integer, got {obj[key]!r}")
+        for key in ("phase", "op"):
+            if type(obj[key]) is not str:
+                raise ValueError(f"{where}: {key!r} must be a string, got {obj[key]!r}")
+        if obj["seq"] != index + len(objs):
+            raise ValueError(f"{where}: 'seq' must be {index + len(objs)}, got {obj['seq']!r}")
+        objs.append(obj)
+    return header, [[o[key] for o in objs] for key in _RECORD_KEYS[1:]]
+
+
 @dataclass
 class EditLog:
     """Ordered, replayable record of the generator's edge edits.
 
-    The records are held as five parallel columns of plain ints and strs
-    (`seqs`, `phases`, `ops`, `us`, `vs`), with no Python object per record,
-    so a long log gives the garbage collector nothing to traverse.
-    `records` builds `EditRecord`s from the columns on each access.
+    The records are held as four parallel columns of plain ints and strs
+    (`phases`, `ops`, `us`, `vs`), with no Python object per record, so a
+    long log gives the garbage collector nothing to traverse. A record's
+    seq is its index. `records` builds `EditRecord`s from the columns on
+    each access.
     """
 
     header: dict = field(default_factory=dict)
-    seqs: list[int] = field(default_factory=list)
     phases: list[str] = field(default_factory=list)
     ops: list[str] = field(default_factory=list)
     us: list[int] = field(default_factory=list)
     vs: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return len(self.ops)
 
     @property
     def records(self) -> list[EditRecord]:
         """A read-only view: a new list of `EditRecord`s built from the columns."""
-        return list(map(EditRecord, self.seqs, self.phases, self.ops, self.us, self.vs))
+        return list(map(EditRecord, itertools.count(), self.phases, self.ops, self.us, self.vs))
 
     def append(self, phase: str, op: str, u: int, v: int) -> None:
-        self.seqs.append(len(self.seqs))
         self.phases.append(phase)
         self.ops.append(op)
         self.us.append(u)
@@ -286,14 +353,14 @@ class EditLog:
         bad = bad_ends[order] | (rm & ~present) | (ad & present) | ~(rm | ad)
         if bad.any():
             r = int(order[bad].min())
-            seq, op, a, b = self.seqs[r], self.ops[r], self.us[r], self.vs[r]
+            op, a, b = self.ops[r], self.us[r], self.vs[r]
             if bad_ends[r]:
-                raise ValueError(f"record {seq}: invalid endpoints ({a}, {b})")
+                raise ValueError(f"record {r}: invalid endpoints ({a}, {b})")
             if remove[r]:
-                raise ValueError(f"record {seq}: removing missing edge ({a}, {b})")
+                raise ValueError(f"record {r}: removing missing edge ({a}, {b})")
             if add[r]:
-                raise ValueError(f"record {seq}: adding duplicate edge ({a}, {b})")
-            raise ValueError(f"record {seq}: unknown op {op!r}")
+                raise ValueError(f"record {r}: adding duplicate edge ({a}, {b})")
+            raise ValueError(f"record {r}: unknown op {op!r}")
         touched = np.zeros(edge_keys.size, dtype=bool)
         touched[at[in_g]] = True
         ends_present = in_g[starts] ^ (np.diff(np.append(starts, m)) % 2 == 1)
@@ -305,8 +372,8 @@ class EditLog:
 
         What `load` would refuse, or `%d` would write as another number,
         raises ValueError before the file is opened: a phase or op that is
-        not a string, named, or a seq, u or v that is not an int or numpy
-        integer (a bool, a float, a str), named with its record's seq.
+        not a string, named, or a u or v that is not an int or numpy integer
+        (a bool, a float, a str), named with its record's seq.
         """
         phases, ops = set(self.phases), set(self.ops)
         for key, words in (("phase", phases), ("op", ops)):
@@ -314,13 +381,13 @@ class EditLog:
                 if type(word) is not str:
                     raise ValueError(f"{key!r} must be a string, got {word!r}")
         # a log holds a type or two of id, so only a failure walks the records
-        bad = {t for t in {*map(type, self.seqs), *map(type, self.us), *map(type, self.vs)}
+        bad = {t for t in {*map(type, self.us), *map(type, self.vs)}
                if t is bool or not issubclass(t, (int, np.integer))}
         if bad:
-            for seq, u, v in zip(self.seqs, self.us, self.vs):
-                for key, value in (("seq", seq), ("u", u), ("v", v)):
+            for seq, u, v in zip(itertools.count(), self.us, self.vs):
+                for key, value in (("u", u), ("v", v)):
                     if type(value) in bad:
-                        raise ValueError(f"seq {seq!r}: {key!r} must be an integer, got {value!r}")
+                        raise ValueError(f"seq {seq}: {key!r} must be an integer, got {value!r}")
         quoted = {w: json.dumps(w) for w in phases | ops}
         header = json.dumps(self.header, sort_keys=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -330,7 +397,7 @@ class EditLog:
                 fh.write("".join(['{"op": %s, "phase": %s, "seq": %d, "u": %d, "v": %d}\n'
                                   % (quoted[op], quoted[phase], seq, u, v)
                                   for op, phase, seq, u, v in zip(
-                                      self.ops[a:b], self.phases[a:b], self.seqs[a:b],
+                                      self.ops[a:b], self.phases[a:b], range(a, b),
                                       self.us[a:b], self.vs[a:b])]))
 
     @staticmethod
@@ -339,86 +406,26 @@ class EditLog:
 
         Each non-blank line holds one JSON object. The first is the header
         unless it has an "op" key. A record needs string "phase" and "op",
-        and integer "seq", "u" and "v". Each chunk of lines is decoded as one
-        JSON array and its columns are pulled out of the decoded objects;
-        only when that fails, or gives a different number of objects than
-        lines or a value of the wrong type, is the file decoded again line
-        by line to find the bad line.
+        integer "u" and "v", and an integer "seq" equal to its index. Each
+        chunk of lines is decoded as one JSON array (`_bulk_chunk`); only
+        a chunk that breaks a bulk rule is decoded again line by line
+        (`_line_chunk`), which raises for its first bad line.
         """
         log = EditLog()
-        columns = (log.seqs, log.phases, log.ops, log.us, log.vs)
-        first = True
+        columns = (log.phases, log.ops, log.us, log.vs)
+        header_open, start = True, 1  # no non-blank line read yet; the chunk's first line
         with open(path, "r", encoding="utf-8") as fh:
             for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
-                lines = [line for line in map(str.strip, block) if line]
-                try:
-                    objs = json.loads("[" + ",".join(lines) + "]")
-                except ValueError:
-                    return EditLog._from_lines(path)
-                if first and lines:
-                    first = False
-                    if objs and isinstance(objs[0], dict) and "op" not in objs[0]:
-                        log.header = objs.pop(0)
-                        lines.pop(0)
-                if len(objs) != len(lines):
-                    return EditLog._from_lines(path)
-                if not objs:
-                    continue
-                try:
-                    chunk = [[o[key] for o in objs] for key in _RECORD_KEYS]
-                except (KeyError, TypeError):
-                    return EditLog._from_lines(path)
-                seqs, phases, ops, us, vs = chunk
-                if {*map(type, seqs), *map(type, us), *map(type, vs)} != {int}:
-                    return EditLog._from_lines(path)
-                try:  # a few distinct words per log, so checking them is cheap
-                    words = {*phases, *ops}
-                except TypeError:  # an unhashable phase or op, such as a list
-                    return EditLog._from_lines(path)
-                if {*map(type, words)} != {str}:
-                    return EditLog._from_lines(path)
-                for column, values in zip(columns, chunk):
-                    column.extend(values)
-        return log
-
-    @staticmethod
-    def _from_lines(path) -> "EditLog":
-        """Decode the file line by line; raises naming the first bad line."""
-        log = EditLog()
-        first = True
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}: line {lineno}"
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise ValueError(f"{where}: expected a JSON object, got {line!r}")
-                if first and "op" not in obj:
-                    log.header = obj
-                    first = False
-                    continue
-                first = False
-                for key in _RECORD_KEYS:
-                    if key not in obj:
-                        raise ValueError(f"{where}: record has no {key!r} key")
-                for key in ("seq", "u", "v"):
-                    if type(obj[key]) is not int:
-                        raise ValueError(f"{where}: {key!r} must be an integer, "
-                                         f"got {obj[key]!r}")
-                for key in ("phase", "op"):
-                    if type(obj[key]) is not str:
-                        raise ValueError(f"{where}: {key!r} must be a string, "
-                                         f"got {obj[key]!r}")
-                log.seqs.append(obj["seq"])
-                log.phases.append(obj["phase"])
-                log.ops.append(obj["op"])
-                log.us.append(obj["u"])
-                log.vs.append(obj["v"])
+                lines = list(filter(None, map(str.strip, block)))
+                if lines:
+                    header, values = (_bulk_chunk(lines, header_open, len(log))
+                                      or _line_chunk(path, block, start, header_open, len(log)))
+                    if header is not None:
+                        log.header = header
+                    header_open = False
+                    for column, chunk in zip(columns, values):
+                        column.extend(chunk)
+                start += len(block)
         return log
 
 
@@ -511,7 +518,7 @@ class _EditState:
     (c, s). An addition at source i with sign s draws its partner from pool
     (label_i, s) when s > 0, and from every pool (c, s) with c != label_i
     when s < 0; `live` alone decides membership, since it is 0 for every
-    inactive node. Each member k carries its add change add_delta[k]: the
+    node without a goal. Each member k carries its add change add_delta[k]: the
     change in |h_k - goal_k| if k gained one edge of the kind its own sign
     wants. An edit changes the counts of its two endpoints only, and
     `_refresh` moves each between pools and recomputes its entries. It runs
@@ -538,7 +545,6 @@ class _EditState:
         deg = g.degrees.astype(np.int64)
         same = same_label_counts(g, t)
         goal = np.full(n, np.nan)
-        active = np.zeros(n, dtype=bool)
         seen = set()
         for ng in goals:
             if not (0 <= ng.node < n):
@@ -554,11 +560,8 @@ class _EditState:
                 if not 0.0 <= ng.h_goal <= 1.0:  # NaN fails too
                     raise ValueError(f"node {ng.node} has goal {ng.h_goal!r} outside [0, 1]")
                 goal[ng.node] = ng.h_goal
-                active[ng.node] = True
-        act = np.flatnonzero(active)
-        h = np.full(n, np.nan)
-        h[act] = same[act] / deg[act]
-        diff = goal[act] - h[act]
+        act = np.flatnonzero(~np.isnan(goal))
+        diff = goal[act] - same[act] / deg[act]
         gap = np.full(n, np.inf)
         gap[act] = np.abs(diff)
         live = np.zeros(n, dtype=np.int64)
@@ -574,8 +577,6 @@ class _EditState:
         self.deg = deg.tolist()
         self.same = same.tolist()
         self.goal = goal.tolist()
-        self.active = active.tolist()
-        self.h = h.tolist()
         self.gap_abs = gap.tolist()
         self.live = live.tolist()
         self.add_delta = add.tolist()
@@ -595,18 +596,14 @@ class _EditState:
         self.log = log
 
     def _refresh(self, v: int) -> None:
-        """Recompute v's ratio, gap, sign and add change; move it between pools."""
+        """Recompute v's gap, sign and add change; move it between pools.
+        v is an edit's endpoint, so it has a goal and degree >= 1."""
         c = self.labels[v]
         live = self.live
         if live[v]:
             self._pools[c, live[v]].remove((self.gap_abs[v], v))
         same, deg, goal = self.same[v], self.deg[v], self.goal[v]
-        if not self.active[v] or deg == 0:
-            live[v] = 0
-            return
-        h = same / deg
-        self.h[v] = h
-        diff = goal - h
+        diff = goal - same / deg
         gap = abs(diff)
         self.gap_abs[v] = gap
         s = 0 if gap <= _EQ_TOL else (1 if diff > 0 else -1)
@@ -644,7 +641,7 @@ class _EditState:
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
         """Partner for one edge addition at source i; -1 if none passes.
 
-        Candidates are the active, non-adjacent nodes that move in direction
+        Candidates are the non-adjacent nodes with a goal that move in direction
         s and share i's label (s > 0) or differ from it (s < 0). A candidate
         k passes when d_i (i's change) plus k's own change is below
         -_GATE_TOL, summed in that order. Of the passing candidates,
@@ -712,7 +709,7 @@ class _EditState:
         s = self.live[i]
         if s == 0:
             return False
-        _, upper = edge_move_bounds(self.h[i], self.goal[i], self.deg[i])
+        _, upper = edge_move_bounds(self.same[i] / self.deg[i], self.goal[i], self.deg[i])
         if upper < 1:
             return False
         eq = 1 if s > 0 else 0
@@ -729,7 +726,7 @@ class _EditState:
         """The rewire phase's loop (see `rewire_phase`), logged as "rewire"."""
         rng = np.random.default_rng(seed)
         # The sources are the nodes with a goal and a direction, in id order.
-        for i in rng.permutation(np.flatnonzero(self.active)).tolist():
+        for i in rng.permutation(np.flatnonzero(~np.isnan(self.goal))).tolist():
             # For a live node this is edge_move_bounds(...)[0] < 1: its
             # lower bound is _ceil_tol(gap * degree).
             while self.live[i] != 0:

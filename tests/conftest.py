@@ -9,6 +9,7 @@ mask-based partner search that the generator's partner pools replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
 reader replaced, the row-by-row split writer that a single join
 replaced, the set-based edit-log replay that key arithmetic replaced, the
+line-by-line edit-log reader that chunked bulk decoding replaced, the
 one-node local homophily that the all-nodes count replaced, and the
 per-node training-representation sampler that the simulator's sufficient
 statistics replaced.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from scipy.optimize import linprog
 from homshift import (
     INVALID,
     TAG_NAMES,
+    EditLog,
     Graph,
     NodeTable,
     PredictionTable,
@@ -381,7 +384,7 @@ def reference_monte_carlo_gap(params: TheoryParams, trials: int,
 def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     """Addition partner of source i by a full candidate mask over all nodes.
 
-    The generator's search before partner pools: mask the active nodes with
+    The generator's search before partner pools: mask the nodes with a goal,
     live sign s and i's label (s > 0) or another label (s < 0), drop i and
     its neighbours, gate every candidate in one numpy expression, and take
     the smallest gap among those that pass, ties to the lower id; -1 if
@@ -394,7 +397,7 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     goal = np.asarray(state.goal)
     gap = np.asarray(state.gap_abs)
     mask = labels == labels[i] if s > 0 else labels != labels[i]
-    mask &= np.asarray(state.active) & (live == s)
+    mask &= ~np.isnan(goal) & (live == s)
     mask[i] = False
     if state.adj[i]:
         mask[list(state.adj[i])] = False
@@ -416,7 +419,7 @@ def reference_replay(log, g: Graph) -> Graph:
     """
     adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
     n = g.node_count
-    for seq, op, u, v in zip(log.seqs, log.ops, log.us, log.vs):
+    for seq, op, u, v in zip(range(len(log)), log.ops, log.us, log.vs):
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"record {seq}: invalid endpoints ({u}, {v})")
         if op == "remove":
@@ -432,6 +435,50 @@ def reference_replay(log, g: Graph) -> Graph:
         else:
             raise ValueError(f"record {seq}: unknown op {op!r}")
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def reference_edit_log_load(path):
+    """An edit log read one line at a time; raises naming the first bad line.
+
+    The reader before chunked bulk decoding, plus the rule that a record's
+    seq is its index: each non-blank line is decoded on its own, the first
+    one is the header when it is an object with no "op" key, and every
+    record is checked in order.
+    """
+    log = EditLog()
+    first = True
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {line!r}")
+            if first and "op" not in obj:
+                log.header = obj
+                first = False
+                continue
+            first = False
+            for key in ("seq", "phase", "op", "u", "v"):
+                if key not in obj:
+                    raise ValueError(f"{where}: record has no {key!r} key")
+            for key in ("seq", "u", "v"):
+                if type(obj[key]) is not int:
+                    raise ValueError(f"{where}: {key!r} must be an integer, "
+                                     f"got {obj[key]!r}")
+            for key in ("phase", "op"):
+                if type(obj[key]) is not str:
+                    raise ValueError(f"{where}: {key!r} must be a string, "
+                                     f"got {obj[key]!r}")
+            if obj["seq"] != len(log):
+                raise ValueError(f"{where}: 'seq' must be {len(log)}, got {obj['seq']!r}")
+            log.append(obj["phase"], obj["op"], obj["u"], obj["v"])
+    return log
 
 
 def confusion_micro_f1(y_true, y_pred) -> float:

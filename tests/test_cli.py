@@ -1,10 +1,15 @@
 """End-to-end coverage of the homshift command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homshift
 from homshift import (
     EditLog,
     load_edge_list,
@@ -31,6 +36,18 @@ def _write_predictions(path, y_true, y_pred, sensitive):
     lines += [f"{i},{a},{b},{s}" for i, (a, b, s)
               in enumerate(zip(y_true, y_pred, sensitive))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported by the functions that use it, not by `import homshift`."""
+    src = str(Path(homshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, homshift, homshift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -------------------------------------------------------------- analyze
@@ -227,19 +244,28 @@ def test_metrics_single_class_parity_is_zero(tmp_path):
     assert a["sp"] == 0.0 and a["f1"] == 1.0
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0,1,1,0\n1,0,0,2\n", "{bad}: line 3: sensitive attribute must be 0 or 1, got 2"),
+    # every row in sensitive group 0
+    ("0,1,1,0\n1,0,0,0\n", "{bad}: both sensitive groups must be nonempty on the evaluated subset"),
+    # a valid file with 2 rows where the others have 3
+    ("0,1,1,0\n1,0,0,1\n", "baseline must score the same evaluation subset: "
+                           "{base} has {n_base} rows, {run} has {n_run}"),
+], ids=["bad-row", "one-group", "row-count"])
 @pytest.mark.parametrize("flag", ["--run-a", "--run-b", "--baseline"])
-def test_metrics_error_names_the_bad_prediction_file(tmp_path, capsys, flag):
-    _write_predictions(tmp_path / "good.csv", [1, 0, 1], [1, 0, 0], [0, 1, 1])
+def test_metrics_error_names_the_bad_prediction_file(tmp_path, capsys, flag, body, message):
+    good = tmp_path / "good.csv"
+    _write_predictions(good, [1, 0, 1], [1, 0, 0], [0, 1, 1])
     bad = tmp_path / "bad.csv"
-    bad.write_text("node_id,y_true,y_pred,sensitive\n0,1,1,0\n1,0,0,2\n", encoding="utf-8")
-    files = {"--run-a": tmp_path / "good.csv", "--run-b": tmp_path / "good.csv",
-             "--baseline": tmp_path / "good.csv", flag: bad}
+    bad.write_text("node_id,y_true,y_pred,sensitive\n" + body, encoding="utf-8")
+    files = {"--run-a": good, "--run-b": good, "--baseline": good, flag: bad}
     argv = ["metrics", "--out", str(tmp_path / "out")]
     for name, path in files.items():
         argv += [name, str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"{bad}: line 3: sensitive attribute must be 0 or 1, got 2" in err
+    base, n_base, run, n_run = (bad, 2, good, 3) if flag == "--baseline" else (good, 3, bad, 2)
+    assert message.format(bad=bad, base=base, n_base=n_base, run=run, n_run=n_run) in err
     assert not (tmp_path / "out" / "metrics.config.json").exists()
 
 

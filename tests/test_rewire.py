@@ -44,6 +44,7 @@ from conftest import (
     EditLogChecker,
     lp_transport_cost,
     reference_best_partner,
+    reference_edit_log_load,
     reference_replay,
 )
 
@@ -327,7 +328,7 @@ def test_edit_log_load_skips_blank_lines_and_reads_crlf(tmp_path, log_chunk):
     assert EditLog.load(path).header == {}
 
 
-_RECORD = '{"op": "add", "phase": "refine", "seq": 1, "u": 3, "v": 4}'
+_RECORD = '{"op": "add", "phase": "refine", "seq": 0, "u": 3, "v": 4}'
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -340,6 +341,9 @@ _RECORD = '{"op": "add", "phase": "refine", "seq": 1, "u": 3, "v": 4}'
     ('{"op": "add", "phase": "refine", "seq": "1", "u": 3, "v": 4}', "'seq' must be an integer"),
     ('{"op": "add", "phase": "refine", "seq": 1, "u": 3.0, "v": 4}', "'u' must be an integer"),
     ('{"op": "add", "phase": "refine", "seq": 1, "u": 3, "v": true}', "'v' must be an integer"),
+    # a record's seq is its index: a repeated seq, then a lost or moved record
+    (_RECORD, "'seq' must be 1, got 0"),
+    (_RECORD.replace('"seq": 0', '"seq": 2'), "'seq' must be 1, got 2"),
 ])
 def test_edit_log_load_error_names_file_and_line(tmp_path, log_chunk, bad, fragment):
     # header on line 1, a good record on line 2, a blank line 3, the bad line 4
@@ -406,6 +410,113 @@ def test_edit_log_load_rejects_non_string_phase_or_op(tmp_path, log_chunk, bad, 
     assert fragment in str(info.value)
 
 
+def _record_line(seq: int, **changes) -> str:
+    return json.dumps({"op": "add", "phase": "refine", "seq": seq, "u": 3, "v": 4, **changes},
+                      sort_keys=True)
+
+
+def _load_outcome(load, path):
+    """The log a reader returns, or the message it raises."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    # a record cut in two, made up for by two records on one line
+    '{"seed": 1}\n{"op": "add", "phase": "refine"\n"seq": 0, "u": 3, "v": 4}\n'
+    + _record_line(1) + ", " + _record_line(2) + "\n",
+    # an extra array value of a record holds the next line
+    '{"seed": 1}\n' + _record_line(0)[:-1] + ', "x": [{"a": 1}\n{"b": 2}]}\n'
+    + _record_line(1) + ", " + _record_line(2) + "\n",
+    # an array value of the header holds the next line
+    '{"seed": [{"a": 1}\n{"b": 2}]}\n' + _record_line(0) + ", " + _record_line(1) + "\n",
+    # a string of the header runs on into the next line
+    '{"seed": "a\n{", "z": 1}\n' + _record_line(0) + ", " + _record_line(1) + "\n",
+    # valid, but outside the bulk rules: nested header values, extra record keys
+    '{"seed": {"runs": [1, 2]}}\n' + _record_line(0, note=[1, {"a": 2}]) + "\n"
+    + _record_line(1, extra=None) + "\n" + _record_line(2) + "\n",
+])
+def test_edit_log_load_reads_each_line_on_its_own(tmp_path, log_chunk, text):
+    """Lines that decode as one JSON array only when joined never get past
+    the bulk decoding: the log reads as its lines read one at a time."""
+    path = tmp_path / "edits.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert _load_outcome(EditLog.load, path) == _load_outcome(reference_edit_log_load, path)
+
+
+_BAD_VALUES = {"seq": ["0", 1.0, True, None], "u": [3.0, "3", False, [3]],
+               "v": [None, {"v": 4}], "phase": [7, None, ["x"], {"p": 1}], "op": [1.5, True]}
+
+
+@st.composite
+def _edit_log_texts(draw):
+    """A saved edit log with blank lines, LF, CRLF or CR line ends and an
+    optional header, and at most one line broken in one of several ways."""
+    records = [{"seq": k, "phase": draw(st.sampled_from(["rewire", "refine", 'q"x\\', "réf"])),
+                "op": draw(st.sampled_from(["add", "remove", "nop"])),
+                "u": draw(st.integers(-1, 2**70)), "v": draw(st.integers(0, 40))}
+               for k in range(draw(st.integers(0, 7)))]
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    has_header = draw(st.booleans())
+    if has_header:
+        header = draw(st.fixed_dictionaries({}, optional={
+            "seed": st.none() | st.integers(0, 9), "alpha": st.floats(0.5, 9.0),
+            "runs": st.lists(st.integers(0, 3), max_size=2)}))
+        lines.insert(0, json.dumps(header, sort_keys=True))
+    kind = draw(st.sampled_from(["none", "truncate", "two", "non-object", "missing-key",
+                                 "wrong-type", "seq", "swap", "drop", "repeat", "split"]))
+    if kind != "none" and records:
+        k = draw(st.integers(0, len(records) - 1))
+        at = k + has_header
+        record = dict(records[k])
+        if kind == "truncate":
+            lines[at] = lines[at][:draw(st.integers(1, len(lines[at]) - 1))]
+        elif kind == "two":
+            lines[at] += draw(st.sampled_from([" ", ",", ", "])) + lines[at]
+        elif kind == "non-object":
+            lines[at] = draw(st.sampled_from(["[1, 2]", "3", '"x"', "null", "[]"]))
+        elif kind == "missing-key":
+            del record[draw(st.sampled_from(sorted(record)))]
+            lines[at] = json.dumps(record, sort_keys=True)
+        elif kind == "wrong-type":
+            key = draw(st.sampled_from(sorted(_BAD_VALUES)))
+            record[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+            lines[at] = json.dumps(record, sort_keys=True)
+        elif kind == "seq":
+            record["seq"] += draw(st.sampled_from([-2, -1, 1, 5]))
+            lines[at] = json.dumps(record, sort_keys=True)
+        elif kind == "swap" and k + 1 < len(records):
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        elif kind == "drop":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+        elif kind == "split":
+            cut = lines[at].index(", ") + 1
+            lines[at:at + 1] = [lines[at][:cut], lines[at][cut:]]
+    blank = st.sampled_from(["", "   ", "\t", "\x0c"])
+    body = [b for line in lines for b in draw(st.lists(blank, max_size=2)) + [line]]
+    body += draw(st.lists(blank, max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(line + eol for line in body)
+
+
+@given(_edit_log_texts(), st.sampled_from([1, 2, 3, None]))
+@settings(max_examples=300, deadline=None)
+def test_edit_log_load_matches_the_line_reference(tmp_path_factory, text, chunk):
+    """Bulk decoding in chunks of any size gives the line-by-line reader's
+    log, or raises its message, file and line included."""
+    path = tmp_path_factory.mktemp("log") / "edits.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(rewire, "_LOG_CHUNK", chunk)
+        outcome = _load_outcome(EditLog.load, path)
+    assert outcome == _load_outcome(reference_edit_log_load, path)
+
+
 def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     log = EditLog(header={"seed": 1})
     log.append("refine", 7, 3, 4)
@@ -416,7 +527,7 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("u", 1.7), ("v", "3"), ("u", True), ("v", None), ("seq", 2.0), ("seq", np.float64(2)),
+    ("u", 1.7), ("v", "3"), ("u", True), ("v", None), ("u", np.float64(2)),
 ])
 def test_edit_log_save_refuses_ids_it_cannot_write_as_they_are(tmp_path, key, value):
     log = EditLog(header={"seed": 1})
@@ -425,10 +536,9 @@ def test_edit_log_save_refuses_ids_it_cannot_write_as_they_are(tmp_path, key, va
     log.append("rewire", "remove", 0, 1)
     log.save(tmp_path / "valid.jsonl")
     assert EditLog.load(tmp_path / "valid.jsonl").records == log.records
-    {"seq": log.seqs, "u": log.us, "v": log.vs}[key][2] = value
+    {"u": log.us, "v": log.vs}[key][2] = value
     path = tmp_path / "edits.jsonl"
-    seq = value if key == "seq" else 2
-    with pytest.raises(ValueError, match=re.escape(f"seq {seq!r}: {key!r} must be an integer, "
+    with pytest.raises(ValueError, match=re.escape(f"seq 2: {key!r} must be an integer, "
                                                    f"got {value!r}")):
         log.save(path)
     assert not path.exists()
@@ -545,7 +655,7 @@ def test_edit_log_columns_survive_save_and_load(tmp_path, log_chunk):
                               for k in range(7)]
 
     # equality looks at every column and the header
-    for column in ("seqs", "phases", "ops", "us", "vs"):
+    for column in ("phases", "ops", "us", "vs"):
         other = EditLog.load(path)
         values = getattr(other, column)
         values[3] += 1 if isinstance(values[3], int) else "x"
@@ -820,11 +930,12 @@ def test_pools_stay_bounded_after_generate(small_pair):
 
 def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
-    final graph holds: live signs, ratios, gaps and pool members, and the
-    add change of every live node (it is left stale once a node is on target)."""
+    final graph holds: live signs, same-label counts, degrees, gaps and pool
+    members, and the add change of every live node (it is left stale once a
+    node is on target)."""
     fresh = _EditState(state.finish(), t, goals, EditLog())
     assert state.live == fresh.live
-    assert np.array_equal(state.h, fresh.h, equal_nan=True)
+    assert (state.same, state.deg) == (fresh.same, fresh.deg)
     assert state.gap_abs == fresh.gap_abs
     live = [v for v, s in enumerate(state.live) if s]
     assert [state.add_delta[v] for v in live] == [fresh.add_delta[v] for v in live]
@@ -974,13 +1085,12 @@ def test_generate_report_consistency(small_pair, gen_run):
 
 
 def test_generate_log_holds_plain_columns(gen_run):
-    """The log keeps no object per record: five lists of ints and strs."""
+    """The log keeps no object per record: four lists of ints and strs."""
     _, log, report = gen_run
-    assert set(vars(log)) == {"header", "seqs", "phases", "ops", "us", "vs"}
-    assert {type(x) for col in (log.seqs, log.us, log.vs) for x in col} == {int}
+    assert set(vars(log)) == {"header", "phases", "ops", "us", "vs"}
+    assert {type(x) for col in (log.us, log.vs) for x in col} == {int}
     assert {type(x) for col in (log.phases, log.ops) for x in col} == {str}
     assert len(log) == 2 * report.edits_rewire + report.edits_refine
-    assert log.seqs == list(range(len(log)))
 
 
 def test_generate_header_and_determinism(small_pair, gen_run):
