@@ -167,8 +167,6 @@ def _cmd_metrics(args) -> int:
     if args.run_b:
         payload_b, rec_b = _score(args.run_b, args.dataset, args.model)
         _dump_json(payload_b, out / "metrics_b.json")
-        d_f1, d_sp = delta_metrics(rec_a, rec_b)
-        _dump_json({"delta_f1": d_f1, "delta_sp": d_sp}, out / "delta.json")
     if args.baseline:
         _, rec_base = _score(args.baseline, args.dataset, "baseline")
         for run, rec, name in ((args.run_a, rec_a, "adjusted_a.json"),
@@ -181,6 +179,13 @@ def _cmd_metrics(args) -> int:
                 raise ValueError(f"{exc}: {args.baseline} has {rec_base.n_eval} rows, "
                                  f"{run} has {rec.n_eval}") from None
             _dump_json({"f1": adj.f1, "sp": adj.sp}, out / name)
+    if rec_b is not None:
+        try:
+            d_f1, d_sp = delta_metrics(rec_a, rec_b)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {args.run_a} has {rec_a.n_eval} rows, "
+                             f"{args.run_b} has {rec_b.n_eval}") from None
+        _dump_json({"delta_f1": d_f1, "delta_sp": d_sp}, out / "delta.json")
     _write_config(out, "metrics", args)
     return 0
 

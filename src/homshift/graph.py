@@ -27,9 +27,11 @@ class Graph:
     """Simple undirected graph on the dense node set 0..node_count-1.
 
     Representation: `edges` is the canonical (m, 2) int64 array of (u, v)
-    pairs with u < v, sorted ascending, read-only and C-contiguous. The
-    adjacency is CSR: the neighbours of v are `indices[indptr[v]:indptr[v+1]]`,
-    sorted ascending (`neighbors(v)`), and `degrees` holds their counts. All
+    pairs with u < v, sorted ascending, read-only and C-contiguous, and
+    `degrees` holds each node's neighbour count. The adjacency is CSR: the
+    neighbours of v are `indices[indptr[v]:indptr[v+1]]`, sorted ascending
+    (`neighbors(v)`). The CSR pair is built on first access and kept, so a
+    caller that reads only `edges` and `degrees` never pays its sort. All
     arrays are read-only; build graphs with `from_edges`.
 
     Equality compares `node_count` and `edges`, so graphs built from equal
@@ -42,8 +44,6 @@ class Graph:
 
     node_count: int
     edges: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     degrees: np.ndarray
 
     def __eq__(self, other) -> bool:
@@ -86,33 +86,45 @@ class Graph:
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
         canon = np.column_stack(np.divmod(keys, node_count))
-        # Both directions of every edge, keyed by (source, target): sorting the
-        # keys groups the targets by source, each group ascending.
-        both = np.concatenate((keys, canon[:, 1] * node_count + canon[:, 0]))
-        both.sort()
-        indices = both % node_count
         degrees = np.bincount(canon.ravel(), minlength=node_count)
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        for arr in (canon, indptr, indices, degrees):
+        for arr in (canon, degrees):
             arr.flags.writeable = False
-        return Graph(node_count, canon, indptr, indices, degrees)
+        return Graph(node_count, canon, degrees)
 
     def widened(self, node_count: int) -> "Graph":
         """The same edges on `node_count` nodes; the added trailing nodes are isolated.
 
-        The canonical edge array does not depend on the node count, so it and
-        `indices` are shared; only `indptr` and `degrees` grow.
+        The canonical edge array does not depend on the node count, so it is
+        shared; only `degrees` grows.
         """
         if node_count < self.node_count:
             raise ValueError(f"cannot narrow a {self.node_count}-node graph to {node_count}")
         if node_count > _MAX_NODES:
             raise ValueError(f"node_count {node_count} too large")
-        extra = node_count - self.node_count
-        indptr = np.concatenate((self.indptr, np.full(extra, self.indptr[-1])))
-        degrees = np.concatenate((self.degrees, np.zeros(extra, dtype=self.degrees.dtype)))
-        for arr in (indptr, degrees):
-            arr.flags.writeable = False
-        return Graph(node_count, self.edges, indptr, self.indices, degrees)
+        degrees = np.concatenate((self.degrees,
+                                  np.zeros(node_count - self.node_count, dtype=self.degrees.dtype)))
+        degrees.flags.writeable = False
+        return Graph(node_count, self.edges, degrees)
+
+    @functools.cached_property
+    def indptr(self) -> np.ndarray:
+        """CSR row offsets: node v's neighbours are indices[indptr[v]:indptr[v + 1]]."""
+        indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        indptr.flags.writeable = False
+        return indptr
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        """CSR neighbour ids, grouped by node and ascending within each group."""
+        n = self.node_count
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        # Both directions of every edge, keyed by (source, target): sorting the
+        # keys groups the targets by source, each group ascending.
+        both = np.concatenate((u * n + v, v * n + u))
+        both.sort()
+        indices = both % n
+        indices.flags.writeable = False
+        return indices
 
     @property
     def edge_count(self) -> int:
@@ -293,10 +305,12 @@ def read_id_table(path, columns, converters=None):
 
     Returns (ints, floats, lines): the (r, k) int64 array of the k named
     columns, the (r, f) float64 array of the further ones (None if there are
-    none), and each row's line number. Rows are parsed in bulk; if that
-    fails, they are parsed again one by one with the same converters, which
-    names the first bad line or, for a value only int() or float() reads
-    (such as `1_000`), gives the table.
+    none), and each row's line number. A file with no blank line keeps its
+    split lines as they are, numbered 2..r+1; only a file with one is
+    filtered line by line. Rows are parsed in bulk; if that fails, they are
+    parsed again one by one with the same converters, which names the first
+    bad line or, for a value only int() or float() reads (such as `1_000`),
+    gives the table.
     """
     names = [c for c in columns if c is not ...]
     with open(path, "r", encoding="utf-8") as fh:
@@ -305,9 +319,15 @@ def read_id_table(path, columns, converters=None):
     if header[:len(names)] != names or (columns[-1] is not ... and len(header) != len(names)):
         raise ValueError(f"{path}: line 1: header must start with '{','.join(names)}'"
                          f"{'' if columns[-1] is ... else ' and end there'}; got {text[0]!r}")
-    keep = [i for i in range(1, len(text)) if text[i].strip()]
-    body = [text[i] for i in keep]
-    lines = np.array(keep, dtype=np.int64) + 1
+    body = text[1:-1] if text[-1] == "" else text[1:]  # the final newline leaves an ""
+    # A line is blank when `not line.strip()`, that is when it is "" or all
+    # whitespace; both tests run in C over the whole list.
+    if "" in body or any(map(str.isspace, body)):
+        lines = np.array([i for i, line in enumerate(body, start=2) if line.strip()],
+                         dtype=np.int64)
+        body = [line for line in body if line.strip()]
+    else:
+        lines = np.arange(2, len(body) + 2, dtype=np.int64)
     k, f = len(names), len(header) - len(names)
     converters = converters or {}
     # np.loadtxt calls a converter on every cell, and a node table or split

@@ -142,9 +142,11 @@ class MetricRecord:
 
 
 def delta_metrics(run_a: MetricRecord, run_b: MetricRecord) -> tuple[float, float]:
-    """(F1_b - F1_a, SP_b - SP_a); both runs must score the same task."""
+    """(F1_b - F1_a, SP_b - SP_a); both runs must score the same task and subset."""
     if run_a.dataset != run_b.dataset or run_a.model != run_b.model:
         raise ValueError("delta requires records from the same dataset and model")
+    if run_a.n_eval != run_b.n_eval:
+        raise ValueError("delta requires runs scored on the same evaluation subset")
     return (run_b.f1 - run_a.f1, run_b.sp - run_a.sp)
 
 

@@ -231,7 +231,7 @@ def _bulk_chunk(lines: list[str], header_open: bool, index: int):
     text = "[" + ",\n".join(lines) + "]"
     try:
         objs = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep for the decoder
         return None
     if len(objs) != len(lines) or {line[0] for line in lines} != {"{"} or "[" in text[1:]:
         return None
@@ -259,7 +259,7 @@ def _line_chunk(path, block: list[str], start: int, header_open: bool, index: in
         where = f"{path}: line {lineno}"
         try:
             obj = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"{where}: expected a JSON object, got {line!r}")

@@ -7,7 +7,8 @@ from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
-reader replaced, the row-by-row split writer that a single join
+reader replaced, that reader as it was when it filtered every line for
+blanks, the row-by-row split writer that a single join
 replaced, the set-based edit-log replay that key arithmetic replaced, the
 line-by-line edit-log reader that chunked bulk decoding replaced, the
 one-node local homophily that the all-nodes count replaced, and the
@@ -18,6 +19,7 @@ statistics replaced.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import warnings
@@ -37,6 +39,7 @@ from homshift import (
     aggregation_coefficient,
     two_class_sbm,
 )
+from homshift.graph import _cells, _parse_rows
 from homshift.rewire import _GATE_TOL as GATE_TOL
 
 
@@ -309,6 +312,40 @@ def _reference_prediction_columns(path, rows: list[tuple[int, str]]) -> list[lis
         for col, value in zip(cols, [node, *values]):
             col.append(value)
     return cols
+
+
+def reference_read_id_table(path, columns, converters=None):
+    """homshift.graph.read_id_table as it was when it tested every line for a blank.
+
+    Same rules and return value: (ints, floats or None, line numbers); every
+    line after the header is stripped, and the non-blank ones are kept.
+    """
+    names = [c for c in columns if c is not ...]
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().split("\n")
+    header = [cell.strip() for cell in _cells(text[0])] if text[0].strip() else []
+    if header[:len(names)] != names or (columns[-1] is not ... and len(header) != len(names)):
+        raise ValueError(f"{path}: line 1: header must start with '{','.join(names)}'"
+                         f"{'' if columns[-1] is ... else ' and end there'}; got {text[0]!r}")
+    keep = [i for i in range(1, len(text)) if text[i].strip()]
+    body = [text[i] for i in keep]
+    lines = np.array(keep, dtype=np.int64) + 1
+    k, f = len(names), len(header) - len(names)
+    converters = converters or {}
+    cached = {conv: functools.cache(conv) for conv in converters.values()}
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(body, dtype=[("ints", np.int64, (k,)), ("floats", np.float64, (f,))],
+                               delimiter=",", quotechar='"', comments=None, ndmin=1,
+                               converters={c: cached[conv] for c, conv in converters.items()})
+        ints, floats = table["ints"], table["floats"]
+        ids = np.sort(ints[:, 0])
+        if ids.size != len(body) or (ids < 0).any() or (np.diff(ids) == 0).any():
+            raise ValueError("rejected by the bulk parse")
+    except (ValueError, OverflowError):
+        ints, floats = _parse_rows(path, body, lines, header, k, converters)
+    return ints, floats if f else None, lines
 
 
 def reference_save_split(assignment, path) -> None:

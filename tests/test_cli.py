@@ -269,6 +269,19 @@ def test_metrics_error_names_the_bad_prediction_file(tmp_path, capsys, flag, bod
     assert not (tmp_path / "out" / "metrics.config.json").exists()
 
 
+def test_metrics_delta_refuses_runs_of_different_row_counts(tmp_path, capsys):
+    run_a, run_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_predictions(run_a, [1, 0, 1], [1, 0, 0], [0, 1, 1])
+    _write_predictions(run_b, [1, 0], [1, 1], [0, 1])
+    out = tmp_path / "out"
+    assert main(["metrics", "--run-a", str(run_a), "--run-b", str(run_b),
+                 "--out", str(out)]) == 1
+    assert ("delta requires runs scored on the same evaluation subset: "
+            f"{run_a} has 3 rows, {run_b} has 2") in capsys.readouterr().err
+    assert not (out / "delta.json").exists()
+    assert not (out / "metrics.config.json").exists()
+
+
 def test_metrics_error_names_an_empty_prediction_file(tmp_path, capsys):
     _write_predictions(tmp_path / "good.csv", [1, 0], [1, 0], [0, 1])
     empty = tmp_path / "empty.csv"

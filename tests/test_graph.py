@@ -38,6 +38,7 @@ from conftest import (
     reference_load_node_table,
     reference_load_predictions,
     reference_load_split,
+    reference_read_id_table,
     union_find_components,
 )
 
@@ -98,6 +99,18 @@ def test_from_edges_matches_set_reference(node_count, pairs):
         assert g.degrees.tolist() == [len(ns) for ns in ref_adjacency]
         assert g.indptr.tolist() == [0] + np.cumsum(g.degrees).tolist()
         assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+
+
+def test_from_edges_and_load_edge_list_leave_the_csr_unbuilt(tmp_path):
+    """Only a caller of neighbors, indptr or indices pays for the CSR's sort."""
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n2 1\n", encoding="utf-8")
+    loaded = load_edge_list(path)
+    for g in (Graph.from_edges(4, [(0, 1), (2, 1)]), loaded, loaded.widened(5)):
+        assert "indptr" not in vars(g) and "indices" not in vars(g)
+        assert g.neighbors(1).tolist() == [0, 2]
+        assert "indptr" in vars(g) and "indices" in vars(g)
+        assert g.indices is g.indices and g.indptr is g.indptr
 
 
 def test_from_edges_rejects_self_loops_and_range():
@@ -491,6 +504,68 @@ def test_id_tables_share_one_cell_grammar(tmp_path):
     nodes.write_text("node_id,label,sensitive\n0,9223372036854775808,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: .*a value beyond int64"):
         load_node_table(nodes)
+
+
+# Lines `not line.strip()` calls blank: empty, or whitespace only, including
+# whitespace that is not ASCII and characters that split("\n") leaves alone.
+_BLANK_LINES = ["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x85", "\u2028", " \t\xa0"]
+_ID_TABLE_KINDS = {
+    "nodes": (("node_id", "label", "sensitive", ...), {1: _integer_or_blank, 2: _integer_or_blank},
+              ["", "0", "1", "1", '"1"', " 2 ", "x"]),
+    "split": (("node_id", "split"), {1: _tag}, ["train", "val", "test", "test", '"val"', "x"]),
+    "predictions": (("node_id", "y_true", "y_pred", "sensitive"), {},
+                    ["0", "1", "1", '"0"', "x"]),
+}
+
+
+@st.composite
+def _id_tables(draw):
+    """(columns, converters, text) of an id-keyed CSV with blank lines anywhere.
+
+    Blank lines fall between rows, after the last one and, rarely, before
+    the header; the file ends with or without a newline, in LF or CRLF.
+    Ids are mostly unique and cells mostly valid, so most files load.
+    """
+    columns, converters, cells = _ID_TABLE_KINDS[draw(st.sampled_from(sorted(_ID_TABLE_KINDS)))]
+    features = draw(st.integers(0, 1)) if columns[-1] is ... else 0
+    k = sum(c is not ... for c in columns)
+    header = ",".join([c for c in columns if c is not ...] + [f"f{i}" for i in range(features)])
+    lines = [header] if draw(st.integers(0, 9)) else [draw(st.sampled_from(_BLANK_LINES)), header]
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    if ids and not draw(st.integers(0, 9)):
+        ids.append(ids[0])
+    for node in ids:
+        lines += draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=1))
+        row = [str(node)] + [draw(st.sampled_from(cells)) for _ in range(k - 1)]
+        lines.append(",".join(row + ["0.5"] * features))
+    lines += draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=3))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return columns, converters, ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@given(_id_tables())
+@settings(max_examples=300, deadline=None)
+def test_read_id_table_matches_the_line_filtering_reference(tmp_path_factory, case):
+    columns, converters, text = case
+    path = tmp_path_factory.mktemp("tables") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read(path, columns, converters)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = outcome(read_id_table), outcome(reference_read_id_table)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for name, a, b in zip(("ints", "floats", "lines"), got, want):
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 _CONVERTER_CELLS = {

@@ -146,6 +146,8 @@ def test_delta_metrics_identity_checks():
         delta_metrics(a, MetricRecord(0.8, 0.1, 10, "other", "gcn"))
     with pytest.raises(ValueError):
         delta_metrics(a, MetricRecord(0.8, 0.1, 10, "synth", "mlp"))
+    with pytest.raises(ValueError, match="same evaluation subset"):
+        delta_metrics(a, MetricRecord(0.8, 0.1, 11, "synth", "gcn"))
 
 
 def test_baseline_adjust():

@@ -335,6 +335,11 @@ _RECORD = '{"op": "add", "phase": "refine", "seq": 0, "u": 3, "v": 4}'
     ('{"op": "add", "phase": "refine", "seq": 1, "u": 3', "invalid JSON"),
     (_RECORD + " " + _RECORD, "invalid JSON"),
     (_RECORD + ", " + _RECORD, "invalid JSON"),
+    # nested too deep for the decoder, which raises RecursionError
+    pytest.param("[" * 200_000, "invalid JSON: maximum recursion depth exceeded",
+                 id="deep-array"),
+    pytest.param('{"a": ' * 200_000, "invalid JSON: maximum recursion depth exceeded",
+                 id="deep-object"),
     ('[1, 2]', "expected a JSON object"),
     ('{"op": "add", "phase": "refine", "seq": 1, "u": 3}', "no 'v' key"),
     ('{"op": "add", "seq": 1, "u": 3, "v": 4}', "no 'phase' key"),
