@@ -4,7 +4,8 @@ Every subcommand writes its artifacts into --out with fixed filenames plus
 a `<command>.config.json` sidecar echoing the full configuration, so any
 output can be regenerated from its sidecar alone. Outputs are validated
 before exit; exit status is 0 only when everything was written and checked.
-The sidecar is written last, after the checks, so a failed run leaves none.
+`main` writes the sidecar last, once the subcommand has returned without
+error, so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from .theory import TheoryParams, save_sweep, sweep_alpha
 
 def _dump_json(obj, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _write_config(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_config(args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["subcommand"] = command
-    _dump_json(cfg, out_dir / f"{command}.config.json")
+    cfg["subcommand"] = args.command
+    _dump_json(cfg, Path(args.out) / f"{args.command}.config.json")
 
 
 def _out_dir(args) -> Path:
@@ -68,7 +69,7 @@ def _ratios_csv(ratios: np.ndarray) -> str:
                                         for node, x in enumerate(ratios.tolist())])
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     out = _out_dir(args)
     g, t = _load_pair(args)
     h_global = global_homophily(g, t)
@@ -89,11 +90,9 @@ def _cmd_analyze(args) -> int:
         "valid_ratio_nodes": int((~np.isnan(ratios)).sum()),
         "bins": args.bins,
     }, out / "summary.json")
-    _write_config(out, "analyze", args)
-    return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     out = _out_dir(args)
     g, t = _load_pair(args)
     goal = BetaGoal(args.alpha, args.beta)
@@ -111,11 +110,9 @@ def _cmd_generate(args) -> int:
     replayed = EditLog.load(out / "edit_log.jsonl").replay(g)
     if replayed != generated:
         raise RuntimeError("edit log replay does not reproduce the generated graph")
-    _write_config(out, "generate", args)
-    return 0
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     gammas = args.gamma if args.gamma else [0.0]
     for gm in gammas:
         if not (math.isfinite(gm) and gm >= 0):
@@ -138,8 +135,6 @@ def _cmd_split(args) -> int:
         reloaded = load_split(out / f"{stem}.csv")
         if not np.array_equal(reloaded, assignment.tags):
             raise RuntimeError(f"{stem}.csv did not round-trip")
-    _write_config(out, "split", args)
-    return 0
 
 
 def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
@@ -159,7 +154,7 @@ def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
                                  dataset=dataset, model=model)
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> None:
     out = _out_dir(args)
     payload_a, rec_a = _score(args.run_a, args.dataset, args.model)
     _dump_json(payload_a, out / "metrics_a.json")
@@ -186,11 +181,9 @@ def _cmd_metrics(args) -> int:
             raise ValueError(f"{exc}: {args.run_a} has {rec_a.n_eval} rows, "
                              f"{args.run_b} has {rec_b.n_eval}") from None
         _dump_json({"delta_f1": d_f1, "delta_sp": d_sp}, out / "delta.json")
-    _write_config(out, "metrics", args)
-    return 0
 
 
-def _cmd_theory(args) -> int:
+def _cmd_theory(args) -> None:
     out = _out_dir(args)
     grid = [float(x) for x in args.alpha_grid.split(",") if x.strip() != ""]
     if not grid:
@@ -202,8 +195,6 @@ def _cmd_theory(args) -> int:
     if not rows:
         raise ValueError("every grid point was skipped; no sweep rows produced")
     save_sweep(rows, out / "sweep.csv")
-    _write_config(out, "theory", args)
-    return 0
 
 
 def _add_graph_args(sp) -> None:
@@ -278,10 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        _write_config(args)
     except Exception as exc:
         print(f"homshift {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

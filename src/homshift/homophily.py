@@ -59,8 +59,10 @@ class BetaGoal:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("Beta shape parameters must be positive")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"Beta shape parameter {name} must be finite and positive, "
+                                 f"got {value!r}")
 
 
 def _same_label_edge_mask(g: Graph, t: NodeTable) -> np.ndarray:
@@ -100,6 +102,18 @@ def bin_index(ratios: np.ndarray, bin_count: int) -> np.ndarray:
     """Bin ids for ratios in [0,1]; 1.0 lands in the last (closed) bin."""
     idx = np.floor(np.asarray(ratios, dtype=np.float64) * bin_count + _BIN_EPS)
     return np.clip(idx, 0, bin_count - 1).astype(np.int64)
+
+
+def defined_bins(ratios, bin_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes with a defined (non-NaN) ratio, each one's bin, and the count per bin."""
+    if bin_count < 1:
+        raise ValueError("bin_count must be positive")
+    ratios = np.asarray(ratios, dtype=np.float64)
+    ids = np.flatnonzero(~np.isnan(ratios))
+    if ids.size == 0:
+        raise ValueError("no node has a defined ratio")
+    bins = bin_index(ratios[ids], bin_count)
+    return ids, bins, np.bincount(bins, minlength=bin_count)
 
 
 def histogram(ratios, bin_count: int) -> HomophilyHistogram:

@@ -36,7 +36,7 @@ from .homophily import (
     BetaGoal,
     HomophilyHistogram,
     beta_goal_histogram,
-    bin_index,
+    defined_bins,
     defined_histogram,
     emd,
     local_homophily_all,
@@ -107,42 +107,26 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
     """
     if plan.bin_count != bin_count:
         raise ValueError("plan bin count does not match b")
-    ratios = np.asarray(ratios, dtype=np.float64)
-    valid = ~np.isnan(ratios)
-    ids = np.flatnonzero(valid)
-    if ids.size == 0:
-        raise ValueError("no node has a defined ratio")
-    bins = bin_index(ratios[ids], bin_count)
-    n_total = ids.size
-    bin_mass = np.bincount(bins, minlength=bin_count) / n_total
+    ids, bins, bin_sizes = defined_bins(ratios, bin_count)
     row_mass = plan.matrix.sum(axis=1)
-    if np.abs(row_mass - bin_mass).max() > 1e-6:
+    if np.abs(row_mass - bin_sizes / ids.size).max() > 1e-6:
         raise ValueError("transport plan is inconsistent with the ratio histogram")
-    centers = (np.arange(bin_count) + 0.5) / bin_count
     rng = np.random.default_rng(seed)
-    goals: list[NodeGoal] = []
-    for i in range(bin_count):
-        members = ids[bins == i]
-        n_i = members.size
-        if n_i == 0:
-            continue
+    # targets[k] is the target bin of node ids[k]
+    targets = np.empty(ids.size, dtype=np.int64)
+    for i in np.flatnonzero(bin_sizes).tolist():
+        n_i = int(bin_sizes[i])
         row_sum = float(row_mass[i])
         if row_sum <= 0:
             raise ValueError(f"plan row {i} is empty but bin {i} holds {n_i} nodes")
         counts = largest_remainder(plan.matrix[i] / row_sum * n_i, n_i)
-        perm = rng.permutation(members)
-        pos = 0
-        for j in range(bin_count):
-            for node in perm[pos:pos + counts[j]]:
-                h_cur = float(ratios[node])
-                if j == i:
-                    direction = 0
-                else:
-                    direction = 1 if centers[j] > h_cur else -1
-                goals.append(NodeGoal(int(node), h_cur, float(centers[j]), direction))
-            pos += counts[j]
-    goals.sort(key=lambda ng: ng.node)
-    return goals
+        targets[rng.permutation(np.flatnonzero(bins == i))] = np.repeat(
+            np.arange(bin_count), counts)
+    h_cur = np.asarray(ratios, dtype=np.float64)[ids]
+    h_goal = (targets + 0.5) / bin_count
+    directions = np.where(targets == bins, 0, np.where(h_goal > h_cur, 1, -1))
+    return list(map(NodeGoal, ids.tolist(), h_cur.tolist(), h_goal.tolist(),
+                    directions.tolist()))
 
 
 def _ceil_tol(x: float) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import read_id_table
-from .homophily import HomophilyHistogram, bin_index, emd, histogram
+from .homophily import HomophilyHistogram, defined_bins, emd, histogram
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
 TAG_NAMES = ("train", "val", "test", "excluded")
@@ -156,12 +156,7 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
         raise ValueError("train_frac must lie in (0, 1)")
     if not (0.0 <= val_frac < 1.0):
         raise ValueError("val_frac must lie in [0, 1)")
-    valid = ~np.isnan(ratios)
-    ids = np.flatnonzero(valid)
-    if ids.size == 0:
-        raise ValueError("no node has a defined ratio")
-    bins = bin_index(ratios[ids], bin_count)
-    n_b = np.bincount(bins, minlength=bin_count).astype(np.int64)
+    ids, bins, n_b = defined_bins(ratios, bin_count)
     n_valid = int(ids.size)
 
     p = HomophilyHistogram(bin_count, n_b / n_valid)

@@ -63,6 +63,9 @@ class TheoryParams:
             raise ValueError("h must lie in [0, 1]")
         if not 0.0 <= self.h + self.alpha_shift <= 1.0:
             raise ValueError("h + alpha_shift must lie in [0, 1]")
+        for name in ("mu_l", "mu_s", "sigma", "lambda_reg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
         if self.lambda_reg < 0:
@@ -147,7 +150,8 @@ def _simulate_gaps(params: TheoryParams, trials: int, rng: np.random.Generator) 
     """One simulated logit gap per trial; see `monte_carlo_gap`."""
     b_coef = _check_b_coef(params)
     a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
-    n, k, sigma = params.n, params.k, params.sigma
+    # abs: numpy refuses a scale of -0.0, which is the same as 0
+    n, k, sigma = params.n, params.k, abs(params.sigma)
     means = np.array([params.mu_l, params.mu_s])
     sum_0 = rng.normal(k * means, math.sqrt(k) * sigma, size=(trials, 2))
     sum_1 = rng.normal((n - k) * means, math.sqrt(n - k) * sigma, size=(trials, 2))

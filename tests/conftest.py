@@ -6,6 +6,7 @@ full confusion matrix, an edit-log checker that recounts neighborhoods
 from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
+node-by-node goal assignment that per-bin array writes replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
 reader replaced, that reader as it was when it filtered every line for
 blanks, the row-by-row split writer that a single join
@@ -33,14 +34,17 @@ from homshift import (
     TAG_NAMES,
     EditLog,
     Graph,
+    NodeGoal,
     NodeTable,
     PredictionTable,
     TheoryParams,
     aggregation_coefficient,
+    bin_index,
     two_class_sbm,
 )
 from homshift.graph import _cells, _parse_rows
 from homshift.rewire import _GATE_TOL as GATE_TOL
+from homshift.splits import largest_remainder
 
 
 @pytest.fixture(scope="session")
@@ -416,6 +420,52 @@ def reference_monte_carlo_gap(params: TheoryParams, trials: int,
                                - np.einsum("mi,mi->m", r_v, w_mat[:, :, 0]))
         done += m
     return gaps
+
+
+def reference_assign_node_goals(plan, ratios, bin_count: int, seed) -> list:
+    """Goal assignment node by node, as homshift.assign_node_goals was.
+
+    Per non-empty source bin, in bin order: split the bin's count over the
+    plan row by largest remainder, permute its members with the seeded
+    generator, and hand out target bins in order, one NodeGoal per node;
+    then sort the goals by node id.
+    """
+    if plan.bin_count != bin_count:
+        raise ValueError("plan bin count does not match b")
+    ratios = np.asarray(ratios, dtype=np.float64)
+    ids = np.flatnonzero(~np.isnan(ratios))
+    if ids.size == 0:
+        raise ValueError("no node has a defined ratio")
+    bins = bin_index(ratios[ids], bin_count)
+    bin_mass = np.bincount(bins, minlength=bin_count) / ids.size
+    row_mass = plan.matrix.sum(axis=1)
+    if np.abs(row_mass - bin_mass).max() > 1e-6:
+        raise ValueError("transport plan is inconsistent with the ratio histogram")
+    centers = (np.arange(bin_count) + 0.5) / bin_count
+    rng = np.random.default_rng(seed)
+    goals = []
+    for i in range(bin_count):
+        members = ids[bins == i]
+        n_i = members.size
+        if n_i == 0:
+            continue
+        row_sum = float(row_mass[i])
+        if row_sum <= 0:
+            raise ValueError(f"plan row {i} is empty but bin {i} holds {n_i} nodes")
+        counts = largest_remainder(plan.matrix[i] / row_sum * n_i, n_i)
+        perm = rng.permutation(members)
+        pos = 0
+        for j in range(bin_count):
+            for node in perm[pos:pos + counts[j]]:
+                h_cur = float(ratios[node])
+                if j == i:
+                    direction = 0
+                else:
+                    direction = 1 if centers[j] > h_cur else -1
+                goals.append(NodeGoal(int(node), h_cur, float(centers[j]), direction))
+            pos += counts[j]
+    goals.sort(key=lambda ng: ng.node)
+    return goals
 
 
 def reference_best_partner(state, i: int, s: int, d_i: float) -> int:

@@ -18,7 +18,8 @@ from homshift import (
     save_node_table,
     two_class_sbm,
 )
-from homshift.cli import _ratios_csv, main
+from homshift import cli
+from homshift.cli import _dump_json, _ratios_csv, main
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,16 @@ def test_split_rejects_a_gamma_that_is_not_finite_and_non_negative(
     assert not out.exists()
 
 
+def test_split_refuses_zero_bins(sbm_files, tmp_path, capsys):
+    root, _, _ = sbm_files
+    out = tmp_path / "out"
+    rc = main(["split", "--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv"),
+               "--bins", "0", "--out", str(out)])
+    assert rc == 1
+    assert "homshift split: error: bin_count must be positive" in capsys.readouterr().err
+    assert not (out / "split.config.json").exists()
+
+
 # -------------------------------------------------------------- metrics
 
 
@@ -367,6 +378,39 @@ def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command, writer", [
+    ("analyze", "_dump_json"),
+    ("generate", "_dump_json"),
+    ("split", "save_split_diagnostics"),
+    ("metrics", "_dump_json"),
+    ("theory", "save_sweep"),
+])
+def test_a_run_that_fails_after_writing_an_artifact_leaves_no_sidecar(
+        sbm_files, tmp_path, monkeypatch, capsys, command, writer):
+    root, _, t = sbm_files
+    _write_predictions(tmp_path / "a.csv", t.labels, t.labels, t.sensitive)
+    graph = ["--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv")]
+    argv = {
+        "analyze": graph,
+        "generate": graph + ["--alpha", "3.0", "--beta", "10.0"],
+        "split": graph,
+        "metrics": ["--run-a", str(tmp_path / "a.csv")],
+        "theory": ["--trials", "20"],
+    }[command]
+    write = getattr(cli, writer)
+
+    def write_then_fail(*args, **kwargs):
+        write(*args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, write_then_fail)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert f"homshift {command}: error: disk full" in capsys.readouterr().err
+    assert any(out.iterdir())
+    assert not (out / f"{command}.config.json").exists()
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -381,3 +425,49 @@ def test_empty_alpha_grid_reports_error(tmp_path, capsys):
     rc = main(["theory", "--alpha-grid", ",", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "homshift theory: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "inf", "Beta shape parameter alpha must be finite and positive, got inf"),
+    ("--beta", "nan", "Beta shape parameter beta must be finite and positive, got nan"),
+])
+def test_generate_refuses_a_non_finite_beta_goal(sbm_files, tmp_path, capsys, flag, value,
+                                                 message):
+    root, _, _ = sbm_files
+    goal = {"--alpha": "3.0", "--beta": "10.0", flag: value}
+    out = tmp_path / "out"
+    rc = main(["generate", "--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv"),
+               *[arg for pair in goal.items() for arg in pair], "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "edit_log.jsonl").exists()
+    assert not (out / "generate.config.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--lam", "nan", "lambda_reg"),
+    ("--sigma", "nan", "sigma"),
+    ("--sigma", "inf", "sigma"),
+    ("--mu-s", "inf", "mu_s"),
+    ("--mu-l", "-inf", "mu_l"),
+])
+def test_theory_refuses_a_non_finite_parameter(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "out"
+    assert main(["theory", f"{flag}={value}", "--trials", "20", "--out", str(out)]) == 1
+    assert f"{name} must be finite, got {float(value)!r}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "theory.config.json").exists()
+
+
+def test_theory_reads_negative_zero_sigma_as_zero(tmp_path):
+    argv = ["theory", "--alpha-grid", "0.0,0.2", "--trials", "20", "--seed", "4"]
+    assert main(argv + ["--sigma=-0.0", "--out", str(tmp_path / "neg")]) == 0
+    assert main(argv + ["--sigma=0.0", "--out", str(tmp_path / "pos")]) == 0
+    assert ((tmp_path / "neg" / "sweep.csv").read_bytes()
+            == (tmp_path / "pos" / "sweep.csv").read_bytes())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_artifacts_refuse_non_finite_values(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _dump_json({"x": [1.0, value]}, tmp_path / "bad.json")

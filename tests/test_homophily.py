@@ -129,6 +129,10 @@ def test_histogram_type_validation():
             HomophilyHistogram(2, np.array(bad))
     with pytest.raises(ValueError):
         BetaGoal(0.0, 1.0)
+    for alpha, beta, name in ((np.inf, 1.0, "alpha"), (1.0, np.nan, "beta"),
+                              (np.nan, 1.0, "alpha"), (2.0, -np.inf, "beta")):
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite and positive"):
+            BetaGoal(alpha, beta)
 
 
 def test_emd_hand_values():

@@ -43,6 +43,7 @@ from homshift.rewire import _RUN, _EditState
 from conftest import (
     EditLogChecker,
     lp_transport_cost,
+    reference_assign_node_goals,
     reference_best_partner,
     reference_edit_log_load,
     reference_replay,
@@ -206,6 +207,39 @@ def test_inconsistent_plan_rejected():
     plan = TransportPlan(2, np.array([[0.4, 0.4], [0.0, 0.2]]))
     with pytest.raises(ValueError):
         assign_node_goals(plan, ratios, 2, seed=0)
+
+
+@st.composite
+def _goal_cases(draw):
+    """Ratios with NaNs, bin boundaries and small-denominator values (which
+    leave bins empty), a bin count, a Beta goal and a seed."""
+    bin_count = draw(st.integers(2, 12))
+    ratio = st.one_of(
+        st.just(math.nan),
+        st.floats(0.0, 1.0),
+        st.integers(0, bin_count).map(lambda k: k / bin_count),
+        st.tuples(st.integers(1, 4), st.integers(0, 4)).map(lambda dn: min(dn) / dn[0]))
+    ratios = np.array(draw(st.lists(ratio, min_size=1, max_size=80)))
+    goal = BetaGoal(draw(st.floats(0.2, 20.0)), draw(st.floats(0.2, 20.0)))
+    return ratios, bin_count, goal, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_goal_cases())
+@settings(max_examples=300, deadline=None)
+def test_goal_assignment_matches_the_node_by_node_reference(case):
+    ratios, bin_count, goal, seed = case
+    if np.isnan(ratios).all():
+        with pytest.raises(ValueError, match="no node has a defined ratio"):
+            assign_node_goals(TransportPlan(bin_count, np.eye(bin_count) / bin_count),
+                              ratios, bin_count, seed)
+        return
+    plan = transport_plan(defined_histogram(ratios, bin_count),
+                          beta_goal_histogram(goal, bin_count))
+    goals = assign_node_goals(plan, ratios, bin_count, seed)
+    expected = reference_assign_node_goals(plan, ratios, bin_count, seed)
+    assert goals == expected
+    assert ([tuple(map(type, vars(gl).values())) for gl in goals]
+            == [tuple(map(type, vars(gl).values())) for gl in expected])
 
 
 # ------------------------------------------------------------- move bounds

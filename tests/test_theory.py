@@ -53,6 +53,10 @@ def test_params_validation():
         _params(sigma=-0.1)
     with pytest.raises(ValueError):
         _params(lambda_reg=-1.0)
+    for name in ("mu_l", "mu_s", "sigma", "lambda_reg"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _params(**{name: bad})
 
 
 def test_result_validation():
