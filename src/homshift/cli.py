@@ -5,7 +5,9 @@ a `<command>.config.json` sidecar echoing the full configuration, so any
 output can be regenerated from its sidecar alone. Outputs are validated
 before exit; exit status is 0 only when everything was written and checked.
 `main` writes the sidecar last, once the subcommand has returned without
-error, so a failed run leaves none.
+error, so a failed run leaves none. Each subcommand reads and checks its
+inputs and computes its results before it creates --out, so a refused run
+leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def _load_pair(args):
     g = load_edge_list(args.graph, one_indexed=args.one_indexed)
     t = load_node_table(args.nodes)
     if len(t) < g.node_count:
-        raise ValueError(f"node table has {len(t)} rows but the graph references "
-                         f"node ids up to {g.node_count - 1}")
+        raise ValueError(f"{args.nodes}: node table has {len(t)} rows but {args.graph} "
+                         f"references node ids up to {g.node_count - 1}")
     if len(t) > g.node_count:
         # trailing table rows are isolated nodes; widen the graph to match
         g = g.widened(len(t))
@@ -64,17 +66,23 @@ def _load_pair(args):
 
 
 def _ratios_csv(ratios: np.ndarray) -> str:
-    """ratios.csv's text: one `node_id,ratio` row per node, blank for NaN."""
-    return "node_id,ratio\n" + "".join([f"{node},{'' if x != x else repr(x)}\n"
-                                        for node, x in enumerate(ratios.tolist())])
+    """ratios.csv's text: one `node_id,ratio` row per node, blank for NaN.
+
+    Each distinct value is formatted once. The values are keyed on their bit
+    patterns, so -0.0 keeps its own cell apart from 0.0.
+    """
+    bits, which = np.unique(ratios.view(np.int64), return_inverse=True)
+    cells = [",\n" if x != x else f",{x!r}\n" for x in bits.view(np.float64).tolist()]
+    return "node_id,ratio\n" + "".join([f"{node}{cells[i]}"
+                                        for node, i in enumerate(which.tolist())])
 
 
 def _cmd_analyze(args) -> None:
-    out = _out_dir(args)
     g, t = _load_pair(args)
     h_global = global_homophily(g, t)
     ratios = local_homophily_all(g, t)
     hist = defined_histogram(ratios, args.bins)
+    out = _out_dir(args)
     with open(out / "ratios.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_ratios_csv(ratios))
     edges = hist.edges()
@@ -93,10 +101,10 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_generate(args) -> None:
-    out = _out_dir(args)
-    g, t = _load_pair(args)
     goal = BetaGoal(args.alpha, args.beta)
+    g, t = _load_pair(args)
     generated, log, report = generate(g, t, goal, args.bins, args.seed)
+    out = _out_dir(args)
     save_edge_list(generated, out / "generated_edges.txt")
     log.save(out / "edit_log.jsonl")
     _dump_json({
@@ -124,12 +132,13 @@ def _cmd_split(args) -> None:
         if other != gm:
             raise ValueError(f"--gamma {other!r} and --gamma {gm!r} would both write "
                              f"split_gamma{gm:g}.csv")
-    out = _out_dir(args)
     g, t = _load_pair(args)
     ratios = local_homophily_all(g, t)
-    for stem, gm in stems.items():
-        assignment = stratified_split(ratios, gm, args.bins, args.seed,
-                                      train_frac=args.train_frac, val_frac=args.val_frac)
+    assignments = {stem: stratified_split(ratios, gm, args.bins, args.seed,
+                                          train_frac=args.train_frac, val_frac=args.val_frac)
+                   for stem, gm in stems.items()}
+    out = _out_dir(args)
+    for stem, assignment in assignments.items():
         save_split(assignment, out / f"{stem}.csv")
         save_split_diagnostics(assignment, out / f"{stem}.json")
         reloaded = load_split(out / f"{stem}.csv")
@@ -155,13 +164,11 @@ def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
 
 
 def _cmd_metrics(args) -> None:
-    out = _out_dir(args)
     payload_a, rec_a = _score(args.run_a, args.dataset, args.model)
-    _dump_json(payload_a, out / "metrics_a.json")
+    artifacts = {"metrics_a.json": payload_a}
     rec_b = None
     if args.run_b:
-        payload_b, rec_b = _score(args.run_b, args.dataset, args.model)
-        _dump_json(payload_b, out / "metrics_b.json")
+        artifacts["metrics_b.json"], rec_b = _score(args.run_b, args.dataset, args.model)
     if args.baseline:
         _, rec_base = _score(args.baseline, args.dataset, "baseline")
         for run, rec, name in ((args.run_a, rec_a, "adjusted_a.json"),
@@ -173,18 +180,20 @@ def _cmd_metrics(args) -> None:
             except ValueError as exc:
                 raise ValueError(f"{exc}: {args.baseline} has {rec_base.n_eval} rows, "
                                  f"{run} has {rec.n_eval}") from None
-            _dump_json({"f1": adj.f1, "sp": adj.sp}, out / name)
+            artifacts[name] = {"f1": adj.f1, "sp": adj.sp}
     if rec_b is not None:
         try:
             d_f1, d_sp = delta_metrics(rec_a, rec_b)
         except ValueError as exc:
             raise ValueError(f"{exc}: {args.run_a} has {rec_a.n_eval} rows, "
                              f"{args.run_b} has {rec_b.n_eval}") from None
-        _dump_json({"delta_f1": d_f1, "delta_sp": d_sp}, out / "delta.json")
+        artifacts["delta.json"] = {"delta_f1": d_f1, "delta_sp": d_sp}
+    out = _out_dir(args)
+    for name, payload in artifacts.items():
+        _dump_json(payload, out / name)
 
 
 def _cmd_theory(args) -> None:
-    out = _out_dir(args)
     grid = [float(x) for x in args.alpha_grid.split(",") if x.strip() != ""]
     if not grid:
         raise ValueError("--alpha-grid must list at least one value")
@@ -194,7 +203,7 @@ def _cmd_theory(args) -> None:
     rows = sweep_alpha(params, grid, args.trials, args.seed)
     if not rows:
         raise ValueError("every grid point was skipped; no sweep rows produced")
-    save_sweep(rows, out / "sweep.csv")
+    save_sweep(rows, _out_dir(args) / "sweep.csv")
 
 
 def _add_graph_args(sp) -> None:

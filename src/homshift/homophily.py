@@ -74,7 +74,7 @@ def _same_label_edge_mask(g: Graph, t: NodeTable) -> np.ndarray:
 
 def same_label_counts(g: Graph, t: NodeTable) -> np.ndarray:
     """Per node, the integer count of neighbours sharing its (valid) label."""
-    agree = g.edges[_same_label_edge_mask(g, t)]
+    agree = g.edges.compress(_same_label_edge_mask(g, t), axis=0)  # see graph.load_edge_list
     return np.bincount(agree.ravel(), minlength=g.node_count)
 
 

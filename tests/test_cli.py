@@ -110,6 +110,12 @@ def test_ratios_csv_matches_the_per_node_writer():
         [np.nan, 0.0, 1.0, 5e-05, 1e-300, 5e-324, 1 / 3, 2 / 3, 0.1, np.nan],
         rng.random(200), rng.integers(0, 7, 50) / 7])
     ratios[rng.random(ratios.size) < 0.1] = np.nan
+    # NaNs with other payloads and signs, and -0.0 next to 0.0: a writer that
+    # merges equal floats gives one of the two zeros the other's cell
+    odd_nans = np.array([0x7FF8_0000_0000_0123, 0x7FF0_0000_0000_0001,
+                         -0x0008_0000_0000_0000], dtype=np.int64).view(np.float64)
+    ratios = np.concatenate([ratios, odd_nans, [-0.0, 0.0, -0.0], np.full(400, 0.25),
+                             np.tile([0.0, -0.0, np.nan], 300), np.full(500, 1 / 3)])
     assert _ratios_csv(ratios) == _per_node_ratios_csv(ratios)
     assert _ratios_csv(np.array([], dtype=np.float64)) == "node_id,ratio\n"
 
@@ -414,11 +420,48 @@ def test_a_run_that_fails_after_writing_an_artifact_leaves_no_sidecar(
 # ---------------------------------------------------------------- errors
 
 
-def test_missing_input_reports_error(tmp_path, capsys):
-    rc = main(["analyze", "--graph", str(tmp_path / "nope.txt"),
-               "--nodes", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("edges, nodes, message", [
+    (None, None, "No such file or directory"),
+    ("0 1\n1 4\n", "node_id,label,sensitive\n0,0,0\n1,1,1\n",
+     "{nodes}: node table has 2 rows but {graph} references node ids up to 4"),
+], ids=["missing", "short-table"])
+def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
+    graph, table = tmp_path / "g.txt", tmp_path / "n.csv"
+    for path, text in ((graph, edges), (table, nodes)):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+    rc = main(["analyze", "--graph", str(graph), "--nodes", str(table),
+               "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "homshift analyze: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "homshift analyze: error: " in err
+    assert message.format(graph=graph, nodes=table) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theory", "--lam", "nan", "--trials", "20"], "lambda_reg must be finite, got nan"),
+    (["metrics", "--run-a", "{missing}.csv"], "No such file or directory"),
+    (["analyze", "--graph", "{graph}", "--nodes", "{nodes}", "--bins", "0"],
+     "bin_count must be positive"),
+    (["split", "--graph", "{graph}", "--nodes", "{nodes}", "--gamma", "0", "--gamma", "1",
+      "--train-frac", "2"], "train_frac must lie in (0, 1)"),
+    (["generate", "--graph", "{graph}", "--nodes", "{nodes}", "--alpha", "3", "--beta", "10",
+      "--bins", "0"], "bin_count must be positive"),
+    # the goal is checked before either input file is read
+    (["generate", "--graph", "{missing}.txt", "--nodes", "{missing}.csv",
+      "--alpha", "inf", "--beta", "10"],
+     "Beta shape parameter alpha must be finite and positive, got inf"),
+], ids=["theory", "metrics", "analyze", "split", "generate", "generate-goal-first"])
+def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):
+    root, _, _ = sbm_files
+    names = {"graph": root / "edges.txt", "nodes": root / "nodes.csv",
+             "missing": tmp_path / "missing"}
+    out = tmp_path / "out"
+    assert main([arg.format(**names) for arg in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"homshift {argv[0]}: error: " in err and message in err
+    assert not out.exists()
 
 
 def test_empty_alpha_grid_reports_error(tmp_path, capsys):

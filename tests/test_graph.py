@@ -99,6 +99,8 @@ def test_from_edges_matches_set_reference(node_count, pairs):
         assert g.degrees.tolist() == [len(ns) for ns in ref_adjacency]
         assert g.indptr.tolist() == [0] + np.cumsum(g.degrees).tolist()
         assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
+        assert g.degrees.dtype == np.int64
 
 
 def test_from_edges_and_load_edge_list_leave_the_csr_unbuilt(tmp_path):

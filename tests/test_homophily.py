@@ -17,6 +17,7 @@ from homshift import (
     homophily_histogram,
     local_homophily_all,
 )
+from homshift.homophily import same_label_counts
 
 from conftest import lp_transport_cost, reference_local_homophily
 
@@ -73,12 +74,18 @@ def test_local_homophily_all_matches_scalar_path(seed):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
     g = Graph.from_edges(n, pairs)
     t = NodeTable(rng.integers(-1, 3, n), np.zeros(n, dtype=int))
+    same = same_label_counts(g, t)
+    assert same.dtype == np.int64
+    for v in range(n):
+        agree = (t.labels[g.neighbors(v)] == t.labels[v]).sum() if t.labels[v] >= 0 else 0
+        assert same[v] == agree
     r = local_homophily_all(g, t)
     for v in range(n):
         if g.degrees[v] == 0 or t.labels[v] < 0:
             assert np.isnan(r[v])
         else:
-            assert r[v] == pytest.approx(reference_local_homophily(g, t, v), abs=1e-12)
+            # both sides are one correctly rounded int / int division
+            assert r[v] == reference_local_homophily(g, t, v)
 
 
 def test_histogram_matches_binned_counts():
