@@ -15,9 +15,11 @@ the addition gate does not depend on which neighbour is removed.
 
 Partner search never builds an O(n) candidate mask. The possible partners
 sit in pools, one per (label, move direction), kept up to date edit by
-edit (see `_EditState`). A scan in (gap, id) order skips whole runs that
-cannot pass and stops at the first partner that passes the gate, which by
-the partner rule is the one to take.
+edit (see `_EditState`). A pool groups its members into classes that share
+both the gap and the change an added edge would make, so the gate is
+decided once per class. A search walks the classes in ascending order and
+takes the lowest eligible id among the passing classes of the first gap
+that has one, which by the partner rule is the partner.
 """
 
 from __future__ import annotations
@@ -355,10 +357,17 @@ class EditLog:
         """Write the header, then one JSON object per record with sorted keys.
 
         What `load` would refuse, or `%d` would write as another number,
-        raises ValueError before the file is opened: a phase or op that is
-        not a string, named, or a u or v that is not an int or numpy integer
-        (a bool, a float, a str), named with its record's seq.
+        raises ValueError before the file is opened: a header that is not a
+        dict, has an "op" key or holds NaN or an infinity; a phase or op that
+        is not a string, named; or a u or v that is not an int or numpy
+        integer (a bool, a float, a str), named with its record's seq.
         """
+        if not _is_header(self.header):
+            raise ValueError(f"header must be a dict without an 'op' key, got {self.header!r}")
+        try:
+            header = json.dumps(self.header, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"header {self.header!r}: {exc}") from None
         phases, ops = set(self.phases), set(self.ops)
         for key, words in (("phase", phases), ("op", ops)):
             for word in words:
@@ -373,7 +382,6 @@ class EditLog:
                     if type(value) in bad:
                         raise ValueError(f"seq {seq}: {key!r} must be an integer, got {value!r}")
         quoted = {w: json.dumps(w) for w in phases | ops}
-        header = json.dumps(self.header, sort_keys=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for a in range(0, len(self), _LOG_CHUNK):
@@ -413,79 +421,66 @@ class EditLog:
         return log
 
 
-# Partner pools cut their (gap, id) order into runs of at most 2*_RUN keys;
-# a run that grows past that splits in two.
-_RUN = 64
-
-
 class _PartnerPool:
-    """The nodes of one (label, live sign) in (gap, id) order, cut into runs.
+    """The nodes of one (label, live sign), grouped by (gap_abs, add_delta).
 
-    `runs` holds the members' (gap_abs, id) keys in ascending order, cut
-    into consecutive runs, and `lasts[r]` is run r's last key. `floors[r]`
-    is a lower bound on the add changes in run r: exact when the run is
-    built or fully scanned, lowered by insertions, left alone by removals.
+    Members that share both floats are interchangeable for a search, so they
+    form one class. `keys` holds the distinct class keys in ascending order,
+    and `ids[key]` the class's member ids in ascending order; a class that
+    empties is dropped.
     """
 
-    __slots__ = ("runs", "lasts", "floors")
+    __slots__ = ("keys", "ids")
 
-    def __init__(self, keys: list[tuple[float, int]], add_delta: list[float]):
-        self.runs = [keys[a:a + _RUN] for a in range(0, len(keys), _RUN)]
-        self.lasts = [run[-1] for run in self.runs]
-        self.floors = [min([add_delta[k] for _, k in run]) for run in self.runs]
+    def __init__(self, gaps: list[float], adds: list[float], ids: list[int]):
+        """A pool of members `ids`, given in ascending order, with their
+        gap_abs and add_delta values."""
+        self.ids: dict[tuple[float, float], list[int]] = {}
+        for key, k in zip(zip(gaps, adds), ids):
+            self.ids.setdefault(key, []).append(k)
+        self.keys = sorted(self.ids)
 
-    def add(self, key: tuple[float, int], d: float) -> None:
-        """Insert key, whose node's add change is d."""
-        if self.runs:
-            r = min(bisect.bisect_left(self.lasts, key), len(self.runs) - 1)
-            run = self.runs[r]
-            bisect.insort(run, key)
-            self.lasts[r] = run[-1]
-            if d < self.floors[r]:
-                self.floors[r] = d
-            if len(run) > 2 * _RUN:
-                self.runs.insert(r + 1, run[_RUN:])
-                del run[_RUN:]
-                self.lasts.insert(r, run[-1])
-                self.floors.insert(r, self.floors[r])
+    def add(self, key: tuple[float, float], v: int) -> None:
+        """Put v into the class of key."""
+        members = self.ids.get(key)
+        if members is None:
+            self.ids[key] = [v]
+            bisect.insort(self.keys, key)
         else:
-            self.runs.append([key])
-            self.lasts.append(key)
-            self.floors.append(d)
+            bisect.insort(members, v)
 
-    def remove(self, key: tuple[float, int]) -> None:
-        """Drop key."""
-        r = bisect.bisect_left(self.lasts, key)
-        run = self.runs[r] if r < len(self.runs) else []
-        idx = bisect.bisect_left(run, key)
-        if idx == len(run) or run[idx] != key:
+    def remove(self, key: tuple[float, float], v: int) -> None:
+        """Take v out of the class of key."""
+        members = self.ids.get(key, [])
+        idx = bisect.bisect_left(members, v)
+        if idx == len(members) or members[idx] != v:
             raise RuntimeError("internal: node missing from its partner pool")
-        del run[idx]
-        if run:
-            self.lasts[r] = run[-1]
+        if len(members) > 1:
+            del members[idx]
         else:
-            del self.runs[r], self.lasts[r], self.floors[r]
+            del self.ids[key]
+            del self.keys[bisect.bisect_left(self.keys, key)]
 
-    def first_passing(self, i: int, adj_i: set[int], d_i: float,
-                      add_delta: list[float]) -> tuple[float, int] | None:
-        """First key in (gap, id) order, other than i and i's neighbours,
+    def first_passing(self, i: int, adj_i: set[int], d_i: float) -> tuple[float, int] | None:
+        """The (gap, id)-smallest member, other than i and i's neighbours,
         whose add change passes the gate with d_i; None if there is none.
 
-        A run whose floor fails the gate is skipped whole. A run scanned to
-        its end gets its exact minimum as floor.
+        A class passes or fails the gate as a whole. The first eligible id of
+        a passing class is its lowest, and the classes of the first gap that
+        yields a partner are all looked at, so the lowest id at that gap wins.
         """
         below = -_GATE_TOL
-        floors = self.floors
-        for r, floor in enumerate(floors):
-            if d_i + floor >= below:
-                continue
-            run = self.runs[r]
-            for key in run:
-                k = key[1]
-                if d_i + add_delta[k] < below and k != i and k not in adj_i:
-                    return key
-            floors[r] = min([add_delta[k] for _, k in run])
-        return None
+        found = None
+        for key in self.keys:
+            if found is not None and key[0] != found[0]:
+                break
+            if d_i + key[1] < below:
+                for k in self.ids[key]:
+                    if k != i and k not in adj_i:
+                        if found is None or k < found[1]:
+                            found = (key[0], k)
+                        break
+        return found
 
 
 class _EditState:
@@ -510,16 +505,20 @@ class _EditState:
     on (i, k), and after both edits of a rewire pair on i, j and k, since no
     pool is read between the pair's removal and its addition. A node that
     reaches its goal leaves its pool and keeps a stale add_delta, which no
-    search reads; every floor stays exact or a lower bound.
+    search reads.
 
-    Each pool keeps its members in (gap_abs, id) order. `_best_partner`
-    walks this order, skipping i and i's neighbours, and stops at the first
-    candidate that passes the gate. By the partner rule that candidate is
-    the partner. The order is cut into runs of at most 128 keys, each with
-    a floor: a lower bound on its members' add changes. Float addition is
-    monotone, so d_i + add_delta[k] >= d_i + floor for every member k of
-    the run; a run whose floor fails the gate holds no passing candidate
-    and is skipped without looking at its members.
+    Each pool files a member k under its class key (gap_abs[k],
+    add_delta[k]), in a sorted list of distinct keys and a dict from key to
+    the class's ids in ascending order. Members of one class are
+    interchangeable for a search, since the gate reads only add_delta and
+    the partner rule only the gap, then the id. A move takes v out of its
+    old class, found by the key it was filed under (add_delta[v] is exact
+    while v is live), and puts it into its new one; only a class that
+    appears or empties touches the key list. `_best_partner` walks the keys
+    in order and skips every class whose add change fails the gate. In a
+    passing class the first id that is neither i nor i's neighbour is that
+    class's candidate; the classes at the gap of the first candidate are
+    all looked at, and the lowest candidate id among them is the partner.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
@@ -569,9 +568,8 @@ class _EditState:
         for c in pool_labels:
             for sign in (-1, 1):
                 ks = np.flatnonzero((t.labels == c) & (live == sign))
-                ks = ks[np.argsort(gap[ks], kind="stable")]
-                keys = list(zip(gap[ks].tolist(), ks.tolist()))
-                self._pools[c, sign] = _PartnerPool(keys, self.add_delta)
+                self._pools[c, sign] = _PartnerPool(gap[ks].tolist(), add[ks].tolist(),
+                                                    ks.tolist())
         # The pools an addition at a source of label c and sign s draws from.
         self._candidate_pools = {
             (c, sign): ([self._pools[c, sign]] if sign > 0 else
@@ -585,7 +583,7 @@ class _EditState:
         c = self.labels[v]
         live = self.live
         if live[v]:
-            self._pools[c, live[v]].remove((self.gap_abs[v], v))
+            self._pools[c, live[v]].remove((self.gap_abs[v], self.add_delta[v]), v)
         same, deg, goal = self.same[v], self.deg[v], self.goal[v]
         diff = goal - same / deg
         gap = abs(diff)
@@ -595,7 +593,7 @@ class _EditState:
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
             self.add_delta[v] = d
-            self._pools[c, s].add((gap, v), d)
+            self._pools[c, s].add((gap, d), v)
 
     def _edit(self, phase: str, op: str, u: int, v: int) -> None:
         """Change the edge (u, v) and the counts of u and v, and log it under phase.
@@ -635,7 +633,7 @@ class _EditState:
         """
         best = None
         for pool in self._candidate_pools[self.labels[i], s]:
-            key = pool.first_passing(i, self.adj[i], d_i, self.add_delta)
+            key = pool.first_passing(i, self.adj[i], d_i)
             if key is not None and (best is None or key < best):
                 best = key
         return -1 if best is None else best[1]
@@ -801,9 +799,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
         "bins": bin_count,
     })
     # One state serves both phases: the state the rewire phase ends in is
-    # what refine_phase would build from the rewired graph. Its pools may be
-    # cut into other runs, with lower floors, but a search returns the
-    # first passing key in (gap, id) order whatever the cuts and floors.
+    # what refine_phase would build from the rewired graph, pools included.
     state = _EditState(g, t, goals, log)
     state.run_rewire(seed_rewire)
     n_rewire = len(log)

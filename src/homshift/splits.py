@@ -243,6 +243,8 @@ def split_diagnostics(assignment: SplitAssignment) -> dict:
 
 
 def save_split_diagnostics(assignment: SplitAssignment, path) -> None:
+    """Write `split_diagnostics` as JSON; a NaN or an infinity in it (gamma
+    may be inf) raises ValueError before the file is opened."""
+    text = json.dumps(split_diagnostics(assignment), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(split_diagnostics(assignment), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -38,7 +38,7 @@ from homshift import (
 
 from homshift import rewire
 from homshift.homophily import defined_histogram
-from homshift.rewire import _RUN, _EditState
+from homshift.rewire import _EditState
 
 from conftest import (
     EditLogChecker,
@@ -565,6 +565,21 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("header, message", [
+    ({"op": "x"}, "header must be a dict without an 'op' key, got {'op': 'x'}"),
+    ([1, 2], "header must be a dict without an 'op' key, got [1, 2]"),
+    ({"x": math.nan}, "header {'x': nan}: Out of range float values are not JSON compliant"),
+    ({"x": [-math.inf]}, "header {'x': [-inf]}: Out of range float values are not JSON compliant"),
+])
+def test_edit_log_save_refuses_a_header_load_would_not_read_back(tmp_path, header, message):
+    log = EditLog(header=header)
+    log.append("rewire", "add", 0, 1)
+    path = tmp_path / "edits.jsonl"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        log.save(path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("u", 1.7), ("v", "3"), ("u", True), ("v", None), ("u", np.float64(2)),
 ])
@@ -854,19 +869,20 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
 
 
 def _check_pools(state):
-    """Every pool holds exactly its (label, live sign) members in (gap, id)
-    order, cut into runs of at most 2 * _RUN keys, and its run floors bound
-    the members' add changes from below."""
+    """Every pool holds exactly its (label, live sign) members, each under its
+    current (gap_abs, add_delta) key; its keys are sorted and distinct, and
+    each key's id list is ascending and non-empty."""
     live = np.asarray(state.live)
     labels = np.asarray(state.labels)
     for (c, s), pool in state._pools.items():
-        members = np.flatnonzero((labels == c) & (live == s))
-        keys = sorted((state.gap_abs[v], int(v)) for v in members)
-        assert [key for run in pool.runs for key in run] == keys
-        assert all(0 < len(run) <= 2 * _RUN for run in pool.runs)
-        assert pool.lasts == [run[-1] for run in pool.runs]
-        for floor, run in zip(pool.floors, pool.runs):
-            assert floor <= min(state.add_delta[k] for _, k in run)
+        classes = {}
+        for v in np.flatnonzero((labels == c) & (live == s)).tolist():
+            classes.setdefault((state.gap_abs[v], state.add_delta[v]), []).append(v)
+        assert pool.ids == classes
+        assert pool.keys == sorted(classes)
+        assert all(a < b for a, b in zip(pool.keys, pool.keys[1:]))
+        assert all(ids and all(a < b for a, b in zip(ids, ids[1:]))
+                   for ids in pool.ids.values())
 
 
 def _capture_states(mp):
@@ -954,6 +970,77 @@ def test_pool_search_sees_ties_and_both_outcomes():
     assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
 
 
+def _class_tie_state(partners):
+    """Source 0 (label 0, two label-0 neighbours, goal 0.5) wants cross-label
+    partners. partners maps a label-1 id below 10 to (same, cross, adjacent,
+    goal): that many label-1 and label-0 neighbours of its own, whether it is
+    also a neighbour of 0, and its goal. Other nodes have no goal."""
+    edges, labels = [(0, 10), (0, 11)], [0] * 10 + [0, 0]
+    for k, (same, cross, adjacent, _) in partners.items():
+        labels[k] = 1
+        for label in [1] * same + [0] * cross:
+            edges.append((k, len(labels)))
+            labels.append(label)
+        if adjacent:
+            edges.append((0, k))
+    g = Graph.from_edges(len(labels), edges)
+    t = NodeTable(np.array(labels), np.zeros(len(labels), dtype=int))
+    goals = [NodeGoal(0, 1.0, 0.5, -1)]
+    goals += [NodeGoal(k, 1.0, goal, -1) for k, (*_, goal) in sorted(partners.items())]
+    return _EditState(g, t, goals, EditLog())
+
+
+@pytest.mark.parametrize("partners, classes, expected", [
+    # Keys are (gap, add change), the add change computed as _EditState does.
+    # Two classes at gap 0.5: (add -1/3) holds 5 and 7, (add -0.2) holds 3;
+    # the lower id 3 sits in the class walked second. Node 1 (gap 0.75) is
+    # walked last and loses despite its id.
+    ({1: (2, 0, False, 0.25), 3: (4, 0, False, 0.5), 5: (2, 0, False, 0.5),
+      7: (2, 0, False, 0.5)},
+     [((0.5, 2 / 3 - 0.5 - 0.5), [5, 7]), ((0.5, 4 / 5 - 0.5 - 0.5), [3]),
+      ((0.75, 2 / 3 - 0.25 - 0.75), [1])],
+     3),
+    # at gap 0.5, class (add -1/3) holds 7 and class (add -0.15) holds 2 and
+    # 4; 2 is a neighbour of 0, so the class offers 4, which beats 7
+    ({2: (3, 0, True, 0.25), 4: (3, 1, False, 0.25), 7: (2, 0, False, 0.5)},
+     [((0.5, 2 / 3 - 0.5 - 0.5), [7]), ((0.5, 3 / 5 - 0.25 - 0.5), [2, 4])],
+     4),
+])
+def test_partner_search_takes_the_lowest_id_across_classes_of_one_gap(
+        partners, classes, expected):
+    state = _class_tie_state(partners)
+    pool = state._pools[1, -1]
+    assert [(key, pool.ids[key]) for key in pool.keys] == classes
+    eq = 0  # a lowering source gains a cross-label edge
+    d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.gap_abs[0]
+    assert state._best_partner(0, -1, d_0) == reference_best_partner(state, 0, -1, d_0) == expected
+    assert state.attempt_refine(0)
+    assert _trace(state) == [("add", 0, expected)]
+
+
+def test_pool_search_on_many_classes_and_three_pools():
+    """A 4-label graph with a hub of degree 60: pools hold many classes, and
+    a lowering source draws from the three other labels' pools. Every search
+    is checked against the mask reference and the log is audited."""
+    rng = np.random.default_rng(8)
+    n = 200
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.04}
+    edges |= {(0, int(j)) for j in rng.choice(np.arange(1, n), 60, replace=False)}
+    g = Graph.from_edges(n, sorted(edges))
+    t = NodeTable(np.arange(n) % 4, np.zeros(n, dtype=int))
+    grid = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    goals = [NodeGoal(v, 0.5, float(rng.choice(grid)), 1)
+             for v in range(n) if g.degrees[v] > 0]
+    assert g.degrees[0] >= 40
+    state = _EditState(g, t, goals, EditLog())
+    assert max(len(pool.keys) for pool in state._pools.values()) >= 20
+    assert all(len(pools) == 3 for (_, s), pools in state._candidate_pools.items() if s < 0)
+    g_fin, log, seen = _checked_replay(g, t, goals, seed=9)
+    assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
+    checker = EditLogChecker(g, t, goals).apply(log.records)
+    assert checker.edges() == tuple(map(tuple, g_fin.edge_array().tolist()))
+
+
 def test_pools_stay_bounded_after_generate(small_pair):
     """After a full generate() on the 600-node SBM, the one state both
     phases ran on has pools that hold exactly the live nodes."""
@@ -963,7 +1050,7 @@ def test_pools_stay_bounded_after_generate(small_pair):
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
     assert len(states) == 1 and log.records
     state, = states
-    assert (sum(len(run) for pool in state._pools.values() for run in pool.runs)
+    assert (sum(len(ids) for pool in state._pools.values() for ids in pool.ids.values())
             == np.count_nonzero(state.live))
 
 
@@ -980,8 +1067,7 @@ def _check_matches_fresh_state(state, t, goals):
     assert [state.add_delta[v] for v in live] == [fresh.add_delta[v] for v in live]
     assert state._pools.keys() == fresh._pools.keys()
     for c_s, pool in state._pools.items():
-        assert ([key for run in pool.runs for key in run]
-                == [key for run in fresh._pools[c_s].runs for key in run])
+        assert (pool.keys, pool.ids) == (fresh._pools[c_s].keys, fresh._pools[c_s].ids)
 
 
 def _phase_states(g, t, goals, seed):

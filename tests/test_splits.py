@@ -1,6 +1,7 @@
 """Histogram reweighting and homophily-stratified train/val/test splits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -327,6 +328,16 @@ def test_load_split_rejects_malformed(tmp_path):
             load_split(path)
         assert str(info.value).startswith(f"{path}: line {lineno}: ")
         assert fragment in str(info.value)
+
+
+def test_split_diagnostics_refuse_a_non_finite_gamma_before_writing(tmp_path):
+    # a sole full bin is kept whole even at gamma=inf, so the split is made
+    a = stratified_split(np.full(20, 0.5), math.inf, 10, 0)
+    assert a.gamma == math.inf
+    path = tmp_path / "diag.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        save_split_diagnostics(a, path)
+    assert not path.exists()
 
 
 def test_split_diagnostics_payload(tmp_path, beta_ratios):
