@@ -57,7 +57,7 @@ class Graph:
 
         Duplicate and reversed-duplicate pairs collapse to one edge.
         Self-loops and out-of-range ids are rejected, naming the first
-        offending pair.
+        offending pair; a non-integral id is refused (`int64_array`).
         """
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
@@ -66,7 +66,7 @@ class Graph:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         try:
-            pairs = np.asarray(edges, dtype=np.int64)
+            pairs = int64_array(edges, "edge endpoints")
         except OverflowError:
             for u, v in edges:  # an id beyond int64 is out of range; name the first bad pair
                 _check_pair(int(u), int(v), node_count)
@@ -145,6 +145,22 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
 
+def int64_array(values, what: str) -> np.ndarray:
+    """`values` as an int64 array, refusing a float that is not an int64 integer.
+
+    Integer input and integral floats such as 2.0 convert as
+    `np.asarray(values, dtype=np.int64)` does; a float array is first
+    checked, so 0.5, NaN, an infinity or 1e30 raises ValueError naming
+    `what` and the first such value instead of being truncated.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = ~((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))
+        if bad.any():
+            raise ValueError(f"{what} must be int64 integers, got {arr[bad].item(0)!r}")
+    return np.asarray(values, dtype=np.int64)
+
+
 def _check_pair(u: int, v: int, node_count: int) -> None:
     """Raise for a self-loop or an out-of-range id; return for a valid pair."""
     if u == v:
@@ -166,8 +182,8 @@ class NodeTable:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        sensitive = np.asarray(self.sensitive, dtype=np.int64)
+        labels = int64_array(self.labels, "labels")
+        sensitive = int64_array(self.sensitive, "sensitive")
         if labels.shape != sensitive.shape or labels.ndim != 1:
             raise ValueError("labels and sensitive must be equal-length 1-D arrays")
         features = self.features

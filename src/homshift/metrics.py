@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import read_id_table
+from .graph import int64_array, read_id_table
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,9 @@ class PredictionTable:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        y_true = np.asarray(self.y_true, dtype=np.int64)
-        y_pred = np.asarray(self.y_pred, dtype=np.int64)
-        sens = np.asarray(self.sensitive, dtype=np.int64)
+        y_true = int64_array(self.y_true, "y_true")
+        y_pred = int64_array(self.y_pred, "y_pred")
+        sens = int64_array(self.sensitive, "sensitive")
         if not (y_true.shape == y_pred.shape == sens.shape) or y_true.ndim != 1:
             raise ValueError("y_true, y_pred, sensitive must be equal-length vectors")
         if y_true.size == 0:

@@ -432,13 +432,9 @@ class _PartnerPool:
 
     __slots__ = ("keys", "ids")
 
-    def __init__(self, gaps: list[float], adds: list[float], ids: list[int]):
-        """A pool of members `ids`, given in ascending order, with their
-        gap_abs and add_delta values."""
+    def __init__(self):
         self.ids: dict[tuple[float, float], list[int]] = {}
-        for key, k in zip(zip(gaps, adds), ids):
-            self.ids.setdefault(key, []).append(k)
-        self.keys = sorted(self.ids)
+        self.keys: list[tuple[float, float]] = []
 
     def add(self, key: tuple[float, float], v: int) -> None:
         """Put v into the class of key."""
@@ -489,36 +485,28 @@ class _EditState:
     `generate` runs both loops on one state; `rewire_phase` and
     `refine_phase` each build a state for their one loop.
 
-    Every edit picks its partner by the module's partner rule: the smallest
-    remaining gap among gate-passing partners, ties to the lower id. In a
-    rewire the addition gate does not depend on the removed neighbour.
+    `_refresh` alone computes a node's gap_abs, live sign and add change.
+    `__init__` calls it for each node with a goal, in id order, which also
+    fills the pools; a node without a goal keeps live 0 and gap_abs and
+    add_delta inf. After an edit it runs once per endpoint, after all of
+    a move's edits: after a refine addition on (i, k), and after both edits
+    of a rewire pair on i, j and k, since no pool is read between the
+    pair's removal and its addition.
 
     Partner pools. The nodes with live sign s and label c form the pool
     (c, s). An addition at source i with sign s draws its partner from pool
     (label_i, s) when s > 0, and from every pool (c, s) with c != label_i
-    when s < 0; `live` alone decides membership, since it is 0 for every
-    node without a goal. Each member k carries its add change add_delta[k]: the
-    change in |h_k - goal_k| if k gained one edge of the kind its own sign
-    wants. An edit changes the counts of its two endpoints only, and
-    `_refresh` moves each between pools and recomputes its entries. It runs
-    once per endpoint after all of a move's edits: after a refine addition
-    on (i, k), and after both edits of a rewire pair on i, j and k, since no
-    pool is read between the pair's removal and its addition. A node that
-    reaches its goal leaves its pool and keeps a stale add_delta, which no
-    search reads.
+    when s < 0; `live` alone decides membership. Each member k carries its
+    add change add_delta[k]: the change in |h_k - goal_k| if k gained one
+    edge of the kind its own sign wants. A node that reaches its goal
+    leaves its pool and keeps a stale add_delta, which no search reads.
 
     Each pool files a member k under its class key (gap_abs[k],
     add_delta[k]), in a sorted list of distinct keys and a dict from key to
-    the class's ids in ascending order. Members of one class are
-    interchangeable for a search, since the gate reads only add_delta and
-    the partner rule only the gap, then the id. A move takes v out of its
-    old class, found by the key it was filed under (add_delta[v] is exact
-    while v is live), and puts it into its new one; only a class that
-    appears or empties touches the key list. `_best_partner` walks the keys
-    in order and skips every class whose add change fails the gate. In a
-    passing class the first id that is neither i nor i's neighbour is that
-    class's candidate; the classes at the gap of the first candidate are
-    all looked at, and the lowest candidate id among them is the partner.
+    the class's ids in ascending order. A move takes v out of its old
+    class, found by the key it was filed under (add_delta[v] is exact while
+    v is live), and puts it into its new one; only a class that appears or
+    empties touches the key list.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
@@ -544,42 +532,31 @@ class _EditState:
                     raise ValueError(f"node {ng.node} has goal {ng.h_goal!r} outside [0, 1]")
                 goal[ng.node] = ng.h_goal
         act = np.flatnonzero(~np.isnan(goal))
-        diff = goal[act] - same[act] / deg[act]
-        gap = np.full(n, np.inf)
-        gap[act] = np.abs(diff)
-        live = np.zeros(n, dtype=np.int64)
-        live[act] = np.where(np.abs(diff) <= _EQ_TOL, 0, np.where(diff > 0, 1, -1))
-        add = np.abs((same + (live > 0)) / (deg + 1) - goal) - gap
-        add = np.where(live != 0, add, np.inf)
 
         # Per-node state lives in Python lists: edits read and write single
         # entries, which lists do several times faster than numpy scalars.
-        # Float values are the same, since both round each operation once.
         self.labels = t.labels.tolist()
         self.adj = _adjacency_sets(g)
         self.deg = deg.tolist()
         self.same = same.tolist()
         self.goal = goal.tolist()
-        self.gap_abs = gap.tolist()
-        self.live = live.tolist()
-        self.add_delta = add.tolist()
-        self._pools: dict[tuple[int, int], _PartnerPool] = {}
+        self.gap_abs = [math.inf] * n
+        self.live = [0] * n
+        self.add_delta = [math.inf] * n
         pool_labels = np.unique(t.labels[act]).tolist()
-        for c in pool_labels:
-            for sign in (-1, 1):
-                ks = np.flatnonzero((t.labels == c) & (live == sign))
-                self._pools[c, sign] = _PartnerPool(gap[ks].tolist(), add[ks].tolist(),
-                                                    ks.tolist())
+        self._pools = {(c, sign): _PartnerPool() for c in pool_labels for sign in (-1, 1)}
         # The pools an addition at a source of label c and sign s draws from.
         self._candidate_pools = {
             (c, sign): ([self._pools[c, sign]] if sign > 0 else
                         [self._pools[o, sign] for o in pool_labels if o != c])
             for c in pool_labels for sign in (-1, 1)}
         self.log = log
+        for v in act.tolist():
+            self._refresh(v)
 
     def _refresh(self, v: int) -> None:
         """Recompute v's gap, sign and add change; move it between pools.
-        v is an edit's endpoint, so it has a goal and degree >= 1."""
+        v has a goal, so degree >= 1."""
         c = self.labels[v]
         live = self.live
         if live[v]:
@@ -694,9 +671,7 @@ class _EditState:
         _, upper = edge_move_bounds(self.same[i] / self.deg[i], self.goal[i], self.deg[i])
         if upper < 1:
             return False
-        eq = 1 if s > 0 else 0
-        d_i = abs((self.same[i] + eq) / (self.deg[i] + 1) - self.goal[i]) - self.gap_abs[i]
-        k = self._best_partner(i, s, d_i)
+        k = self._best_partner(i, s, self.add_delta[i])
         if k < 0:
             return False
         self._edit("refine", "add", i, k)

@@ -193,6 +193,9 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
     test_ids = ids[tags[ids] == TEST]
     if pool.size == 0 or test_ids.size == 0:
         raise ValueError("split produced an empty train pool or test set")
+    if n_val == pool.size:
+        raise ValueError(f"val_frac {val_frac!r} moves all {pool.size} pool nodes to val, "
+                         "leaving no training node")
     pair_emd = emd(histogram(ratios[pool], bin_count),
                    histogram(ratios[test_ids], bin_count))
     share = np.divide(pool_counts, n_b, out=np.zeros(bin_count), where=n_b > 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Graph, NodeTable
@@ -19,6 +21,8 @@ def two_class_sbm(n: int, mean_degree: float, homophily: float, seed) -> tuple[G
         raise ValueError("need at least 4 nodes")
     if not 0.0 <= homophily <= 1.0:
         raise ValueError("homophily must lie in [0, 1]")
+    if not 0.0 <= mean_degree < math.inf:  # NaN fails too
+        raise ValueError(f"mean_degree must be finite and non-negative, got {mean_degree!r}")
     n0 = n // 2
     n1 = n - n0
     p_in = homophily * mean_degree / (n0 - 1)

@@ -6,6 +6,7 @@ full confusion matrix, an edit-log checker that recounts neighborhoods
 from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
+bulk edit-state construction that per-node refreshes replaced, the
 node-by-node goal assignment that per-bin array writes replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
 reader replaced, that reader as it was when it filtered every line for
@@ -43,6 +44,7 @@ from homshift import (
     two_class_sbm,
 )
 from homshift.graph import _cells, _parse_rows
+from homshift.rewire import _EQ_TOL as EQ_TOL
 from homshift.rewire import _GATE_TOL as GATE_TOL
 from homshift.splits import largest_remainder
 
@@ -495,6 +497,46 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     if ks.size == 0:
         return -1
     return int(ks[np.argmin(gap[ks])])
+
+
+def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, list, dict]:
+    """The per-node status and partner pools of a fresh _EditState, built in bulk.
+
+    The construction before `_refresh` filled the state node by node: one
+    vectorised gap |goal - same/deg|, live sign and add change over the
+    nodes with a moving goal, then each (label, sign) pool from a mask of
+    its members, grouped by (gap, add change) class. Same-label counts come
+    from the edge array, not from the library. Returns gap_abs, live and
+    add_delta (inf off the live nodes) as lists, and {(label, sign): (keys,
+    ids)} with keys ascending and each class's ids ascending.
+    """
+    n = g.node_count
+    labels = t.labels
+    deg = g.degrees.astype(np.int64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    hit = (labels[u] == labels[v]) & (labels[u] >= 0)
+    same = np.bincount(np.concatenate((u[hit], v[hit])), minlength=n)
+    goal = np.full(n, np.nan)
+    for ng in goals:
+        if ng.direction != 0:
+            goal[ng.node] = ng.h_goal
+    act = np.flatnonzero(~np.isnan(goal))
+    diff = goal[act] - same[act] / deg[act]
+    gap = np.full(n, np.inf)
+    gap[act] = np.abs(diff)
+    live = np.zeros(n, dtype=np.int64)
+    live[act] = np.where(np.abs(diff) <= EQ_TOL, 0, np.where(diff > 0, 1, -1))
+    add = np.abs((same + (live > 0)) / (deg + 1) - goal) - gap
+    add = np.where(live != 0, add, np.inf)
+    pools = {}
+    for c in np.unique(labels[act]).tolist():
+        for sign in (-1, 1):
+            ks = np.flatnonzero((labels == c) & (live == sign))
+            ids = {}
+            for key, k in zip(zip(gap[ks].tolist(), add[ks].tolist()), ks.tolist()):
+                ids.setdefault(key, []).append(k)
+            pools[c, sign] = (sorted(ids), ids)
+    return gap.tolist(), live.tolist(), add.tolist(), pools
 
 
 def reference_replay(log, g: Graph) -> Graph:

@@ -446,13 +446,16 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
      "bin_count must be positive"),
     (["split", "--graph", "{graph}", "--nodes", "{nodes}", "--gamma", "0", "--gamma", "1",
       "--train-frac", "2"], "train_frac must lie in (0, 1)"),
+    (["split", "--graph", "{graph}", "--nodes", "{nodes}", "--gamma", "0", "--gamma", "1",
+      "--val-frac", "0.999"], "leaving no training node"),
     (["generate", "--graph", "{graph}", "--nodes", "{nodes}", "--alpha", "3", "--beta", "10",
       "--bins", "0"], "bin_count must be positive"),
     # the goal is checked before either input file is read
     (["generate", "--graph", "{missing}.txt", "--nodes", "{missing}.csv",
       "--alpha", "inf", "--beta", "10"],
      "Beta shape parameter alpha must be finite and positive, got inf"),
-], ids=["theory", "metrics", "analyze", "split", "generate", "generate-goal-first"])
+], ids=["theory", "metrics", "analyze", "split", "split-no-train", "generate",
+        "generate-goal-first"])
 def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):
     root, _, _ = sbm_files
     names = {"graph": root / "edges.txt", "nodes": root / "nodes.csv",

@@ -3,6 +3,7 @@ import functools
 import gzip
 import io
 import os
+import re
 import socket
 import urllib.request
 from unittest import mock
@@ -124,6 +125,17 @@ def test_from_edges_rejects_self_loops_and_range():
         Graph.from_edges(3, [(0, 1), (0, 2**64), (1, 1)])
     with pytest.raises(ValueError, match="too large"):
         Graph.from_edges(2**32, [])
+    for edges, shown in [([(0.7, 2)], "0.7"), (np.array([[0, 1], [1, 2.5]]), "2.5"),
+                         ([(0, float("nan"))], "nan"), (np.array([[0.0, 1e30]]), "1e+30")]:
+        message = f"edge endpoints must be int64 integers, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            Graph.from_edges(3, edges)
+
+
+def test_from_edges_takes_integral_floats_as_ints():
+    want = Graph.from_edges(3, [(0, 2), (1, 2)])
+    assert Graph.from_edges(3, [(0.0, 2.0), (1, 2.0)]) == want
+    assert Graph.from_edges(3, np.array([[0.0, 2.0], [1.0, 2.0]])) == want
 
 
 def test_edge_array_empty_graph():
@@ -344,6 +356,21 @@ def test_node_table_round_trip(tmp_path):
     assert np.array_equal(t2.labels, t.labels)
     assert np.array_equal(t2.sensitive, t.sensitive)
     assert np.allclose(t2.features, t.features)
+
+
+@pytest.mark.parametrize("labels, sensitive, shown", [
+    ([0.5, 1.7], [0, 1], "labels must be int64 integers, got 0.5"),
+    (np.array([0, 1]), np.array([1.0, np.inf]), "sensitive must be int64 integers, got inf"),
+])
+def test_node_table_refuses_a_non_integral_value(labels, sensitive, shown):
+    with pytest.raises(ValueError, match=f"{shown}$"):
+        NodeTable(labels, sensitive)
+
+
+def test_node_table_takes_integral_floats_as_ints():
+    t = NodeTable(np.array([0.0, 2.0, -1.0]), [1.0, 0, -1])
+    assert t.labels.dtype == t.sensitive.dtype == np.int64
+    assert t.labels.tolist() == [0, 2, INVALID] and t.sensitive.tolist() == [1, 0, INVALID]
 
 
 def test_load_node_table_errors(tmp_path):

@@ -124,6 +124,17 @@ def test_table_validation():
         _table([0, 1], [0, 1], [0, 1], np.array([True]))
     with pytest.raises(ValueError, match="no rows"):
         _table([0, 1], [0, 1], [0, 1], np.array([False, False]))
+    for columns, name, shown in [(([0, 1], [0, 1], [0.5, 1]), "sensitive", "0.5"),
+                           (([0, 1.25], [0, 1], [0, 1]), "y_true", "1.25"),
+                           (([0, 1], np.array([np.nan, 1.0]), [0, 1]), "y_pred", "nan")]:
+        with pytest.raises(ValueError, match=f"{name} must be int64 integers, got {shown}$"):
+            PredictionTable(*columns)
+
+
+def test_table_takes_integral_floats_as_ints():
+    p = PredictionTable([0.0, 1.0], np.array([1.0, 1.0]), [0, 1.0])
+    assert [a.dtype for a in (p.y_true, p.y_pred, p.sensitive)] == [np.int64] * 3
+    assert p.y_true.tolist() == [0, 1] and p.sensitive.tolist() == [0, 1]
 
 
 # ------------------------------------------------------- run comparison

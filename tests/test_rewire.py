@@ -46,6 +46,7 @@ from conftest import (
     reference_assign_node_goals,
     reference_best_partner,
     reference_edit_log_load,
+    reference_edit_state,
     reference_replay,
 )
 
@@ -1052,6 +1053,66 @@ def test_pools_stay_bounded_after_generate(small_pair):
     state, = states
     assert (sum(len(ids) for pool in state._pools.values() for ids in pool.ids.values())
             == np.count_nonzero(state.live))
+
+
+@st.composite
+def _state_problems(draw):
+    """A graph of 1-4 labels with unlabeled and isolated nodes. Each node may
+    get no goal, a goal with direction 0, or, when it has a label and an
+    edge, a moving goal: one on a grid, or its own ratio, exactly or off by
+    less than _EQ_TOL, so that some goals are met from the start."""
+    n = draw(st.integers(1, 30))
+    n_labels = draw(st.integers(1, 4))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    g = Graph.from_edges(n, sorted(edges))
+    labels = np.array(draw(st.lists(st.integers(-1, n_labels - 1), min_size=n, max_size=n)))
+    t = NodeTable(labels, np.zeros(n, dtype=int))
+    goals = []
+    for v in range(n):
+        kind = draw(st.sampled_from(["none", "stay", "grid", "met"]))
+        movable = g.degrees[v] > 0 and labels[v] >= 0
+        if kind == "stay" or (kind != "none" and not movable):
+            goals.append(NodeGoal(v, 0.5, 0.5, 0))
+        elif kind != "none":
+            ratio = sum(labels[int(k)] == labels[v] for k in g.neighbors(v)) / int(g.degrees[v])
+            h = (draw(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0))) if kind == "grid"
+                 else min(1.0, max(0.0, ratio + draw(st.sampled_from((0.0, 5e-13, -5e-13))))))
+            goals.append(NodeGoal(v, ratio, h, draw(st.sampled_from((-1, 1)))))
+    return g, t, goals
+
+
+@given(_state_problems())
+@settings(max_examples=300, deadline=None)
+def test_fresh_state_matches_the_bulk_reference(problem):
+    """A new _EditState, filled node by node by `_refresh`, holds what the
+    bulk construction computes: gaps, live signs, the add change of every
+    live node, and each pool's class keys and ids."""
+    g, t, goals = problem
+    state = _EditState(g, t, goals, EditLog())
+    gap, live, add, pools = reference_edit_state(g, t, goals)
+    assert state.gap_abs == gap
+    assert state.live == live
+    assert [state.add_delta[v] for v, s in enumerate(live) if s] == \
+        [add[v] for v, s in enumerate(live) if s]
+    assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
+
+
+def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
+    """Node 0 sits under _EQ_TOL from its goal and nodes 1 and 3 exactly on
+    theirs, so only node 2 is live; the bulk reference agrees."""
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    t = NodeTable(np.array([0, 0, 1, 1, -1, 2]), np.zeros(6, dtype=int))
+    goals = [NodeGoal(0, 0.5, 0.5 + 5e-13, 1), NodeGoal(1, 0.5, 0.5, -1),
+             NodeGoal(2, 0.0, 1.0, 1), NodeGoal(3, 0.0, 0.0, 1), NodeGoal(5, 0.0, 0.2, 0)]
+    state = _EditState(g, t, goals, EditLog())
+    gap, live, _, pools = reference_edit_state(g, t, goals)
+    assert state.live == live == [0, 0, 1, 0, 0, 0]
+    assert 0.0 < state.gap_abs[0] <= rewire._EQ_TOL and state.gap_abs == gap
+    assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
+    # node 2 (h 0, goal 1) would reach h 1/3 with one more same-label edge
+    assert [(c_s, ids) for c_s, (_, ids) in pools.items() if ids] == \
+        [((1, 1), {(1.0, abs(1 / 3 - 1.0) - 1.0): [2]})]
 
 
 def _check_matches_fresh_state(state, t, goals):

@@ -275,6 +275,11 @@ def test_split_input_validation(beta_ratios):
         stratified_split(beta_ratios, 1.0, 10, seed=0, train_frac=1.0)
     with pytest.raises(ValueError, match="val_frac"):
         stratified_split(beta_ratios, 1.0, 10, seed=0, val_frac=-0.1)
+    # val_frac of the round(train_frac * n)-node training pool rounds up to all of it
+    for n, train_frac, val_frac in [(100, 0.5, 0.999), (20, 0.1, 0.8)]:
+        with pytest.raises(ValueError, match=f"val_frac {val_frac} moves all .* no training node"):
+            stratified_split(np.random.default_rng(0).random(n), 0.0, 10, 0,
+                             train_frac=train_frac, val_frac=val_frac)
 
 
 @pytest.mark.parametrize("gamma, fragment", [(float("nan"), "got nan"),

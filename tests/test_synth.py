@@ -38,3 +38,7 @@ def test_parameter_validation():
         two_class_sbm(3, 2, 0.5, seed=0)
     with pytest.raises(ValueError, match="too large"):
         two_class_sbm(10, 20, 1.0, seed=0)
+    for mean_degree in (float("nan"), -3.0, float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"mean_degree must be finite and non-negative, "
+                                             f"got {mean_degree!r}"):
+            two_class_sbm(100, mean_degree, 0.5, seed=1)
