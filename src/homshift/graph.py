@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import io
 import logging
+import numbers
 import os
 import re
 import warnings
@@ -146,19 +147,52 @@ class Graph:
 
 
 def int64_array(values, what: str) -> np.ndarray:
-    """`values` as an int64 array, refusing a float that is not an int64 integer.
+    """`values` as an int64 array, refusing a value that is not an int64 integer.
 
-    Integer input and integral floats such as 2.0 convert as
-    `np.asarray(values, dtype=np.int64)` does; a float array is first
+    Integer input and integral values such as 2.0 convert as
+    `np.asarray(values, dtype=np.int64)` does. A float array is first
     checked, so 0.5, NaN, an infinity or 1e30 raises ValueError naming
-    `what` and the first such value instead of being truncated.
+    `what` and the first such value instead of being truncated; so does an
+    object array's first value that is neither an int nor int-valued, such
+    as Fraction(1, 2), Decimal("0.5") or 0.5. An integer beyond int64
+    raises OverflowError, from a list as from an unsigned array.
     """
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
         bad = ~((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))
         if bad.any():
             raise ValueError(f"{what} must be int64 integers, got {arr[bad].item(0)!r}")
+    elif arr.dtype.kind == "u":
+        if arr.size and arr.max() >= 2**63:
+            raise OverflowError(f"{what} must be int64 integers, got {arr.max()}")
+    elif arr.dtype.kind == "O":
+        for x in arr.flat:
+            if not (isinstance(x, numbers.Integral) or _is_int64_valued(x)):
+                shown = x.item() if isinstance(x, np.generic) else x
+                raise ValueError(f"{what} must be int64 integers, got {shown!r}")
     return np.asarray(values, dtype=np.int64)
+
+
+def _is_int64_valued(x) -> bool:
+    """Whether a non-int object equals an int64 integer, as 2.0 or Fraction(4, 2) does."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return i == x and -2**63 <= i < 2**63
+
+
+def owned_readonly(arr: np.ndarray, source) -> np.ndarray:
+    """`arr`, converted from `source`, as a read-only array no caller can write.
+
+    A conversion that returned `source` itself, or a view of another
+    buffer, is copied first, so the caller's array stays writable and a
+    later write to it does not show through.
+    """
+    if arr is source or not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_pair(u: int, v: int, node_count: int) -> None:
@@ -174,7 +208,9 @@ class NodeTable:
     """Per-node class label, sensitive attribute, and optional features.
 
     Missing labels/attributes carry the INVALID marker instead of being
-    dropped, so the table stays index-aligned with its graph.
+    dropped, so the table stays index-aligned with its graph. The table
+    keeps read-only arrays of its own; it never marks or shares the
+    caller's.
     """
 
     labels: np.ndarray
@@ -191,11 +227,9 @@ class NodeTable:
             features = np.asarray(features, dtype=np.float64)
             if features.ndim != 2 or features.shape[0] != labels.shape[0]:
                 raise ValueError("features must be a (n, f) array aligned with labels")
-            features.flags.writeable = False
-        labels.flags.writeable = False
-        sensitive.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sensitive", sensitive)
+            features = owned_readonly(features, self.features)
+        object.__setattr__(self, "labels", owned_readonly(labels, self.labels))
+        object.__setattr__(self, "sensitive", owned_readonly(sensitive, self.sensitive))
         object.__setattr__(self, "features", features)
 
     def __len__(self) -> int:
@@ -203,8 +237,8 @@ class NodeTable:
 
     def take(self, ids: np.ndarray) -> "NodeTable":
         """Row subset in the given id order."""
-        feats = None if self.features is None else self.features[ids].copy()
-        return NodeTable(self.labels[ids].copy(), self.sensitive[ids].copy(), feats)
+        feats = None if self.features is None else self.features[ids]
+        return NodeTable(self.labels[ids], self.sensitive[ids], feats)
 
 
 def load_edge_list(path, one_indexed: bool = False) -> Graph:

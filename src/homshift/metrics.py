@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import int64_array, read_id_table
+from .graph import int64_array, owned_readonly, read_id_table
 
 
 @dataclass(frozen=True)
@@ -14,7 +14,9 @@ class PredictionTable:
     """True labels, predicted labels, and a binary sensitive attribute.
 
     An optional boolean mask restricts every metric to a held-out subset;
-    without one, all rows are evaluated.
+    without one, all rows are evaluated. The mask holds booleans or the
+    values 0 and 1. The table keeps read-only arrays of its own; it never
+    marks or shares the caller's.
     """
 
     y_true: np.ndarray
@@ -36,17 +38,22 @@ class PredictionTable:
             raise ValueError("sensitive attribute must be 0 or 1")
         mask = self.mask
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
+            mask = np.asarray(mask)
+            if mask.dtype != bool:
+                bad = ~((mask == 0) | (mask == 1))
+                if bad.any():
+                    shown = mask[bad].ravel()[0]
+                    shown = shown.item() if isinstance(shown, np.generic) else shown
+                    raise ValueError(f"mask must be boolean, got {shown!r}")
+                mask = mask.astype(bool)
             if mask.shape != y_true.shape:
                 raise ValueError("mask must match the table length")
             if not mask.any():
                 raise ValueError("mask selects no rows")
-            mask.flags.writeable = False
-        for arr in (y_true, y_pred, sens):
-            arr.flags.writeable = False
-        object.__setattr__(self, "y_true", y_true)
-        object.__setattr__(self, "y_pred", y_pred)
-        object.__setattr__(self, "sensitive", sens)
+            mask = owned_readonly(mask, self.mask)
+        object.__setattr__(self, "y_true", owned_readonly(y_true, self.y_true))
+        object.__setattr__(self, "y_pred", owned_readonly(y_pred, self.y_pred))
+        object.__setattr__(self, "sensitive", owned_readonly(sens, self.sensitive))
         object.__setattr__(self, "mask", mask)
 
     def evaluated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

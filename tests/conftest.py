@@ -13,9 +13,10 @@ reader replaced, that reader as it was when it filtered every line for
 blanks, the row-by-row split writer that a single join
 replaced, the set-based edit-log replay that key arithmetic replaced, the
 line-by-line edit-log reader that chunked bulk decoding replaced, the
-one-node local homophily that the all-nodes count replaced, and the
+one-node local homophily that the all-nodes count replaced, the
 per-node training-representation sampler that the simulator's sufficient
-statistics replaced.
+statistics replaced, and the batched LAPACK solve of those statistics that
+the closed-form 2 x 2 inverse replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -422,6 +424,40 @@ def reference_monte_carlo_gap(params: TheoryParams, trials: int,
                                - np.einsum("mi,mi->m", r_v, w_mat[:, :, 0]))
         done += m
     return gaps
+
+
+def reference_simulate_gaps(params: TheoryParams, trials: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Per-trial logit gaps from the sufficient statistics, by one batched solve.
+
+    Draws what `theory._simulate_gaps` draws, in the same order and shapes,
+    stacks each trial's regularized Gram matrix into a (trials, 2, 2) array
+    and solves all of them with np.linalg.solve (LAPACK's pivoted LU).
+    """
+    b_coef = aggregation_coefficient(params.h, params.d)
+    a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
+    n, k, sigma = params.n, params.k, abs(params.sigma)
+    means = np.array([params.mu_l, params.mu_s])
+    sum_0 = rng.normal(k * means, math.sqrt(k) * sigma, size=(trials, 2))
+    sum_1 = rng.normal((n - k) * means, math.sqrt(n - k) * sigma, size=(trials, 2))
+    c1_sq = rng.chisquare(n - 2, trials) if n > 2 else np.zeros(trials)
+    c2_sq = rng.chisquare(n - 3, trials) if n > 3 else np.zeros(trials)
+    z = rng.standard_normal(trials) if n > 2 else np.zeros(trials)
+    c1 = np.sqrt(c1_sq)
+    scatter = np.empty((trials, 2, 2))
+    scatter[:, 0, 0] = c1_sq
+    scatter[:, 0, 1] = scatter[:, 1, 0] = c1 * z
+    scatter[:, 1, 1] = z * z + c2_sq
+    feat_scatter = (sigma * sigma * scatter
+                    + sum_0[:, :, None] * sum_0[:, None, :] / k
+                    + sum_1[:, :, None] * sum_1[:, None, :] / (n - k))
+    gram = b_coef * b_coef * feat_scatter + params.lambda_reg * np.eye(2)
+    w_0 = np.linalg.solve(gram, -b_coef * sum_0[:, :, None])[:, :, 0]
+    u_feats = rng.normal(means, sigma, size=(trials, 2))
+    v_feats = rng.normal(means, sigma, size=(trials, 2))
+    r_diff = -a_coef * np.column_stack((u_feats[:, 0] - v_feats[:, 0],
+                                        u_feats[:, 1] + v_feats[:, 1]))
+    return (r_diff * w_0).sum(axis=1)
 
 
 def reference_assign_node_goals(plan, ratios, bin_count: int, seed) -> list:

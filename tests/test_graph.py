@@ -6,6 +6,8 @@ import os
 import re
 import socket
 import urllib.request
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -126,7 +128,10 @@ def test_from_edges_rejects_self_loops_and_range():
     with pytest.raises(ValueError, match="too large"):
         Graph.from_edges(2**32, [])
     for edges, shown in [([(0.7, 2)], "0.7"), (np.array([[0, 1], [1, 2.5]]), "2.5"),
-                         ([(0, float("nan"))], "nan"), (np.array([[0.0, 1e30]]), "1e+30")]:
+                         ([(0, float("nan"))], "nan"), (np.array([[0.0, 1e30]]), "1e+30"),
+                         (np.array([[Fraction(1, 2), 2]], dtype=object), "Fraction(1, 2)"),
+                         ([(0, 1), (Decimal("0.5"), 2)], "Decimal('0.5')"),
+                         (np.array([[0, 1], [0.5, 2]], dtype=object), "0.5")]:
         message = f"edge endpoints must be int64 integers, got {shown}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             Graph.from_edges(3, edges)
@@ -136,6 +141,10 @@ def test_from_edges_takes_integral_floats_as_ints():
     want = Graph.from_edges(3, [(0, 2), (1, 2)])
     assert Graph.from_edges(3, [(0.0, 2.0), (1, 2.0)]) == want
     assert Graph.from_edges(3, np.array([[0.0, 2.0], [1.0, 2.0]])) == want
+    assert Graph.from_edges(3, np.array([[0, 2], [1, 2]], dtype=object)) == want
+    assert Graph.from_edges(3, [(Fraction(0), 2), (1, Decimal(2))]) == want
+    with pytest.raises(ValueError, match=r"edge \(0, 9223372036854775808\) out of range"):
+        Graph.from_edges(3, np.array([[0, 2**63]], dtype=np.uint64))
 
 
 def test_edge_array_empty_graph():
@@ -361,9 +370,13 @@ def test_node_table_round_trip(tmp_path):
 @pytest.mark.parametrize("labels, sensitive, shown", [
     ([0.5, 1.7], [0, 1], "labels must be int64 integers, got 0.5"),
     (np.array([0, 1]), np.array([1.0, np.inf]), "sensitive must be int64 integers, got inf"),
+    ([Fraction(1, 2), 1], [0, 1], "labels must be int64 integers, got Fraction(1, 2)"),
+    ([0, 1], [Decimal("0.5"), 1], "sensitive must be int64 integers, got Decimal('0.5')"),
+    (np.array([1, 0.5], dtype=object), [0, 1], "labels must be int64 integers, got 0.5"),
+    (np.array([1, None], dtype=object), [0, 1], "labels must be int64 integers, got None"),
 ])
 def test_node_table_refuses_a_non_integral_value(labels, sensitive, shown):
-    with pytest.raises(ValueError, match=f"{shown}$"):
+    with pytest.raises(ValueError, match=re.escape(shown) + "$"):
         NodeTable(labels, sensitive)
 
 
@@ -371,6 +384,31 @@ def test_node_table_takes_integral_floats_as_ints():
     t = NodeTable(np.array([0.0, 2.0, -1.0]), [1.0, 0, -1])
     assert t.labels.dtype == t.sensitive.dtype == np.int64
     assert t.labels.tolist() == [0, 2, INVALID] and t.sensitive.tolist() == [1, 0, INVALID]
+    t = NodeTable(np.array([0, 2, -1], dtype=object), [Fraction(2, 2), np.float64(0.0), -1])
+    assert t.labels.tolist() == [0, 2, INVALID] and t.sensitive.tolist() == [1, 0, INVALID]
+
+
+def test_node_table_refuses_an_unsigned_value_beyond_int64():
+    with pytest.raises(OverflowError, match="labels must be int64 integers, got 9223372036854775808$"):
+        NodeTable(np.array([0, 2**63], dtype=np.uint64), [0, 1])
+    assert NodeTable(np.array([0, 2**63 - 1], dtype=np.uint64), [0, 1]).labels[1] == 2**63 - 1
+
+
+def test_node_table_keeps_its_own_arrays():
+    base = np.array([[0, 1, 1], [0, 0, 1], [1, 1, 0], [1, 0, 0]])
+    labels, feats = np.array([0, 1, 1, 0]), np.ones((4, 2))
+    t = NodeTable(base[:, 0], base[:, 1], base[:, 1:].astype(float))
+    u = NodeTable(labels, labels, feats)
+    base[2, :] = 7
+    labels[0] = feats[0, 0] = 5
+    assert t.labels.tolist() == [0, 0, 1, 1] and t.sensitive.tolist() == [1, 0, 1, 0]
+    assert u.labels.tolist() == u.sensitive.tolist() == [0, 1, 1, 0]
+    assert (u.features == 1).all()
+    assert labels.flags.writeable and feats.flags.writeable and base.flags.writeable
+    for arr in (t.labels, t.sensitive, t.features, u.labels, u.features):
+        assert not arr.flags.writeable
+    sub = u.take(np.array([2, 0]))
+    assert sub.labels.tolist() == [1, 0] and not sub.labels.flags.writeable
 
 
 def test_load_node_table_errors(tmp_path):

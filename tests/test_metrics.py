@@ -124,11 +124,32 @@ def test_table_validation():
         _table([0, 1], [0, 1], [0, 1], np.array([True]))
     with pytest.raises(ValueError, match="no rows"):
         _table([0, 1], [0, 1], [0, 1], np.array([False, False]))
+    for mask, shown in [([0, 2, 0, 3], "2"), (np.array([1.0, 0.5, 1.0, 1.0]), "0.5"),
+                        (np.array([True, None, True, True], dtype=object), "None"),
+                        (np.array(["1", "0", "1", "1"]), "'1'")]:
+        with pytest.raises(ValueError, match=f"mask must be boolean, got {shown}$"):
+            _table([0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 1], mask)
+    assert _table([0, 1], [0, 1], [0, 1], [1, 0.0]).mask.tolist() == [True, False]
     for columns, name, shown in [(([0, 1], [0, 1], [0.5, 1]), "sensitive", "0.5"),
                            (([0, 1.25], [0, 1], [0, 1]), "y_true", "1.25"),
                            (([0, 1], np.array([np.nan, 1.0]), [0, 1]), "y_pred", "nan")]:
         with pytest.raises(ValueError, match=f"{name} must be int64 integers, got {shown}$"):
             PredictionTable(*columns)
+
+
+def test_table_keeps_its_own_arrays():
+    base = np.array([[0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]])
+    mask = np.array([True, True, False, True])
+    p = PredictionTable(base[:, 0], base[:, 1], base[:, 2], mask)
+    q = PredictionTable(base[:, 0].copy(), base[:, 0], base[:, 0])
+    base[:, :] = 0
+    mask[0] = False
+    assert p.y_true.tolist() == [0, 1, 0, 1] and p.y_pred.tolist() == [1, 1, 0, 0]
+    assert p.sensitive.tolist() == [1, 0, 1, 0] and p.mask.tolist() == [True, True, False, True]
+    assert q.y_pred.tolist() == q.sensitive.tolist() == [0, 1, 0, 1]
+    assert base.flags.writeable and mask.flags.writeable
+    for arr in (p.y_true, p.y_pred, p.sensitive, p.mask, q.y_true):
+        assert not arr.flags.writeable
 
 
 def test_table_takes_integral_floats_as_ints():

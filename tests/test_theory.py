@@ -4,7 +4,8 @@ The simulator follows the generative model; the closed form lands at
 half the simulated gap, up to a lambda / b^2 term that the sigma = 0
 identity below pins exactly. Both facts are pinned here so neither side
 can drift silently. The simulator is checked against the per-node
-reference sampler in conftest.
+reference sampler in conftest, and its closed-form 2 x 2 solve against the
+batched LAPACK solve it replaced.
 """
 
 import logging
@@ -12,7 +13,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_monte_carlo_gap, reference_training_representations
+from conftest import (
+    reference_monte_carlo_gap,
+    reference_simulate_gaps,
+    reference_training_representations,
+)
 
 from homshift import (
     TheoryParams,
@@ -238,6 +243,46 @@ def test_sampler_matches_per_node_reference(overrides, trials):
     mean_b, var_b, mean_se_sq_b, var_se_sq_b = moments(ref)
     assert abs(mean_a - mean_b) <= 3 * math.sqrt(mean_se_sq_a + mean_se_sq_b)
     assert abs(var_a - var_b) <= 3 * math.sqrt(var_se_sq_a + var_se_sq_b)
+
+
+@pytest.mark.parametrize("overrides, trials", [
+    ({}, 5000),
+    (dict(sigma=0.0), 5000),
+    (dict(n=50, k=10, sigma=0.1, lambda_reg=0.3), 5000),
+    (dict(n=2, k=1, sigma=0.5, lambda_reg=0.3), 5000),
+    (dict(n=3, k=2, sigma=0.5, lambda_reg=0.3), 5000),
+], ids=["canonical", "sigma0", "small-noisy", "n2", "n3"])
+def test_closed_form_solve_matches_batched_solve(overrides, trials):
+    # same draws, so the two differ only in how each 2 x 2 system is solved.
+    # A trial's gap is a dot product that can cancel to near 0, where a
+    # relative bound means nothing: the floor is 1e-9 of the largest |gap|.
+    p = _params(**overrides)
+    got = _simulate_gaps(p, trials, np.random.default_rng(21))
+    ref = reference_simulate_gaps(p, trials, np.random.default_rng(21))
+    np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+
+class _StubRng:
+    """Hands out fixed arrays for `normal`; the other draws are not expected."""
+
+    def __init__(self, *normals):
+        self.normals = list(normals)
+
+    def normal(self, loc, scale, size):
+        return np.broadcast_to(np.asarray(self.normals.pop(0), dtype=float), size)
+
+
+def test_exactly_singular_gram_raises():
+    # n = 2 leaves no within-group scatter, b = 1 at h = 0.5, lambda = 0, and
+    # parallel group sums A = (1, 2), B = (2, 4): the Gram matrix
+    # [[5, 10], [10, 20]] has a determinant of exactly 0
+    p = _params(n=2, k=1, h=0.5, alpha_shift=0.0, sigma=0.5, lambda_reg=0.0)
+    rng = _StubRng([1.0, 2.0], [2.0, 4.0], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="singular in trial 0"):
+        _simulate_gaps(p, 3, rng)
+    # with B = (2, 3) the sums are not parallel and every trial solves
+    rng = _StubRng([1.0, 2.0], [2.0, 3.0], [1.0, 1.0], [1.0, 1.0])
+    assert np.isfinite(_simulate_gaps(p, 3, rng)).all()
 
 
 def test_simulation_cost_does_not_grow_with_n():
