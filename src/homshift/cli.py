@@ -194,7 +194,14 @@ def _cmd_metrics(args) -> None:
 
 
 def _cmd_theory(args) -> None:
-    grid = [float(x) for x in args.alpha_grid.split(",") if x.strip() != ""]
+    grid = []
+    for entry in args.alpha_grid.split(","):
+        if entry.strip() == "":
+            continue
+        try:
+            grid.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--alpha-grid entry {entry!r} is not a number") from None
     if not grid:
         raise ValueError("--alpha-grid must list at least one value")
     params = TheoryParams(n=args.n, k=args.k, d=args.d, h=args.h, alpha_shift=0.0,

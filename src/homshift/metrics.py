@@ -104,24 +104,30 @@ def save_predictions(p: PredictionTable, path) -> None:
             fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
 
 
-def _group_rates(y_pred: np.ndarray, sens: np.ndarray, preferred: int) -> tuple[float, float]:
+def _sensitive_groups(sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g0 = sens == 0
     g1 = sens == 1
     if not g0.any() or not g1.any():
         raise ValueError("both sensitive groups must be nonempty on the evaluated subset")
-    return (float((y_pred[g0] == preferred).mean()),
-            float((y_pred[g1] == preferred).mean()))
+    return g0, g1
 
 
 def statistical_parity(p: PredictionTable, preferred: int) -> float:
     """|P(pred = preferred | s=0) - P(pred = preferred | s=1)| on the subset."""
     _, y_pred, sens = p.evaluated()
-    r0, r1 = _group_rates(y_pred, sens, preferred)
-    return abs(r0 - r1)
+    g0, g1 = _sensitive_groups(sens)
+    return abs(float((y_pred[g0] == preferred).mean())
+               - float((y_pred[g1] == preferred).mean()))
 
 
 def per_class_statistical_parity(p: PredictionTable) -> np.ndarray:
-    return np.array([statistical_parity(p, c) for c in range(p.class_count)])
+    """statistical_parity(p, c) for every class c, from one count per group."""
+    _, y_pred, sens = p.evaluated()
+    g0, g1 = _sensitive_groups(sens)
+    pred_0, pred_1 = y_pred[g0], y_pred[g1]
+    r0 = np.bincount(pred_0, minlength=p.class_count) / pred_0.size
+    r1 = np.bincount(pred_1, minlength=p.class_count) / pred_1.size
+    return np.abs(r0 - r1)
 
 
 def multiclass_statistical_parity(p: PredictionTable) -> float:

@@ -123,6 +123,18 @@ def expected_weights(params: TheoryParams) -> np.ndarray:
     return (inv_gram @ cross) / b_coef
 
 
+def _gap_denominator(params: TheoryParams, b_coef: float) -> float:
+    """b (lambda + (mu_l^2 + mu_s^2) n), the closed forms' shared denominator."""
+    try:
+        denom = b_coef * (params.lambda_reg + (params.mu_l**2 + params.mu_s**2) * params.n)
+    except OverflowError:
+        denom = math.inf
+    if not math.isfinite(denom):
+        raise ValueError(f"the closed form overflows at mu_l={params.mu_l!r}, "
+                         f"mu_s={params.mu_s!r}, n={params.n}")
+    return denom
+
+
 def expected_logit_gap(params: TheoryParams) -> float:
     """Expected correct-class logit difference between the two test nodes.
 
@@ -133,14 +145,14 @@ def expected_logit_gap(params: TheoryParams) -> float:
         return 0.0
     b_coef = _check_b_coef(params)
     a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
-    denom = b_coef * (params.lambda_reg + (params.mu_l**2 + params.mu_s**2) * params.n)
+    denom = _gap_denominator(params, b_coef)
     return params.mu_s**2 * params.k * a_coef / denom
 
 
 def alpha_slope(params: TheoryParams) -> float:
     """d(gap)/d(alpha): the gap is affine in the homophily shift."""
     b_coef = _check_b_coef(params)
-    denom = b_coef * (params.lambda_reg + (params.mu_l**2 + params.mu_s**2) * params.n)
+    denom = _gap_denominator(params, b_coef)
     return 2.0 * params.d * params.mu_s**2 * params.k / denom
 
 
@@ -150,15 +162,32 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+def _normal_columns(rng: np.random.Generator, trials: int, loc: tuple[float, float],
+                    scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of rng.normal(loc, scale, size=(trials, 2)), bit for bit.
+
+    Generator.normal evaluates loc + scale * z on the standard normal stream,
+    so drawing z and scaling each column in place gives the same values
+    without broadcasting the 2-vector loc element by element.
+    """
+    z = rng.standard_normal((trials, 2))
+    first = z[:, 0] * scale
+    first += loc[0]
+    second = z[:, 1] * scale
+    second += loc[1]
+    return first, second
+
+
 def _simulate_gaps(params: TheoryParams, trials: int, rng: np.random.Generator) -> np.ndarray:
     """One simulated logit gap per trial; see `monte_carlo_gap`."""
     b_coef = _check_b_coef(params)
     a_coef = aggregation_coefficient(params.h + params.alpha_shift, params.d)
-    # abs: numpy refuses a scale of -0.0, which is the same as 0
+    # abs: -0.0 * z would keep a mean of -0.0 negative, where 0.0 * z makes it 0.0
     n, k, sigma = params.n, params.k, abs(params.sigma)
-    means = np.array([params.mu_l, params.mu_s])
-    sum_0 = rng.normal(k * means, math.sqrt(k) * sigma, size=(trials, 2))
-    sum_1 = rng.normal((n - k) * means, math.sqrt(n - k) * sigma, size=(trials, 2))
+    mu_l, mu_s = params.mu_l, params.mu_s
+    a_0, a_1 = _normal_columns(rng, trials, (k * mu_l, k * mu_s), math.sqrt(k) * sigma)
+    b_0, b_1 = _normal_columns(rng, trials, ((n - k) * mu_l, (n - k) * mu_s),
+                               math.sqrt(n - k) * sigma)
     # Bartlett factor L = [[c1, 0], [z, c2]] of the Wishart(n - 2) scatter;
     # chi^2 with df <= 0 is 0, and at n = 2 there is no scatter, so z is 0 too.
     c1_sq = rng.chisquare(n - 2, trials) if n > 2 else np.zeros(trials)
@@ -166,8 +195,6 @@ def _simulate_gaps(params: TheoryParams, trials: int, rng: np.random.Generator) 
     z = rng.standard_normal(trials) if n > 2 else np.zeros(trials)
     # The three distinct entries of each symmetric Gram matrix
     # b^2 (sigma^2 L L^T + A A^T / k + B B^T / (n - k)) + lambda I.
-    a_0, a_1 = sum_0[:, 0], sum_0[:, 1]
-    b_0, b_1 = sum_1[:, 0], sum_1[:, 1]
     noise, bb, lam = sigma * sigma, b_coef * b_coef, params.lambda_reg
     g_00 = bb * (noise * c1_sq + a_0 * a_0 / k + b_0 * b_0 / (n - k)) + lam
     g_01 = bb * (noise * (np.sqrt(c1_sq) * z) + a_0 * a_1 / k + b_0 * b_1 / (n - k))
@@ -181,10 +208,9 @@ def _simulate_gaps(params: TheoryParams, trials: int, rng: np.random.Generator) 
     r_0, r_1 = -b_coef * a_0, -b_coef * a_1
     w_0 = (g_11 * r_0 - g_01 * r_1) / det
     w_1 = (g_00 * r_1 - g_01 * r_0) / det
-    u_feats = rng.normal(means, sigma, size=(trials, 2))
-    v_feats = rng.normal(means, sigma, size=(trials, 2))
-    return (-a_coef * (u_feats[:, 0] - v_feats[:, 0]) * w_0
-            + -a_coef * (u_feats[:, 1] + v_feats[:, 1]) * w_1)
+    u_0, u_1 = _normal_columns(rng, trials, (mu_l, mu_s), sigma)
+    v_0, v_1 = _normal_columns(rng, trials, (mu_l, mu_s), sigma)
+    return -a_coef * (u_0 - v_0) * w_0 + -a_coef * (u_1 + v_1) * w_1
 
 
 def monte_carlo_gap(params: TheoryParams, trials: int, rng) -> TheoryResult:
@@ -206,12 +232,17 @@ def monte_carlo_gap(params: TheoryParams, trials: int, rng) -> TheoryResult:
     S = V + A A^T / k + B B^T / (n - k), where the within-group scatter
     V ~ Wishart(n - 2, sigma^2 I) is independent of A and B and is drawn by
     the 2 x 2 Bartlett decomposition. Each trial's symmetric 2 x 2 system is
-    solved by its explicit inverse, on 1-D arrays over the trials.
+    solved by its explicit inverse, on 1-D arrays over the trials. The
+    normal draws (A, B and the test pair) are standard normals scaled in
+    place, column by column: on the same stream, they are bit for bit the
+    values Generator.normal(loc, scale, size=(trials, 2)) would return.
 
     At sigma = 0 the result is exact: the gap equals
     closed * 2 (lambda + n |mu|^2) / (lambda / b^2 + n |mu|^2), derived in
     the module docstring. Raises numpy.linalg.LinAlgError when a trial's
-    regularized Gram matrix has a determinant of exactly 0.
+    regularized Gram matrix has a determinant of exactly 0, and ValueError
+    when the parameters overflow double precision: in the closed form, or
+    in any trial's simulated gap (the error names the first such trial).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -221,11 +252,18 @@ def monte_carlo_gap(params: TheoryParams, trials: int, rng) -> TheoryResult:
         # return a finite but meaningless gap.
         raise np.linalg.LinAlgError("Gram matrix is singular: with sigma = 0 and "
                                     "lambda_reg = 0, R^T R has rank one")
-    gaps = _simulate_gaps(params, trials, _as_rng(rng))
+    closed = expected_logit_gap(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = _simulate_gaps(params, trials, _as_rng(rng))
+    finite = np.isfinite(gaps)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"simulated gap of trial {bad} is {float(gaps[bad])!r}: "
+                         f"the parameters overflow double precision")
     mean = float(gaps.mean())
     stderr = float(gaps.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return TheoryResult(
-        closed_form_gap=expected_logit_gap(params),
+        closed_form_gap=closed,
         mc_gap_mean=mean,
         mc_gap_stderr=stderr,
         trials=trials,

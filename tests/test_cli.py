@@ -1,5 +1,6 @@
 """End-to-end coverage of the homshift command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -323,6 +324,17 @@ def test_theory_sweep_csv(tmp_path):
     assert closed_at_02 == pytest.approx(0.45, abs=1e-5)
 
 
+def test_theory_sweep_csv_is_pinned(tmp_path):
+    # the benchmark's theory-sweep call at seed 1: every simulated digit is fixed
+    out = tmp_path / "out"
+    assert main(["theory", "--n", "1000", "--k", "500", "--d", "10", "--h", "0.7",
+                 "--mu-l", "1.0", "--mu-s", "1.0", "--sigma", "0.01", "--lam", "0.001",
+                 "--alpha-grid=-0.3,-0.2,-0.1,0,0.1,0.2,0.3", "--trials", "5000",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+            == "586b9e771dcbe69a61bd9739ec3f62cd24140271d614c60e0aeb88e5bfb78e36")
+
+
 def test_theory_no_sensitive_signal(tmp_path):
     out = tmp_path / "out"
     rc = main(["theory", "--alpha-grid", "0.0,0.1", "--mu-s", "0.0",
@@ -441,6 +453,12 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["theory", "--lam", "nan", "--trials", "20"], "lambda_reg must be finite, got nan"),
+    (["theory", "--sigma", "1e200", "--trials", "20"],
+     "simulated gap of trial 0 is nan: the parameters overflow double precision"),
+    (["theory", "--mu-l", "1e300", "--trials", "20"],
+     "the closed form overflows at mu_l=1e+300, mu_s=1.0, n=1000"),
+    (["theory", "--alpha-grid=0.1,abc", "--trials", "20"],
+     "--alpha-grid entry 'abc' is not a number"),
     (["metrics", "--run-a", "{missing}.csv"], "No such file or directory"),
     (["analyze", "--graph", "{graph}", "--nodes", "{nodes}", "--bins", "0"],
      "bin_count must be positive"),
@@ -454,7 +472,8 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
     (["generate", "--graph", "{missing}.txt", "--nodes", "{missing}.csv",
       "--alpha", "inf", "--beta", "10"],
      "Beta shape parameter alpha must be finite and positive, got inf"),
-], ids=["theory", "metrics", "analyze", "split", "split-no-train", "generate",
+], ids=["theory", "theory-sim-overflow", "theory-closed-form-overflow", "theory-grid-entry",
+        "metrics", "analyze", "split", "split-no-train", "generate",
         "generate-goal-first"])
 def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):
     root, _, _ = sbm_files

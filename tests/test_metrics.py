@@ -1,5 +1,7 @@
 """Parity and F1 metrics over prediction tables, plus run comparisons."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,26 @@ def test_parity_of_independent_predictions_is_small():
     n = 10_000
     p = _table(rng.integers(0, 3, n), rng.integers(0, 3, n), rng.integers(0, 2, n))
     assert multiclass_statistical_parity(p) < 0.05
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1),
+                          st.booleans()), min_size=1, max_size=40),
+       st.booleans())
+def test_per_class_parity_matches_statistical_parity(rows, masked):
+    y_true, y_pred, sens, keep = (np.array(col) for col in zip(*rows))
+    if masked and not keep.any():
+        keep[0] = True
+    p = _table(y_true, y_pred, sens, keep if masked else None)
+    try:
+        expected = [statistical_parity(p, c) for c in range(p.class_count)]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            per_class_statistical_parity(p)
+        return
+    got = per_class_statistical_parity(p)
+    assert got.shape == (p.class_count,)
+    assert got.tolist() == expected
 
 
 def test_multiclass_parity_needs_two_classes():

@@ -10,6 +10,7 @@ batched LAPACK solve it replaced.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from homshift import (
     save_sweep,
     sweep_alpha,
 )
-from homshift.theory import _simulate_gaps
+from homshift.theory import _normal_columns, _simulate_gaps
 
 
 def _params(**overrides):
@@ -263,26 +264,70 @@ def test_closed_form_solve_matches_batched_solve(overrides, trials):
 
 
 class _StubRng:
-    """Hands out fixed arrays for `normal`; the other draws are not expected."""
+    """Hands out fixed rows for `standard_normal`; the other draws are not expected."""
 
     def __init__(self, *normals):
         self.normals = list(normals)
 
-    def normal(self, loc, scale, size):
+    def standard_normal(self, size):
         return np.broadcast_to(np.asarray(self.normals.pop(0), dtype=float), size)
 
 
 def test_exactly_singular_gram_raises():
     # n = 2 leaves no within-group scatter, b = 1 at h = 0.5, lambda = 0, and
     # parallel group sums A = (1, 2), B = (2, 4): the Gram matrix
-    # [[5, 10], [10, 20]] has a determinant of exactly 0
-    p = _params(n=2, k=1, h=0.5, alpha_shift=0.0, sigma=0.5, lambda_reg=0.0)
-    rng = _StubRng([1.0, 2.0], [2.0, 4.0], [1.0, 1.0], [1.0, 1.0])
+    # [[5, 10], [10, 20]] has a determinant of exactly 0. With k = n - k = 1,
+    # sigma = 0.5 and mu = (1, 1), a sum is (1, 1) + 0.5 z, so z = 2 (sum - 1).
+    p = _params(n=2, k=1, h=0.5, alpha_shift=0.0, mu_l=1.0, mu_s=1.0, sigma=0.5,
+                lambda_reg=0.0)
+    rng = _StubRng([0.0, 2.0], [2.0, 6.0], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError, match="singular in trial 0"):
         _simulate_gaps(p, 3, rng)
     # with B = (2, 3) the sums are not parallel and every trial solves
-    rng = _StubRng([1.0, 2.0], [2.0, 3.0], [1.0, 1.0], [1.0, 1.0])
+    rng = _StubRng([0.0, 2.0], [2.0, 4.0], [0.0, 0.0], [0.0, 0.0])
     assert np.isfinite(_simulate_gaps(p, 3, rng)).all()
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(sigma=0.0), dict(n=2, k=1, sigma=0.5), dict(mu_l=1e3, mu_s=-1e3),
+    dict(n=10 ** 6, k=3, sigma=2.5),
+], ids=["canonical", "sigma0", "n2", "large-mu", "large-n"])
+def test_scaled_standard_normals_equal_generator_normal(overrides):
+    # _normal_columns must reproduce Generator.normal's stream bit for bit,
+    # which holds while numpy rounds loc + scale * z as two operations; a
+    # build that fused the multiply-add would fail here first
+    p = _params(**overrides)
+    n, k, sigma = p.n, p.k, p.sigma
+    means = np.array([p.mu_l, p.mu_s])
+    for loc, scale in [(k * means, math.sqrt(k) * sigma),
+                       ((n - k) * means, math.sqrt(n - k) * sigma),
+                       (means, sigma)]:
+        expected = np.random.default_rng(3).normal(loc, scale, size=(2000, 2))
+        first, second = _normal_columns(np.random.default_rng(3), 2000, tuple(loc), scale)
+        assert first.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+        assert second.tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(sigma=1e200), dict(mu_l=1e152),
+], ids=["sigma", "mu"])
+def test_overflowing_simulation_is_refused(overrides):
+    # at mu_l = 1e152 the closed form is finite, but the group sums' squares are not
+    p = _params(**overrides)
+    assert math.isfinite(expected_logit_gap(p))
+    with pytest.raises(ValueError, match=r"simulated gap of trial \d+ is .*overflow"):
+        monte_carlo_gap(p, 50, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mu_l, mu_s", [(1e300, 1.0), (1.0, 1e300), (1e154, 1e154)])
+def test_overflowing_closed_form_names_the_parameters(mu_l, mu_s):
+    p = _params(mu_l=mu_l, mu_s=mu_s)
+    message = f"closed form overflows at mu_l={mu_l!r}, mu_s={mu_s!r}, n=1000"
+    for closed_form in (expected_logit_gap, alpha_slope):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form(p)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        monte_carlo_gap(p, 10, np.random.default_rng(0))
 
 
 def test_simulation_cost_does_not_grow_with_n():
