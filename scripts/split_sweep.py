@@ -1,9 +1,9 @@
-"""Sweep the split concentration exponent and report train/test shift.
+"""Sweep the split's shift dial and report train/test shift.
 
 Draws a Beta-shaped sample of local homophily ratios, splits it at each
 gamma, and prints the resulting train/test EMD with per-bin train shares.
-Larger gamma concentrates training mass on common ratios; gamma=0 is a
-homophily-agnostic 80/20 split.
+gamma=0 is a homophily-agnostic 80/20 split; larger gamma moves the training
+pool toward the most populated bins, so the EMD grows with gamma.
 """
 
 import argparse

@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="gamma-stratified train/val/test splits")
     _add_graph_args(p)
     p.add_argument("--gamma", type=float, action="append",
-                   help="repeatable; default 0")
+                   help="shift dial: the train pool moves 1 - 2**-gamma of the way from "
+                        "a stratified to the most concentrated split; repeatable; default 0")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--val-frac", type=float, default=0.2)

@@ -2,11 +2,12 @@
 
 The pipeline: bin the empirical local-homophily ratios, solve the 1-D
 optimal transport to a Beta-parameterized goal histogram, hand every node a
-target bin center, then edit edges in two phases. The rewire phase performs
-degree-preserving remove+add pairs on each source node; the refine phase
-only adds edges. Every single edit must strictly shrink the total distance
-sum |h_v - h_goal_v| over nodes with targets, which guarantees termination
-and makes the edit log a monotone certificate.
+target bin center, then edit edges in two phases. The rewire phase swaps a
+source's edge to a neighbour j for one to a partner k: the source keeps its
+degree, j loses an edge and k gains one. The refine phase only adds edges.
+Every single edit must strictly shrink the total distance sum
+|h_v - h_goal_v| over nodes with targets, which guarantees termination and
+makes the edit log a monotone certificate.
 
 Partner rule: among the partners that pass the gate, an edit takes the one
 with the smallest remaining gap |h - goal|, ties to the lower node id. A
@@ -717,7 +718,10 @@ def _phase_log(log: EditLog | None, seed) -> EditLog:
 
 def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
                  log: EditLog | None = None) -> tuple[Graph, EditLog]:
-    """Degree-preserving paired remove+add edits toward per-node targets.
+    """Paired remove+add edits toward per-node targets.
+
+    A pair keeps the source's degree; the removed neighbour loses an edge
+    and the added partner gains one.
 
     Sources are visited once in seeded random order; each gets up to its
     lower edge-move bound of paired edits. An edit fires only when the

@@ -1,9 +1,9 @@
 """Homophily-stratified train/val/test splits with a distribution-shift dial.
 
-gamma controls how strongly the training set concentrates on the graph's
-dominant local-homophily bins: gamma=0 reproduces a plain stratified 80/20
-split, larger gamma pushes train mass toward the majority bins and test
-mass toward the minority bins, so the two histograms drift apart.
+gamma moves the training pool linearly, through x = 1 - 2**-gamma, from a
+plain stratified 80/20 split (gamma=0) toward the most concentrated pool of
+the same size, which fills the most populated local-homophily bins first.
+Train and test sizes stay fixed, so the train/test distance grows with gamma.
 """
 
 from __future__ import annotations
@@ -14,41 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import read_id_table
-from .homophily import HomophilyHistogram, defined_bins, emd, histogram
+from .homophily import defined_bins, emd, histogram
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
 TAG_NAMES = ("train", "val", "test", "excluded")
-
-
-def concentrate(p: HomophilyHistogram, gamma: float) -> HomophilyHistogram:
-    """Raise every bin to the gamma power and renormalize.
-
-    Empty bins stay empty for every gamma (0**gamma is taken as 0, even at
-    gamma=0), so structurally absent homophily levels never gain mass.
-    Raises if gamma is negative or NaN, or so large that every bin's power
-    underflows to 0.
-    """
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
-    mass = p.mass.copy()
-    pos = mass > 0
-    out = np.zeros_like(mass)
-    out[pos] = mass[pos] ** gamma
-    if not out.any():
-        raise ValueError(f"gamma {gamma!r} is too large: every bin's mass**gamma "
-                         "underflows to 0")
-    return HomophilyHistogram(p.bin_count, out / out.sum())
-
-
-def invert(pg: HomophilyHistogram) -> HomophilyHistogram:
-    """Reciprocal of every nonzero bin, renormalized; an involution."""
-    mass = pg.mass.copy()
-    pos = mass > 0
-    if not pos.any():
-        raise ValueError("all histogram bins are empty")
-    out = np.zeros_like(mass)
-    out[pos] = 1.0 / mass[pos]
-    return HomophilyHistogram(pg.bin_count, out / out.sum())
 
 
 @dataclass(frozen=True)
@@ -116,38 +85,19 @@ def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
     return floors
 
 
-def _train_scale(n_b: np.ndarray, w: np.ndarray, target: float) -> float:
-    """The c at which f(c) = sum_b n_b * min(1, c * w_b) reaches `target`.
-
-    f is piecewise linear in c: with the positive-weight bins sorted by w
-    descending, the first k are saturated for c in [1/w_k, 1/w_(k+1)], where
-    f(c) = N_k + c * S_k, N_k the count of those k bins and S_k the sum of
-    n_b * w_b over the rest. c comes from the first segment whose right end
-    reaches the target, in closed form, so it holds for weights of any size.
-    Where no segment reaches it (the target is above the population by dust),
-    every bin saturates at c = 1 / min w.
-    """
-    pos = w > 0
-    order = np.argsort(-w[pos], kind="stable")
-    ws, ns = w[pos][order], n_b[pos][order]
-    saturated = np.concatenate(([0], np.cumsum(ns)))
-    rest = np.concatenate((np.cumsum((ns * ws)[::-1])[::-1], [0.0]))
-    reaches = np.flatnonzero(saturated[1:] + rest[1:] / ws >= target)
-    if reaches.size == 0:
-        return float(1.0 / ws[-1])
-    k = int(reaches[0])
-    return float((target - saturated[k]) / rest[k])
-
-
 def stratified_split(ratios, gamma: float, bin_count: int, seed,
                      train_frac: float = 0.8, val_frac: float = 0.2) -> SplitAssignment:
-    """Split nodes by local-homophily bin with gamma-concentrated train mass.
+    """Split nodes by local-homophily bin, moving train mass toward the largest bins.
 
-    Per-bin train weights are w_b = P_b^gamma / (P_b^gamma + inv(P^gamma)_b);
-    a single scalar c rescales them so the clamped per-bin demands
-    n_b * min(1, c * w_b) sum to train_frac of the eligible nodes. Nodes
-    without a defined ratio (NaN) are tagged EXCLUDED. The val set is a
-    uniform val_frac subset of the training pool.
+    The training pool (train plus val) always holds round(train_frac * N) of
+    the N nodes with a defined ratio. Its extreme counts e_b fill the bins
+    whole in descending count order (ties to the lower index), the last one
+    partly, until train_frac * N is reached. Bin b's pool quota is
+    (1 - x) * train_frac * n_b + x * e_b with x = 1 - 2**-gamma, so gamma=0
+    is a plain stratified split, gamma=inf is the extreme one, and the
+    train/test EMD grows as x times the extreme split's, up to rounding.
+    Nodes without a defined ratio (NaN) are tagged EXCLUDED. The val set is
+    a uniform val_frac subset of the training pool.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     if ratios.size == 0:
@@ -156,20 +106,16 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
         raise ValueError("train_frac must lie in (0, 1)")
     if not (0.0 <= val_frac < 1.0):
         raise ValueError("val_frac must lie in [0, 1)")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
     ids, bins, n_b = defined_bins(ratios, bin_count)
-    n_valid = int(ids.size)
 
-    p = HomophilyHistogram(bin_count, n_b / n_valid)
-    pg = concentrate(p, gamma).mass
-    pg_bar = invert(HomophilyHistogram(bin_count, pg)).mass
-    denom = pg + pg_bar
-    w = np.divide(pg, denom, out=np.zeros_like(pg), where=denom > 0)
-
-    target = train_frac * n_valid
-    if n_b[w > 0].sum() < target - 1e-9:
-        raise ValueError("requested training fraction exceeds the weighted population")
-    c = _train_scale(n_b, w, target)
-    quotas = n_b * np.minimum(1.0, c * w)
+    target = train_frac * ids.size
+    order = np.argsort(-n_b, kind="stable")
+    extreme = np.empty(bin_count)
+    extreme[order] = np.clip(target - (np.cumsum(n_b[order]) - n_b[order]), 0, n_b[order])
+    x = 1.0 - 2.0 ** -float(gamma)
+    quotas = (1.0 - x) * train_frac * n_b + x * extreme
     pool_counts = largest_remainder(quotas, int(round(target)), caps=n_b)
 
     rng = np.random.default_rng(seed)

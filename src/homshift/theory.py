@@ -107,7 +107,8 @@ def expected_weights(params: TheoryParams) -> np.ndarray:
     """Expected 2x2 ridge weight matrix at sigma = 0.
 
     Requires lambda_reg > 0: the expected Gram matrix is rank-1, so the
-    unregularized solution does not exist.
+    unregularized solution does not exist. Raises ValueError, naming the
+    parameters, when the determinant overflows or is not positive.
     """
     if params.lambda_reg <= 0:
         raise ValueError("expected_weights needs lambda_reg > 0 "
@@ -115,7 +116,13 @@ def expected_weights(params: TheoryParams) -> np.ndarray:
     b_coef = _check_b_coef(params)
     n, k = params.n, params.k
     mu_l, mu_s, lam = params.mu_l, params.mu_s, params.lambda_reg
-    det = (n * mu_l**2 + lam) * (n * mu_s**2 + lam) - (n * mu_l * mu_s) ** 2
+    try:
+        det = (n * mu_l**2 + lam) * (n * mu_s**2 + lam) - (n * mu_l * mu_s) ** 2
+    except OverflowError:
+        det = math.inf
+    if not 0 < det < math.inf:
+        raise ValueError(f"the expected weights' determinant is {det!r} at mu_l={mu_l!r}, "
+                         f"mu_s={mu_s!r}, lambda_reg={lam!r}, n={n}")
     inv_gram = np.array([[n * mu_s**2 + lam, -n * mu_l * mu_s],
                          [-n * mu_l * mu_s, n * mu_l**2 + lam]]) / det
     cross = np.array([[-k * mu_l, (n - k) * mu_l],
@@ -132,6 +139,10 @@ def _gap_denominator(params: TheoryParams, b_coef: float) -> float:
     if not math.isfinite(denom):
         raise ValueError(f"the closed form overflows at mu_l={params.mu_l!r}, "
                          f"mu_s={params.mu_s!r}, n={params.n}")
+    if denom == 0:
+        raise ValueError(f"the closed form's denominator is 0 at mu_l={params.mu_l!r}, "
+                         f"mu_s={params.mu_s!r}, lambda_reg={params.lambda_reg!r}, "
+                         f"n={params.n}")
     return denom
 
 

@@ -2,10 +2,11 @@
 
 Each test prints a single "criterion N: PASS/FAIL" line before asserting,
 and evaluates every clause of its criterion so a failure reports all
-violated clauses at once. Three clauses fail by measurement, not by
+violated clauses at once. Two criteria fail by measurement, not by
 accident, and are left red on purpose: the Monte-Carlo mean sits at twice
-the closed form (criteria 1 and 2), and ten-bin train/test EMD is
-not monotone in gamma under the pinned split mechanism (criterion 6).
+the closed form (criteria 1 and 2). Criterion 6's ten-bin train/test EMD
+is monotone in gamma now that the split moves its pool linearly toward
+the most concentrated one.
 The README's acceptance section carries the analysis; the checks here
 state the criteria as written and are not loosened to force green.
 """

@@ -457,6 +457,8 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
      "simulated gap of trial 0 is nan: the parameters overflow double precision"),
     (["theory", "--mu-l", "1e300", "--trials", "20"],
      "the closed form overflows at mu_l=1e+300, mu_s=1.0, n=1000"),
+    (["theory", "--mu-l", "0", "--mu-s", "1e-200", "--lam", "0", "--trials", "20"],
+     "the closed form's denominator is 0 at mu_l=0.0, mu_s=1e-200, lambda_reg=0.0, n=1000"),
     (["theory", "--alpha-grid=0.1,abc", "--trials", "20"],
      "--alpha-grid entry 'abc' is not a number"),
     (["metrics", "--run-a", "{missing}.csv"], "No such file or directory"),
@@ -472,7 +474,8 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
     (["generate", "--graph", "{missing}.txt", "--nodes", "{missing}.csv",
       "--alpha", "inf", "--beta", "10"],
      "Beta shape parameter alpha must be finite and positive, got inf"),
-], ids=["theory", "theory-sim-overflow", "theory-closed-form-overflow", "theory-grid-entry",
+], ids=["theory", "theory-sim-overflow", "theory-closed-form-overflow",
+        "theory-closed-form-zero-denominator", "theory-grid-entry",
         "metrics", "analyze", "split", "split-no-train", "generate",
         "generate-goal-first"])
 def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):

@@ -45,6 +45,8 @@ def test_split_sweep_prints_one_row_per_gamma(monkeypatch, capsys):
     rows = [re.fullmatch(r"gamma=(\S+): train/test EMD (\S+)  train shares \[(.*)\]", line)
             for line in lines[2:]]
     assert [float(row[1]) for row in rows] == [0.0, 1.0, 2.0, 3.0]
+    emds = [float(row[2]) for row in rows]
+    assert all(lo <= hi for lo, hi in zip(emds, emds[1:]))
     for row in rows:
         assert 0.0 <= float(row[2]) <= 1.0
         shares = row[3].split()

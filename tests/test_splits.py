@@ -1,11 +1,12 @@
-"""Histogram reweighting and homophily-stratified train/val/test splits."""
+"""Largest-remainder apportionment and homophily-stratified train/val/test splits."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homshift import (
@@ -13,18 +14,16 @@ from homshift import (
     TEST,
     TRAIN,
     VAL,
-    HomophilyHistogram,
     SplitAssignment,
     bin_index,
-    concentrate,
-    invert,
     load_split,
+    local_homophily_all,
     save_split,
     save_split_diagnostics,
     split_diagnostics,
     stratified_split,
 )
-from homshift.splits import _train_scale, largest_remainder
+from homshift.splits import largest_remainder
 
 from conftest import reference_save_split
 
@@ -32,57 +31,6 @@ from conftest import reference_save_split
 @pytest.fixture(scope="module")
 def beta_ratios():
     return np.random.default_rng(5).beta(10.0, 3.0, size=10_000)
-
-
-# ----------------------------------------------------------- reweighting
-
-
-def test_concentrate_gamma_one_is_identity():
-    h = HomophilyHistogram(3, np.array([0.2, 0.3, 0.5]))
-    assert np.allclose(concentrate(h, 1.0).mass, h.mass, atol=1e-15)
-
-
-def test_concentrate_gamma_zero_flattens_but_keeps_zeros():
-    h = HomophilyHistogram(3, np.array([0.8, 0.2, 0.0]))
-    assert np.allclose(concentrate(h, 0.0).mass, [0.5, 0.5, 0.0], atol=1e-15)
-
-
-def test_concentrate_hand_values():
-    h = HomophilyHistogram(2, np.array([0.8, 0.2]))
-    assert np.allclose(concentrate(h, 3.0).mass, [64 / 65, 1 / 65], atol=1e-12)
-    h2 = HomophilyHistogram(3, np.array([0.5, 0.25, 0.25]))
-    assert np.allclose(concentrate(h2, 2.0).mass, [2 / 3, 1 / 6, 1 / 6], atol=1e-12)
-
-
-def test_concentrate_rejects_negative_gamma():
-    h = HomophilyHistogram(2, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        concentrate(h, -0.5)
-
-
-def test_concentrate_keeps_a_sole_full_bin_at_infinite_gamma():
-    h = HomophilyHistogram(3, np.array([0.0, 1.0, 0.0]))
-    assert concentrate(h, float("inf")).mass.tolist() == [0.0, 1.0, 0.0]
-
-
-def test_invert_uniform_is_fixed_point():
-    h = HomophilyHistogram(4, np.full(4, 0.25))
-    assert np.allclose(invert(h).mass, h.mass, atol=1e-15)
-
-
-def test_invert_hand_values_and_zeros():
-    h = HomophilyHistogram(3, np.array([0.2, 0.3, 0.5]))
-    assert np.allclose(invert(h).mass, [15 / 31, 10 / 31, 6 / 31], atol=1e-12)
-    hz = HomophilyHistogram(3, np.array([0.5, 0.0, 0.5]))
-    assert np.allclose(invert(hz).mass, [0.5, 0.0, 0.5], atol=1e-15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=8))
-def test_invert_is_involution(weights):
-    mass = np.asarray(weights) / np.sum(weights)
-    h = HomophilyHistogram(mass.size, mass)
-    assert np.allclose(invert(invert(h)).mass, h.mass, atol=1e-12)
 
 
 # ------------------------------------------------------ apportionment
@@ -212,11 +160,12 @@ def test_split_deterministic(beta_ratios):
 
 
 def test_split_two_bin_disjointness_grows_with_gamma():
-    # 20/80 mass over two bins: the concentrated weight lands entirely on
-    # each bin's own share, so train/test separation rises with gamma
+    # 20/80 mass over two bins: the extreme pool is the 8000-node bin alone,
+    # so bin 0's pool quota is 1600 * (1 - x) and the EMD is exactly x / 2
     ratios = np.concatenate([np.full(2000, 0.1), np.full(8000, 0.9)])
-    emds = [stratified_split(ratios, g, 2, seed=4).emd_train_test
-            for g in (0.0, 1.0, 2.0, 3.0)]
+    gammas = (0.0, 1.0, 2.0, 3.0)
+    emds = [stratified_split(ratios, g, 2, seed=4).emd_train_test for g in gammas]
+    assert emds == pytest.approx([(1 - 2.0 ** -g) / 2 for g in gammas], abs=1e-12)
     assert emds[0] == pytest.approx(0.0, abs=1e-12)
     assert all(lo < hi for lo, hi in zip(emds, emds[1:]))
 
@@ -227,43 +176,114 @@ def test_split_gamma_shifts_more_than_flat(beta_ratios):
     assert skew > flat
 
 
-def _train_weights(ratios, gamma, bin_count):
-    """Per-bin counts and train weights, as stratified_split derives them."""
-    n_b = np.bincount(bin_index(ratios, bin_count), minlength=bin_count)
-    pg = concentrate(HomophilyHistogram(bin_count, n_b / n_b.sum()), gamma).mass
-    pg_bar = invert(HomophilyHistogram(bin_count, pg)).mass
-    denom = pg + pg_bar
-    return n_b, np.divide(pg, denom, out=np.zeros_like(pg), where=denom > 0)
+def _extreme_pool(n_b, target):
+    """Fill bins whole in descending count order, ties to the lower index,
+    the last one partly, until `target` nodes are in the pool."""
+    pool = np.zeros(n_b.size)
+    left = target
+    for b in sorted(range(n_b.size), key=lambda b: (-n_b[b], b)):
+        pool[b] = min(n_b[b], left)
+        left -= pool[b]
+    return pool
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.0, 3.0, 20.0, 60.0, 170.0])
-def test_split_train_scale_meets_the_target_at_any_gamma(beta_ratios, gamma):
-    """At gamma 20 and up the smallest weight is below 1e-60, which a fixed
-    number of halvings over [0, 1 / min w] cannot resolve."""
-    n_b, w = _train_weights(beta_ratios, gamma, 10)
-    target = 0.8 * n_b.sum()
-    c = _train_scale(n_b, w, target)
-    quotas = n_b * np.minimum(1.0, c * w)
-    assert abs(quotas.sum() - target) <= 1e-9 * target
-
-    split = stratified_split(beta_ratios, gamma, 10, seed=3)
-    pool = split.per_bin_train_share * n_b
-    assert np.all(np.abs(pool - quotas) < 1.0 + 1e-9)
-    # a bin with a larger weight never gets a smaller share, up to one unit
-    # of rounding in each bin
-    for a in range(10):
-        for b in range(10):
-            if n_b[a] and n_b[b] and w[a] > w[b]:
-                assert (split.per_bin_train_share[a] + 1 / n_b[a]
-                        >= split.per_bin_train_share[b] - 1 / n_b[b])
+SHIFT_GAMMAS = (0.0, 0.5, 1.0, 2.0, 3.0, 10.0)
 
 
-def test_split_train_scale_closed_form_segments():
-    # two saturating bins with weights 1 and 0.5 and one with weight 0.1:
-    # f(c) = 10 * min(1, c) + 10 * min(1, c / 2) + 100 * min(1, c / 10)
-    n_b, w = np.array([10, 10, 100, 0]), np.array([1.0, 0.5, 0.1, 0.0])
-    for target, c in [(5.0, 0.2), (25.0, 1.0), (32.5, 1.5), (70.0, 5.0), (120.0, 10.0)]:
-        assert _train_scale(n_b, w, target) == pytest.approx(c, rel=1e-12)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(math.nan)),
+                min_size=2, max_size=300),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([0.3, 0.5, 0.8]))
+def test_split_pool_moves_linearly_toward_the_extreme_pool(ratios, bin_count, train_frac):
+    ratios = np.array(ratios)
+    valid = ~np.isnan(ratios)
+    n, pool = int(valid.sum()), int(round(train_frac * valid.sum()))
+    assume(0 < pool < n)
+    n_b = np.bincount(bin_index(ratios[valid], bin_count), minlength=bin_count)
+    extreme = _extreme_pool(n_b, train_frac * n)
+
+    emds = []
+    for gamma in SHIFT_GAMMAS:
+        a = stratified_split(ratios, gamma, bin_count, seed=1, train_frac=train_frac)
+        in_pool = a.mask(TRAIN) | a.mask(VAL)
+        counts = np.bincount(bin_index(ratios[in_pool], bin_count), minlength=bin_count)
+        assert counts.sum() == pool
+        assert np.all(counts <= n_b)
+        x = 1 - 2.0 ** -gamma
+        quotas = (1 - x) * train_frac * n_b + x * extreme
+        assert np.all(np.abs(counts - quotas) <= 1 + 1e-9)
+        emds.append(a.emd_train_test)
+
+    # EMD = N / (B * P * T) * sum_k |C_k - (P / N) * N_k| over the cumulative
+    # pool counts C_k and bin counts N_k. Unrounded, each term is x times its
+    # extreme split's term. Rounding moves C_k by under min(k + 1, B - k)
+    # nodes, and P / N in place of train_frac moves a term by half a node
+    scale = n / (bin_count * pool * (n - pool))
+    slack = scale * sum(min(k + 1, bin_count - k) + 0.5 for k in range(bin_count)) + 1e-12
+    cum_n = np.cumsum(n_b)
+    linear = scale * np.abs(np.cumsum(extreme) - train_frac * cum_n).sum()
+    for gamma, got in zip(SHIFT_GAMMAS, emds):
+        assert abs(got - (1 - 2.0 ** -gamma) * linear) <= slack
+    assert all(hi >= lo - 2 * slack for lo, hi in zip(emds, emds[1:]))
+
+
+def test_split_gamma_zero_csv_is_pinned(tmp_path, beta_ratios):
+    ratios = beta_ratios.copy()
+    ratios[::97] = np.nan
+    path = tmp_path / "split.csv"
+    save_split(stratified_split(ratios, 0.0, 10, seed=7), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "079ffd90dbf7fa9c6be7540af70f9bc245e2b180edf17972b9e64b0cc77a5d84")
+
+
+def test_split_gamma_zero_diagnostics_are_pinned(tmp_path, beta_ratios):
+    ratios = beta_ratios.copy()
+    ratios[::97] = np.nan
+    path = tmp_path / "diag.json"
+    save_split_diagnostics(stratified_split(ratios, 0.0, 10, seed=7), path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "c087352911e962973ee3f13b984c8f7a2172a21659bf6e4fabaf3b3cfc46c36f")
+
+
+def test_split_gamma_zero_on_the_sbm_fixture_is_pinned(tmp_path, sbm_pair):
+    a = stratified_split(local_homophily_all(*sbm_pair), 0.0, 10, seed=3)
+    save_split(a, tmp_path / "split.csv")
+    save_split_diagnostics(a, tmp_path / "diag.json")
+    assert (hashlib.sha256((tmp_path / "split.csv").read_bytes()).hexdigest()
+            == "f1a29a9a9373097cae77207d3ff1e60fe138cfc337cae044e62b11ced41c5832")
+    assert (hashlib.sha256((tmp_path / "diag.json").read_bytes()).hexdigest()
+            == "4e36545a51e421742ed16058a0705f49b236945e9774ed383e894379786e1b0b")
+
+
+# bin counts [3, 5, 5, 0, 2] over five bins; the pool holds round(0.8 * 15) = 12
+HAND_RATIOS = np.repeat([0.1, 0.3, 0.5, 0.9], [3, 5, 5, 2])
+
+
+def test_split_extreme_pool_hand_values():
+    # bins 1 and 2 tie at 5 and fill first, lower index first; bin 0 takes
+    # the last 2 units partly; bin 4 and the empty bin 3 take none
+    a = stratified_split(HAND_RATIOS, math.inf, 5, seed=0)
+    assert np.rint(a.per_bin_train_share * [3, 5, 5, 0, 2]).tolist() == [2, 5, 5, 0, 0]
+
+
+def test_split_gamma_one_is_halfway_hand_values():
+    # x = 1/2: quotas [2.2, 4.5, 4.5, 0, 0.8] floor to 10; the two leftover
+    # units go to bin 4 (0.8) and, of the tied halves, to the lower bin 1
+    a = stratified_split(HAND_RATIOS, 1.0, 5, seed=0)
+    assert np.rint(a.per_bin_train_share * [3, 5, 5, 0, 2]).tolist() == [2, 5, 4, 0, 1]
+
+
+@pytest.mark.parametrize("train_frac, val_frac", [(0.8, 0.2), (0.5, 0.1)])
+def test_split_sizes_do_not_depend_on_gamma(beta_ratios, train_frac, val_frac):
+    sizes = set()
+    for gamma in SHIFT_GAMMAS:
+        a = stratified_split(beta_ratios, gamma, 10, seed=6,
+                             train_frac=train_frac, val_frac=val_frac)
+        sizes.add(tuple(int(a.mask(tag).sum()) for tag in (TRAIN, VAL, TEST)))
+    pool = round(train_frac * beta_ratios.size)
+    val = round(val_frac * pool)
+    assert sizes == {(pool - val, val, beta_ratios.size - pool)}
 
 
 def test_split_input_validation(beta_ratios):
@@ -282,12 +302,18 @@ def test_split_input_validation(beta_ratios):
                              train_frac=train_frac, val_frac=val_frac)
 
 
-@pytest.mark.parametrize("gamma, fragment", [(float("nan"), "got nan"),
-                                             (float("inf"), "gamma inf is too large"),
-                                             (1e6, "gamma 1000000.0 is too large")])
+@pytest.mark.parametrize("gamma, fragment", [(float("nan"), "got nan"), (-0.5, "got -0.5")])
 def test_split_names_a_gamma_it_cannot_use(beta_ratios, gamma, fragment):
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(ValueError, match=f"gamma must be non-negative, {fragment}"):
         stratified_split(beta_ratios, gamma, 10, seed=0)
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), 1e6])
+def test_split_at_a_huge_gamma_is_the_extreme_split(beta_ratios, gamma):
+    # 2**-gamma is 0 in floating point, so x = 1
+    n_b = np.bincount(bin_index(beta_ratios, 10), minlength=10)
+    a = stratified_split(beta_ratios, gamma, 10, seed=0)
+    assert np.allclose(a.per_bin_train_share * n_b, _extreme_pool(n_b, 8000.0), atol=1e-9)
 
 
 # ------------------------------------------------------------ round trip
@@ -336,7 +362,7 @@ def test_load_split_rejects_malformed(tmp_path):
 
 
 def test_split_diagnostics_refuse_a_non_finite_gamma_before_writing(tmp_path):
-    # a sole full bin is kept whole even at gamma=inf, so the split is made
+    # gamma=inf is the extreme split, so the split is made
     a = stratified_split(np.full(20, 0.5), math.inf, 10, 0)
     assert a.gamma == math.inf
     path = tmp_path / "diag.json"

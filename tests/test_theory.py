@@ -330,6 +330,30 @@ def test_overflowing_closed_form_names_the_parameters(mu_l, mu_s):
         monte_carlo_gap(p, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("mu_l, mu_s, lam", [(0.0, 1e-200, 0.0), (1e-170, 1e-170, 0.0)])
+def test_a_zero_closed_form_denominator_names_the_parameters(mu_l, mu_s, lam):
+    # mu^2 underflows to 0, and with lambda = 0 so does the denominator
+    p = _params(mu_l=mu_l, mu_s=mu_s, lambda_reg=lam)
+    message = (f"closed form's denominator is 0 at mu_l={mu_l!r}, mu_s={mu_s!r}, "
+               f"lambda_reg={lam!r}, n=1000")
+    for closed_form in (expected_logit_gap, alpha_slope):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            closed_form(p)
+
+
+@pytest.mark.parametrize("mu_l, mu_s, lam, det", [(1e300, 1.0, 1e-3, math.inf),
+                                                  (1.0, 1e300, 1e-3, math.inf),
+                                                  (0.0, 0.0, 1e-200, 0.0)])
+def test_expected_weights_out_of_range_names_the_parameters(mu_l, mu_s, lam, det):
+    # the squares overflow in the first two; the determinant lambda^2
+    # underflows to 0 in the third
+    p = _params(mu_l=mu_l, mu_s=mu_s, lambda_reg=lam)
+    message = (f"expected weights' determinant is {det!r} at mu_l={mu_l!r}, mu_s={mu_s!r}, "
+               f"lambda_reg={lam!r}, n=1000")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expected_weights(p)
+
+
 def test_simulation_cost_does_not_grow_with_n():
     # per-node sampling would hold n x 2 features per trial; this draws O(1)
     p = _params(n=10 ** 8, k=5 * 10 ** 7)
