@@ -259,9 +259,9 @@ def load_edge_list(path, one_indexed: bool = False) -> Graph:
     lowest = 1 if one_indexed else 0
     name = _plain_file_name(path)
     pairs = None if name is None else _parse_pairs(name)
+    text = None
     if pairs is None or pairs.shape[0] == 0 or pairs.shape[1] != 2 or (pairs < lowest).any():
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
         pairs = _parse_pairs(io.StringIO(text.replace(",", " ")))
         if pairs is not None and pairs.shape[0] == 0:
             raise ValueError(f"{path}: empty edge list")
@@ -269,10 +269,15 @@ def load_edge_list(path, one_indexed: bool = False) -> Graph:
             raise ValueError(_first_bad_line(path, text, one_indexed)
                              or f"{path}: unparseable edge list")
     pairs -= lowest
+    node_count = int(pairs.max()) + 1
+    if node_count > _MAX_NODES:
+        text = _read_text(path) if text is None else text
+        raise ValueError(_first_bad_line(path, text, one_indexed)
+                         or f"{path}: node_count {node_count} too large")
     loops = pairs[:, 0] == pairs[:, 1]
     # compress, not pairs[~loops]: under numpy 2.4 a boolean row mask on an
     # (m, 2) array copies row by row; on 687k rows that takes 21-30 ms, this 3.4 ms.
-    g = Graph.from_edges(int(pairs.max()) + 1, pairs.compress(~loops, axis=0))
+    g = Graph.from_edges(node_count, pairs.compress(~loops, axis=0))
     self_loops = int(loops.sum())
     duplicates = pairs.shape[0] - self_loops - g.edge_count
     if self_loops or duplicates:
@@ -321,12 +326,19 @@ def _parse_pairs(source) -> np.ndarray | None:
 _NODE_ID = re.compile(r"[+-]?[0-9]+", re.ASCII)
 
 
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _first_bad_line(path, text: str, one_indexed: bool) -> str | None:
     """Message naming the first line of `text` that is not a valid edge, if any.
 
-    Accepts exactly what load_edge_list's comma-reading bulk parse accepts;
-    it runs only after that parse failed, to say where.
+    Accepts exactly what load_edge_list's comma-reading bulk parse accepts
+    and keeps within the supported node count; it runs only after that
+    parse failed or found an id beyond that count, to say where.
     """
+    lowest = 1 if one_indexed else 0
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         tokens = raw.split("#", 1)[0].replace(",", " ").split()
         if not tokens:
@@ -338,8 +350,11 @@ def _first_bad_line(path, text: str, one_indexed: bool) -> str | None:
         values = [int(tok) for tok in tokens]
         if any(not -2**63 <= x < 2**63 for x in values):
             return f"{path}: line {lineno}: node id beyond int64 in {raw!r}"
-        if min(values) < (1 if one_indexed else 0):
+        if min(values) < lowest:
             return f"{path}: line {lineno}: negative node id after adjustment"
+        if max(values) - lowest >= _MAX_NODES:
+            return (f"{path}: line {lineno}: node id beyond the supported node count "
+                    f"{_MAX_NODES} in {raw!r}")
     return None
 
 

@@ -26,6 +26,8 @@ that has one, which by the partner rule is the partner.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -160,6 +162,18 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
     return (lower, upper)
 
 
+def _no_addition_left(gap: float, goal: float, degree: int, sign: int) -> bool:
+    """edge_move_bounds(h, goal, degree)[1] < 1 for a live node, without the
+    checks: gap = |goal - h| > _EQ_TOL, sign is that of goal - h, degree >= 1.
+    The refine loop asks this once per attempt."""
+    moves = gap * degree
+    if sign > 0 and goal < 1.0 - _EQ_TOL:
+        moves /= 1.0 - goal
+    elif sign < 0 and goal > _EQ_TOL:
+        moves /= goal
+    return moves <= 1e-9  # _ceil_tol(moves) < 1
+
+
 # Edit logs are written and decoded this many lines at a time, which bounds
 # the memory a log takes beyond its records.
 _LOG_CHUNK = 1024
@@ -177,6 +191,11 @@ class EditRecord:
     op: str      # "remove" | "add"
     u: int       # acting source node
     v: int       # neighbor (remove) or candidate (add)
+
+
+# The phase and op columns of a rewire pair's two records.
+_REWIRE_PHASES = ("rewire", "rewire")
+_REWIRE_OPS = ("remove", "add")
 
 
 def _adjacency_sets(g: Graph) -> list[set[int]]:
@@ -201,6 +220,21 @@ def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     v = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=sum(degrees))
     keep = u < v
     return Graph.from_edges(len(adj), np.column_stack((u[keep], v[keep])))
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore the
+    caller's setting. For loops that make many containers but no reference
+    cycles: reference counting frees all they drop, so a collection there
+    only walks live objects and finds nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _is_header(obj) -> bool:
@@ -407,7 +441,7 @@ class EditLog:
         log = EditLog()
         columns = (log.phases, log.ops, log.us, log.vs)
         header_open, start = True, 1  # no non-blank line read yet; the chunk's first line
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _collector_paused():
             for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
                 lines = list(filter(None, map(str.strip, block)))
                 if lines:
@@ -428,7 +462,7 @@ class _PartnerPool:
     Members that share both floats are interchangeable for a search, so they
     form one class. `keys` holds the distinct class keys in ascending order,
     and `ids[key]` the class's member ids in ascending order; a class that
-    empties is dropped.
+    empties is dropped. `_EditState._refresh` files and moves the members.
     """
 
     __slots__ = ("keys", "ids")
@@ -436,27 +470,6 @@ class _PartnerPool:
     def __init__(self):
         self.ids: dict[tuple[float, float], list[int]] = {}
         self.keys: list[tuple[float, float]] = []
-
-    def add(self, key: tuple[float, float], v: int) -> None:
-        """Put v into the class of key."""
-        members = self.ids.get(key)
-        if members is None:
-            self.ids[key] = [v]
-            bisect.insort(self.keys, key)
-        else:
-            bisect.insort(members, v)
-
-    def remove(self, key: tuple[float, float], v: int) -> None:
-        """Take v out of the class of key."""
-        members = self.ids.get(key, [])
-        idx = bisect.bisect_left(members, v)
-        if idx == len(members) or members[idx] != v:
-            raise RuntimeError("internal: node missing from its partner pool")
-        if len(members) > 1:
-            del members[idx]
-        else:
-            del self.ids[key]
-            del self.keys[bisect.bisect_left(self.keys, key)]
 
     def first_passing(self, i: int, adj_i: set[int], d_i: float) -> tuple[float, int] | None:
         """The (gap, id)-smallest member, other than i and i's neighbours,
@@ -504,10 +517,22 @@ class _EditState:
 
     Each pool files a member k under its class key (gap_abs[k],
     add_delta[k]), in a sorted list of distinct keys and a dict from key to
-    the class's ids in ascending order. A move takes v out of its old
-    class, found by the key it was filed under (add_delta[v] is exact while
-    v is live), and puts it into its new one; only a class that appears or
-    empties touches the key list.
+    the class's ids in ascending order. `filed[k]` holds the key k was
+    filed under, None while k is in no pool. `_refresh` finds v's old class
+    by that stored key, without rebuilding it, takes v out, and puts v into
+    its new class; this is all of the pool bookkeeping, and only a class
+    that appears or empties touches the key list.
+
+    A rewire pair is applied as one update (`attempt_rewire`): i's
+    neighbour set swaps j for k, i's degree stays while j's drops and k's
+    grows by one, `same` changes for i and for whichever of j and k shares
+    i's label, and the log gains both records at once.
+
+    `generate` builds and runs the state with the cyclic garbage collector
+    paused (`_collector_paused`). The state's sets and lists, the goals and
+    the keys and tuples the loops make hold no reference cycle, so
+    reference counting frees all they drop; a collection there would walk
+    every live adjacency set and class list and free nothing.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
@@ -544,6 +569,7 @@ class _EditState:
         self.gap_abs = [math.inf] * n
         self.live = [0] * n
         self.add_delta = [math.inf] * n
+        self.filed: list[tuple[float, float] | None] = [None] * n
         pool_labels = np.unique(t.labels[act]).tolist()
         self._pools = {(c, sign): _PartnerPool() for c in pool_labels for sign in (-1, 1)}
         # The pools an addition at a source of label c and sign s draws from.
@@ -558,45 +584,38 @@ class _EditState:
     def _refresh(self, v: int) -> None:
         """Recompute v's gap, sign and add change; move it between pools.
         v has a goal, so degree >= 1."""
-        c = self.labels[v]
-        live = self.live
-        if live[v]:
-            self._pools[c, live[v]].remove((self.gap_abs[v], self.add_delta[v]), v)
         same, deg, goal = self.same[v], self.deg[v], self.goal[v]
         diff = goal - same / deg
         gap = abs(diff)
         self.gap_abs[v] = gap
         s = 0 if gap <= _EQ_TOL else (1 if diff > 0 else -1)
-        live[v] = s
+        c = self.labels[v]
+        old = self.filed[v]
+        if old is not None:
+            pool = self._pools[c, self.live[v]]
+            members = pool.ids.get(old, [])
+            idx = bisect.bisect_left(members, v)
+            if idx == len(members) or members[idx] != v:
+                raise RuntimeError("internal: node missing from its partner pool")
+            if len(members) > 1:
+                del members[idx]
+            else:
+                del pool.ids[old]
+                del pool.keys[bisect.bisect_left(pool.keys, old)]
+        self.live[v] = s
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
             self.add_delta[v] = d
-            self._pools[c, s].add((gap, d), v)
-
-    def _edit(self, phase: str, op: str, u: int, v: int) -> None:
-        """Change the edge (u, v) and the counts of u and v, and log it under phase.
-
-        The pools are left alone: the caller refreshes both endpoints
-        before the next partner search.
-        """
-        if op == "remove":
-            if v not in self.adj[u]:
-                raise RuntimeError("internal: removing missing edge")
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-            delta = -1
+            key = self.filed[v] = (gap, d)
+            pool = self._pools[c, s]
+            members = pool.ids.get(key)
+            if members is None:
+                pool.ids[key] = [v]
+                bisect.insort(pool.keys, key)
+            else:
+                bisect.insort(members, v)
         else:
-            if v in self.adj[u] or u == v:
-                raise RuntimeError("internal: adding duplicate or self edge")
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            delta = 1
-        self.deg[u] += delta
-        self.deg[v] += delta
-        if self.labels[u] == self.labels[v] and self.labels[u] >= 0:
-            self.same[u] += delta
-            self.same[v] += delta
-        self.log.append(phase, op, u, v)
+            self.filed[v] = None
 
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
         """Partner for one edge addition at source i; -1 if none passes.
@@ -625,9 +644,10 @@ class _EditState:
         is not found. The removed neighbour j is the best gate-passing one
         by the partner rule.
 
-        Both are picked from the state before the edit, so both edits are
-        applied and then i, j and k are refreshed once each; j != k, since
-        j is a neighbour of i and k is not.
+        Both are picked from the state before the edit, so the pair is
+        applied as one update of adj, deg, same and the log, and then i, j
+        and k are refreshed once each; j != k, since j is a neighbour of i
+        and k is not.
         """
         s = self.live[i]
         if s == 0 or self.deg[i] <= 1:
@@ -657,8 +677,29 @@ class _EditState:
         if best is None:
             return False
         j = best[1]
-        self._edit("rewire", "remove", i, j)
-        self._edit("rewire", "add", i, k)
+        adj, deg, same, log = self.adj, self.deg, self.same, self.log
+        adj_i = adj[i]
+        if j not in adj_i:
+            raise RuntimeError("internal: removing missing edge")
+        if k in adj_i or k == i:
+            raise RuntimeError("internal: adding duplicate or self edge")
+        adj_i.remove(j)
+        adj[j].remove(i)
+        adj_i.add(k)
+        adj[k].add(i)
+        deg[j] -= 1
+        deg[k] += 1
+        # i's degree is unchanged. Raising h, k shares i's label and j does
+        # not; lowering it, j does and k does not.
+        if want_diff:
+            same[k] += 1
+        else:
+            same[j] -= 1
+        same[i] = same_i2 + eq_add
+        log.phases += _REWIRE_PHASES
+        log.ops += _REWIRE_OPS
+        log.us += (i, i)
+        log.vs += (j, k)
         self._refresh(i)
         self._refresh(j)
         self._refresh(k)
@@ -669,13 +710,22 @@ class _EditState:
         s = self.live[i]
         if s == 0:
             return False
-        _, upper = edge_move_bounds(self.same[i] / self.deg[i], self.goal[i], self.deg[i])
-        if upper < 1:
+        if _no_addition_left(self.gap_abs[i], self.goal[i], self.deg[i], s):
             return False
         k = self._best_partner(i, s, self.add_delta[i])
         if k < 0:
             return False
-        self._edit("refine", "add", i, k)
+        adj_i = self.adj[i]
+        if k in adj_i or k == i:
+            raise RuntimeError("internal: adding duplicate or self edge")
+        adj_i.add(k)
+        self.adj[k].add(i)
+        self.deg[i] += 1
+        self.deg[k] += 1
+        if s > 0:  # k shares i's label
+            self.same[i] += 1
+            self.same[k] += 1
+        self.log.append("refine", "add", i, k)
         self._refresh(i)
         self._refresh(k)
         return True
@@ -765,6 +815,14 @@ class GenerationReport:
 def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
              seed) -> tuple[Graph, EditLog, GenerationReport]:
     """Rewire `g` so its local-homophily histogram approaches the Beta goal."""
+    # The collector resumes once _generate has returned, when the edit
+    # state's sets and lists are freed and no longer count as new objects.
+    with _collector_paused():
+        return _generate(g, t, goal, bin_count, seed)
+
+
+def _generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
+              seed) -> tuple[Graph, EditLog, GenerationReport]:
     ratios = local_homophily_all(g, t)
     source_hist = defined_histogram(ratios, bin_count)
     goal_hist = beta_goal_histogram(goal, bin_count)

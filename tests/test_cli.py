@@ -474,10 +474,15 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
     (["generate", "--graph", "{missing}.txt", "--nodes", "{missing}.csv",
       "--alpha", "inf", "--beta", "10"],
      "Beta shape parameter alpha must be finite and positive, got inf"),
+    (["generate", "--graph", "{graph}", "--nodes", "{nodes}", "--alpha", "3", "--beta", "10",
+      "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    (["split", "--graph", "{graph}", "--nodes", "{nodes}", "--seed", "-2"],
+     "--seed must be a non-negative integer, got -2"),
+    (["theory", "--trials", "20", "--seed", "-3"], "--seed must be a non-negative integer, got -3"),
 ], ids=["theory", "theory-sim-overflow", "theory-closed-form-overflow",
         "theory-closed-form-zero-denominator", "theory-grid-entry",
         "metrics", "analyze", "split", "split-no-train", "generate",
-        "generate-goal-first"])
+        "generate-goal-first", "generate-seed", "split-seed", "theory-seed"])
 def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):
     root, _, _ = sbm_files
     names = {"graph": root / "edges.txt", "nodes": root / "nodes.csv",

@@ -239,6 +239,10 @@ def test_load_edge_list_matches_line_reference(tmp_path_factory, text, one_index
     ("0 1\n1 9223372036854775808\n", False, "line 2: node id beyond int64"),
     ("0 1\n-9223372036854775809 1\n", False, "line 2: node id beyond int64"),
     ("0 1_000\n", False, "line 1: non-integer node id"),
+    # ids beyond the node count whose edge keys fit in int64, by either parse
+    ("0 1\n0 5000000000\n", False, "line 2: node id beyond the supported node count 3037000499"),
+    ("0,1\n0,5000000000\n", False, "line 2: node id beyond the supported node count"),
+    ("# c\n1 2\n3037000500 1\n", True, "line 3: node id beyond the supported node count"),
 ])
 def test_load_edge_list_error_names_file_and_line(tmp_path, text, one_indexed, message):
     path = tmp_path / "edges.txt"

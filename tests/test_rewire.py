@@ -1,5 +1,6 @@
 """Transport planning, goal assignment, and the two-phase rewiring engine."""
 
+import gc
 import hashlib
 import json
 import math
@@ -307,6 +308,27 @@ def test_edge_move_bounds_brute_force_oracle():
 
 
 # ---------------------------------------------------------------- edit log
+
+
+def test_no_addition_left_matches_edge_move_bounds():
+    """The refine loop's unchecked test equals edge_move_bounds' upper bound
+    below 1 on every live (same, degree, goal), goals within float dust of
+    the ratio and at or near 0 and 1 included."""
+    seen = set()
+    for degree in range(1, 13):
+        for same in range(degree + 1):
+            h = same / degree
+            goals = {0.0, 1e-13, 1 - 1e-13, 1.0, *(j / 20 for j in range(21))}
+            goals |= {h + o for o in (1e-11, 5e-10, 1.5e-9, 1e-3) for o in (o, -o)}
+            for goal in sorted(x for x in goals if 0.0 <= x <= 1.0):
+                gap = abs(goal - h)
+                if gap <= rewire._EQ_TOL:
+                    continue
+                sign = 1 if goal > h else -1
+                expected = edge_move_bounds(h, goal, degree)[1] < 1
+                assert rewire._no_addition_left(gap, goal, degree, sign) == expected
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_edit_log_roundtrip(tmp_path):
@@ -871,10 +893,17 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
 
 def _check_pools(state):
     """Every pool holds exactly its (label, live sign) members, each under its
-    current (gap_abs, add_delta) key; its keys are sorted and distinct, and
-    each key's id list is ascending and non-empty."""
+    current (gap_abs, add_delta) key, which is the key the node stores; its
+    keys are sorted and distinct, and each key's id list is ascending and
+    non-empty. A node off every pool stores no key."""
     live = np.asarray(state.live)
     labels = np.asarray(state.labels)
+    for v, key in enumerate(state.filed):
+        if live[v]:
+            assert key == (state.gap_abs[v], state.add_delta[v])
+            assert v in state._pools[labels[v], live[v]].ids[key]
+        else:
+            assert key is None
     for (c, s), pool in state._pools.items():
         classes = {}
         for v in np.flatnonzero((labels == c) & (live == s)).tolist():
@@ -1401,3 +1430,57 @@ def test_generate_rejects_fully_unlabeled():
     t = NodeTable(np.full(4, -1), np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         generate(g, t, BetaGoal(2.0, 2.0), 5, seed=0)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The collector's setting as the caller holds it; restored afterwards."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def test_generate_leaves_the_collector_as_it_found_it(caller_gc, monkeypatch):
+    g, t = two_class_sbm(200, 6, 0.5, seed=3)
+    seen = []
+    run_refine = _EditState.run_refine
+
+    def recording_refine(self, seed):
+        seen.append(gc.isenabled())
+        run_refine(self, seed)
+
+    monkeypatch.setattr(_EditState, "run_refine", recording_refine)
+    generate(g, t, BetaGoal(3.0, 10.0), 10, seed=1)
+    assert seen == [False] and gc.isenabled() is caller_gc
+    # a refused goal, before the edit loops
+    with pytest.raises(ValueError, match="bin_count must be positive"):
+        generate(g, t, BetaGoal(3.0, 10.0), 0, seed=1)
+    assert gc.isenabled() is caller_gc
+
+    def failing_refine(self, seed):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(_EditState, "run_refine", failing_refine)
+    with pytest.raises(RuntimeError, match="stop"):
+        generate(g, t, BetaGoal(3.0, 10.0), 10, seed=1)
+    assert gc.isenabled() is caller_gc
+
+
+def test_edit_log_load_leaves_the_collector_as_it_found_it(tmp_path, caller_gc, monkeypatch):
+    path = tmp_path / "edits.jsonl"
+    path.write_text('{"seed": 1}\n' + _RECORD + "\n", encoding="utf-8")
+    seen = []
+    bulk_chunk = rewire._bulk_chunk
+
+    def recording_chunk(*args):
+        seen.append(gc.isenabled())
+        return bulk_chunk(*args)
+
+    monkeypatch.setattr(rewire, "_bulk_chunk", recording_chunk)
+    assert len(EditLog.load(path)) == 1
+    assert seen == [False] and gc.isenabled() is caller_gc
+    path.write_text('{"seed": 1}\n' + _RECORD + "\n{bad\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: invalid JSON"):
+        EditLog.load(path)
+    assert gc.isenabled() is caller_gc
