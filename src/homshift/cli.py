@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -105,19 +106,29 @@ def _cmd_generate(args) -> None:
     g, t = _load_pair(args)
     generated, log, report = generate(g, t, goal, args.bins, args.seed)
     out = _out_dir(args)
-    save_edge_list(generated, out / "generated_edges.txt")
-    log.save(out / "edit_log.jsonl")
-    _dump_json({
-        "emd_original_goal": report.emd_original_goal,
-        "emd_generated_goal": report.emd_generated_goal,
-        "edits_rewire": report.edits_rewire,
-        "edits_refine": report.edits_refine,
-        "degree_delta_histogram": {str(k): v for k, v in
-                                   sorted(report.degree_delta_histogram.items())},
-    }, out / "report.json")
-    replayed = EditLog.load(out / "edit_log.jsonl").replay(g)
-    if replayed != generated:
-        raise RuntimeError("edit log replay does not reproduce the generated graph")
+    # Written under temporary names and moved into place only once the log
+    # replays to the written graph, so a failed check or write leaves none.
+    parts = {name: out / f"{name}.tmp"
+             for name in ("generated_edges.txt", "edit_log.jsonl", "report.json")}
+    try:
+        save_edge_list(generated, parts["generated_edges.txt"])
+        log.save(parts["edit_log.jsonl"])
+        _dump_json({
+            "emd_original_goal": report.emd_original_goal,
+            "emd_generated_goal": report.emd_generated_goal,
+            "edits_rewire": report.edits_rewire,
+            "edits_refine": report.edits_refine,
+            "degree_delta_histogram": {str(k): v for k, v in
+                                       sorted(report.degree_delta_histogram.items())},
+        }, parts["report.json"])
+        replayed = EditLog.load(parts["edit_log.jsonl"]).replay(g)
+        if replayed != generated:
+            raise RuntimeError("edit log replay does not reproduce the generated graph")
+        for name, part in parts.items():
+            os.replace(part, out / name)
+    finally:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
 
 
 def _cmd_split(args) -> None:

@@ -242,31 +242,87 @@ def _is_header(obj) -> bool:
     return isinstance(obj, dict) and "op" not in obj
 
 
-def _bulk_chunk(lines: list[str], header_open: bool, index: int):
-    """(header or None, column values) of a chunk's non-blank lines decoded
-    as one JSON array; None where the rules below fail. No JSON string holds
-    the raw newline of the ",\\n" between lines, and no key starts with the
-    "{" that must open every line, so a line's object could run on into the
-    next only inside an array: with no "[" but the outer one, each line
-    decodes to the object it holds alone."""
-    text = "[" + ",\n".join(lines) + "]"
+def _record_prefix(op: str, phase: str) -> str:
+    """A saved record's text up to its seq number."""
+    return '{"op": %s, "phase": %s, "seq": ' % (json.dumps(op), json.dumps(phase))
+
+
+# A saved record's text after its prefix: seq, u and v.
+_RECORD_FORMAT = '%s%d, "u": %d, "v": %d}\n'
+
+_DIGITS = b"0123456789"
+
+# A saved record line of the generator's words, ASCII digits deleted and
+# newline dropped -> its (phase, op).
+_SKELETONS = {(_RECORD_FORMAT % (_record_prefix(op, phase), 0, 0, 0)).encode()
+              .translate(None, _DIGITS)[:-1]: (phase, op)
+              for op in ("add", "remove") for phase in ("refine", "rewire")}
+
+
+def _block_columns(block: list[bytes], index: int):
+    """(phases, ops, us, vs) of a block of record lines whose first seq is
+    `index`, or None unless every line is in `save`'s exact form for the
+    generator's words, with seq equal to its index.
+
+    With its digits deleted, each line must be one of the `_SKELETONS`.
+    Only a skeleton's three number slots sit right after ": " and right
+    before "," or "}", and a slot holds one maximal digit run, so three
+    such runs per line fill the slots exactly. A run with no leading zero
+    and at most 18 digits is the JSON int of its int64 value.
+    """
+    data = b"".join(block)
+    *lines, tail = data.translate(None, _DIGITS).split(b"\n")
+    if tail:  # no final newline
+        return None
     try:
-        objs = json.loads(text)
-    except (ValueError, RecursionError):  # RecursionError: nesting too deep for the decoder
+        phases, ops = zip(*map(_SKELETONS.__getitem__, lines))
+    except KeyError:
         return None
-    if len(objs) != len(lines) or {line[0] for line in lines} != {"{"} or "[" in text[1:]:
+    text = np.frombuffer(data, dtype=np.uint8)
+    digits = text - 48  # uint8: every non-digit byte wraps to 10 or more
+    edges = np.zeros(text.size + 2, dtype=bool)  # False-padded, so every run has both edges
+    np.less(digits, 10, out=edges[1:-1])
+    starts, ends = np.flatnonzero(edges[1:] != edges[:-1]).reshape(-1, 2).T
+    if starts.size != 3 * len(lines):
         return None
-    header = objs.pop(0) if header_open and _is_header(objs[0]) else None
-    try:
-        seqs, phases, ops, us, vs = [list(map(operator.itemgetter(key), objs))
-                                     for key in _RECORD_KEYS]
-        words = {*phases, *ops}  # a few distinct words per log, so checking them is cheap
-    except (KeyError, TypeError):  # a missing key, a non-object, an unhashable phase or op
+    # The last byte is a newline, so a run at offset 0 or 1 wraps to it and fails.
+    opened = (text[starts - 2] == 58) & (text[starts - 1] == 32)  # ": "
+    closed = (text[ends] == 44) | (text[ends] == 125)  # "," or "}"
+    widths = ends - starts
+    width = int(widths.max())
+    if (width > 18 or not (opened.all() and closed.all())
+            or ((digits[starts] == 0) & (widths > 1)).any()):
         return None
-    if ({*map(type, seqs), *map(type, us), *map(type, vs)} - {int} or {*map(type, words)} - {str}
-            or seqs != list(range(index, index + len(seqs)))):
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(width, 0, -1):  # Horner over the runs, right-aligned
+        at = ends - k
+        values = values * 10 + np.where(at >= starts, digits[at], 0)
+    if not np.array_equal(values[0::3], np.arange(index, index + len(lines))):
         return None
-    return header, (phases, ops, us, vs)
+    return phases, ops, values[1::3].tolist(), values[2::3].tolist()
+
+
+def _saved_log(path):
+    """The log at `path` when its first line is a header and every record
+    line passes `_block_columns`, else None."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        try:
+            header = json.loads(first.decode("utf-8"))
+        except (ValueError, RecursionError):  # RecursionError: nesting too deep for the decoder
+            return None
+        # a CR would end a line in the text reader, which splits only at LF here
+        if not first.endswith(b"\n") or b"\r" in first or not _is_header(header):
+            return None
+        log = EditLog(header)
+        columns = (log.phases, log.ops, log.us, log.vs)
+        for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
+            values = _block_columns(block, len(log))
+            if values is None:
+                return None
+            for column, chunk in zip(columns, values):
+                column.extend(chunk)
+    return log
 
 
 def _line_chunk(path, block: list[str], start: int, header_open: bool, index: int):
@@ -403,8 +459,8 @@ class EditLog:
             header = json.dumps(self.header, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise ValueError(f"header {self.header!r}: {exc}") from None
-        phases, ops = set(self.phases), set(self.ops)
-        for key, words in (("phase", phases), ("op", ops)):
+        pairs = set(zip(self.ops, self.phases))
+        for key, words in (("phase", {p for _, p in pairs}), ("op", {o for o, _ in pairs})):
             for word in words:
                 if type(word) is not str:
                     raise ValueError(f"{key!r} must be a string, got {word!r}")
@@ -416,16 +472,15 @@ class EditLog:
                 for key, value in (("u", u), ("v", v)):
                     if type(value) in bad:
                         raise ValueError(f"seq {seq}: {key!r} must be an integer, got {value!r}")
-        quoted = {w: json.dumps(w) for w in phases | ops}
+        prefixes = {pair: _record_prefix(*pair) for pair in pairs}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for a in range(0, len(self), _LOG_CHUNK):
                 b = a + _LOG_CHUNK
-                fh.write("".join(['{"op": %s, "phase": %s, "seq": %d, "u": %d, "v": %d}\n'
-                                  % (quoted[op], quoted[phase], seq, u, v)
-                                  for op, phase, seq, u, v in zip(
-                                      self.ops[a:b], self.phases[a:b], range(a, b),
-                                      self.us[a:b], self.vs[a:b])]))
+                args = tuple(itertools.chain.from_iterable(zip(
+                    map(prefixes.__getitem__, zip(self.ops[a:b], self.phases[a:b])),
+                    range(a, b), self.us[a:b], self.vs[a:b])))
+                fh.write(_RECORD_FORMAT * (len(args) // 4) % args)
 
     @staticmethod
     def load(path) -> "EditLog":
@@ -433,26 +488,30 @@ class EditLog:
 
         Each non-blank line holds one JSON object. The first is the header
         unless it has an "op" key. A record needs string "phase" and "op",
-        integer "u" and "v", and an integer "seq" equal to its index. Each
-        chunk of lines is decoded as one JSON array (`_bulk_chunk`); only
-        a chunk that breaks a bulk rule is decoded again line by line
-        (`_line_chunk`), which raises for its first bad line.
+        integer "u" and "v", and an integer "seq" equal to its index.
+
+        Two tiers give the same result. A log in `save`'s exact form for
+        the generator's words (a header line, then records with canonical
+        non-negative ids, LF line ends) is decoded in numpy blocks
+        (`_saved_log`). Any other file is read again from the start, one
+        line at a time (`_line_chunk`), which raises for its first bad line.
         """
-        log = EditLog()
-        columns = (log.phases, log.ops, log.us, log.vs)
-        header_open, start = True, 1  # no non-blank line read yet; the chunk's first line
-        with open(path, "r", encoding="utf-8") as fh, _collector_paused():
-            for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
-                lines = list(filter(None, map(str.strip, block)))
-                if lines:
-                    header, values = (_bulk_chunk(lines, header_open, len(log))
-                                      or _line_chunk(path, block, start, header_open, len(log)))
+        with _collector_paused():
+            log = _saved_log(path)
+            if log is not None:
+                return log
+            log = EditLog()
+            columns = (log.phases, log.ops, log.us, log.vs)
+            header_open, start = True, 1  # no non-blank line read yet; the chunk's first line
+            with open(path, "r", encoding="utf-8") as fh:
+                for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
+                    header, values = _line_chunk(path, block, start, header_open, len(log))
                     if header is not None:
                         log.header = header
-                    header_open = False
+                    header_open = header_open and not any(map(str.strip, block))
                     for column, chunk in zip(columns, values):
                         column.extend(chunk)
-                start += len(block)
+                    start += len(block)
         return log
 
 

@@ -12,7 +12,7 @@ three CSV loaders (node table, split, predictions) that one bulk id-keyed
 reader replaced, that reader as it was when it filtered every line for
 blanks, the row-by-row split writer that a single join
 replaced, the set-based edit-log replay that key arithmetic replaced, the
-line-by-line edit-log reader that chunked bulk decoding replaced, the
+line-by-line edit-log reader that block decoding replaced, the
 one-node local homophily that the all-nodes count replaced, the
 per-node training-representation sampler that the simulator's sufficient
 statistics replaced, and the batched LAPACK solve of those statistics that
@@ -605,7 +605,7 @@ def reference_replay(log, g: Graph) -> Graph:
 def reference_edit_log_load(path):
     """An edit log read one line at a time; raises naming the first bad line.
 
-    The reader before chunked bulk decoding, plus the rule that a record's
+    The reader before block decoding, plus the rule that a record's
     seq is its index: each non-blank line is decoded on its own, the first
     one is the header when it is an object with no "op" key, and every
     record is checked in order.

@@ -496,13 +496,13 @@ def _load_outcome(load, path):
     '{"seed": [{"a": 1}\n{"b": 2}]}\n' + _record_line(0) + ", " + _record_line(1) + "\n",
     # a string of the header runs on into the next line
     '{"seed": "a\n{", "z": 1}\n' + _record_line(0) + ", " + _record_line(1) + "\n",
-    # valid, but outside the bulk rules: nested header values, extra record keys
+    # valid, but outside save's form: nested header values, extra record keys
     '{"seed": {"runs": [1, 2]}}\n' + _record_line(0, note=[1, {"a": 2}]) + "\n"
     + _record_line(1, extra=None) + "\n" + _record_line(2) + "\n",
 ])
 def test_edit_log_load_reads_each_line_on_its_own(tmp_path, log_chunk, text):
-    """Lines that decode as one JSON array only when joined never get past
-    the bulk decoding: the log reads as its lines read one at a time."""
+    """Lines that decode as one JSON array only when joined, and valid lines
+    outside `save`'s form, read as they read one at a time."""
     path = tmp_path / "edits.jsonl"
     path.write_text(text, encoding="utf-8")
     assert _load_outcome(EditLog.load, path) == _load_outcome(reference_edit_log_load, path)
@@ -577,6 +577,91 @@ def test_edit_log_load_matches_the_line_reference(tmp_path_factory, text, chunk)
             mp.setattr(rewire, "_LOG_CHUNK", chunk)
         outcome = _load_outcome(EditLog.load, path)
     assert outcome == _load_outcome(reference_edit_log_load, path)
+
+
+# Ids at the edges of the block decoder's rules: one and two digits, 18
+# digits (the widest it decodes) and 19 (read line by line).
+_EDGE_IDS = [0, 9, 10, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
+
+
+@st.composite
+def _generator_logs(draw):
+    """A log of the generator's words with edge-case and random ids."""
+    log = EditLog(header=draw(st.sampled_from([{}, {"seed": 11}, {"alpha": 3.0, "runs": [1, 20]}])))
+    ids = st.sampled_from(_EDGE_IDS) | st.integers(0, 2**63 - 1)
+    for _ in range(draw(st.integers(0, 7))):
+        log.append(draw(st.sampled_from(["rewire", "refine"])),
+                   draw(st.sampled_from(["remove", "add"])), draw(ids), draw(ids))
+    return log
+
+
+def _insert(text: str, at: int, piece: str) -> str:
+    return text[:at] + piece + text[at:]
+
+
+@st.composite
+def _one_change(draw, text: str):
+    """`text` as it is, or with one change that takes it out of `save`'s form."""
+    kind = draw(st.sampled_from(["none", "digit", "cr", "leading-zero", "minus", "split-run",
+                                 "crlf", "blank", "no-final-newline", "no-header"]))
+    numbers = [m.start(1) for m in re.finditer(r": (\d)", text)]
+    runs = [m.span() for m in re.finditer(r"\d{2,}", text)]
+    ends = [m.start() for m in re.finditer("\n", text)]
+    if kind in ("digit", "cr"):  # anywhere, inside a word or key too
+        piece = draw(st.sampled_from("0123456789")) if kind == "digit" else "\r"
+        text = _insert(text, draw(st.integers(0, len(text))), piece)
+    elif kind in ("leading-zero", "minus") and numbers:
+        text = _insert(text, draw(st.sampled_from(numbers)), "0" if kind == "leading-zero" else "-")
+    elif kind == "split-run" and runs:
+        a, b = draw(st.sampled_from(runs))
+        text = _insert(text, draw(st.integers(a + 1, b - 1)), " ")
+    elif kind == "crlf":
+        if draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
+        else:
+            text = _insert(text, draw(st.sampled_from(ends)), "\r")
+    elif kind == "blank":
+        text = _insert(text, draw(st.sampled_from([0] + [e + 1 for e in ends])), "\n")
+    elif kind == "no-final-newline":
+        text = text[:-1]
+    elif kind == "no-header":
+        text = text.split("\n", 1)[1]
+    return text
+
+
+@given(st.data(), st.sampled_from([1, 2, 3, None]))
+@settings(max_examples=300, deadline=None)
+def test_edit_log_load_decodes_saved_logs_as_the_line_reference(tmp_path_factory, data, chunk):
+    """A log `save` wrote, as it is or with one change that breaks a block
+    rule, reads as the line-by-line reader reads it, error included."""
+    path = tmp_path_factory.mktemp("log") / "edits.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(rewire, "_LOG_CHUNK", chunk)
+        data.draw(_generator_logs()).save(path)
+        text = data.draw(_one_change(path.read_text(encoding="utf-8")))
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _load_outcome(EditLog.load, path)
+    assert outcome == _load_outcome(reference_edit_log_load, path)
+
+
+def test_saved_generator_logs_take_the_block_decoder(tmp_path, log_chunk, monkeypatch):
+    """Logs in `save`'s form never fall back to the line reader, so a
+    silently slower load fails here."""
+    g, t = two_class_sbm(200, 6, 0.5, seed=3)
+    generated = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=1)[1]
+    by_hand = EditLog(header={"seed": 1})
+    for k, (u, v) in enumerate(zip(_EDGE_IDS[:5], _EDGE_IDS[4::-1])):
+        by_hand.append(("rewire", "refine")[k % 2], ("remove", "add")[k // 2 % 2], u, v)
+
+    def no_line_reads(*args):
+        raise AssertionError("a saved log reached the line reader")
+
+    monkeypatch.setattr(rewire, "_line_chunk", no_line_reads)
+    for log in (generated, by_hand):
+        path = tmp_path / "edits.jsonl"
+        log.save(path)
+        assert EditLog.load(path) == log
 
 
 def test_edit_log_save_refuses_what_load_refuses(tmp_path):
@@ -1471,13 +1556,13 @@ def test_edit_log_load_leaves_the_collector_as_it_found_it(tmp_path, caller_gc, 
     path = tmp_path / "edits.jsonl"
     path.write_text('{"seed": 1}\n' + _RECORD + "\n", encoding="utf-8")
     seen = []
-    bulk_chunk = rewire._bulk_chunk
+    block_columns = rewire._block_columns
 
-    def recording_chunk(*args):
+    def recording_block(*args):
         seen.append(gc.isenabled())
-        return bulk_chunk(*args)
+        return block_columns(*args)
 
-    monkeypatch.setattr(rewire, "_bulk_chunk", recording_chunk)
+    monkeypatch.setattr(rewire, "_block_columns", recording_block)
     assert len(EditLog.load(path)) == 1
     assert seen == [False] and gc.isenabled() is caller_gc
     path.write_text('{"seed": 1}\n' + _RECORD + "\n{bad\n", encoding="utf-8")
