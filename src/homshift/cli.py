@@ -1,13 +1,9 @@
 """Command-line pipeline: analyze, generate, split, metrics, theory.
 
-Every subcommand writes its artifacts into --out with fixed filenames plus
-a `<command>.config.json` sidecar echoing the full configuration, so any
-output can be regenerated from its sidecar alone. Outputs are validated
-before exit; exit status is 0 only when everything was written and checked.
-`main` writes the sidecar last, once the subcommand has returned without
-error, so a failed run leaves none. Each subcommand reads and checks its
-inputs and computes its results before it creates --out, so a refused run
-leaves no directory behind.
+Each subcommand returns its artifacts as writers keyed by file name; `main` adds a
+`<command>.config.json` sidecar from which they can be regenerated. All go into --out
+under temporary names and then move into place, the sidecar last, so a failed or
+refused run leaves no artifact and no sidecar; exit status 0 means all were written.
 """
 
 from __future__ import annotations
@@ -17,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,22 +33,27 @@ from .splits import load_split, save_split, save_split_diagnostics, stratified_s
 from .theory import TheoryParams, save_sweep, sweep_alpha
 
 
+def _write_text(text: str, path: Path) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _dump_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
 
 
-def _write_config(args: argparse.Namespace) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["subcommand"] = args.command
-    _dump_json(cfg, Path(args.out) / f"{args.command}.config.json")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _write_artifacts(out: Path, artifacts: dict) -> None:
+    """Write each `name: writer` entry to `out/<name>.tmp`, then move them all into
+    place in order; a writer that raises leaves no artifact or temporary file."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    parts = {out / f"{name}.tmp": out / name for name in artifacts}
+    try:
+        for part, write in zip(parts, artifacts.values()):
+            write(part)
+        for part, final in parts.items():
+            os.replace(part, final)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _load_pair(args):
@@ -78,60 +80,61 @@ def _ratios_csv(ratios: np.ndarray) -> str:
                                         for node, i in enumerate(which.tolist())])
 
 
-def _cmd_analyze(args) -> None:
+def _cmd_analyze(args) -> dict:
     g, t = _load_pair(args)
     h_global = global_homophily(g, t)
     ratios = local_homophily_all(g, t)
     hist = defined_histogram(ratios, args.bins)
-    out = _out_dir(args)
-    with open(out / "ratios.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_ratios_csv(ratios))
     edges = hist.edges()
-    with open(out / "histogram.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin,lo,hi,mass\n")
-        for b in range(hist.bin_count):
-            fh.write(f"{b},{float(edges[b])!r},{float(edges[b + 1])!r},"
-                     f"{float(hist.mass[b])!r}\n")
-    _dump_json({
-        "nodes": g.node_count,
-        "edges": g.edge_count,
-        "global_homophily": h_global,
-        "valid_ratio_nodes": int((~np.isnan(ratios)).sum()),
-        "bins": args.bins,
-    }, out / "summary.json")
+    histogram = "bin,lo,hi,mass\n" + "".join(
+        f"{b},{float(edges[b])!r},{float(edges[b + 1])!r},{float(hist.mass[b])!r}\n"
+        for b in range(hist.bin_count))
+    return {
+        "ratios.csv": partial(_write_text, _ratios_csv(ratios)),
+        "histogram.csv": partial(_write_text, histogram),
+        "summary.json": partial(_dump_json, {
+            "nodes": g.node_count,
+            "edges": g.edge_count,
+            "global_homophily": h_global,
+            "valid_ratio_nodes": int((~np.isnan(ratios)).sum()),
+            "bins": args.bins,
+        }),
+    }
 
 
-def _cmd_generate(args) -> None:
+def _save_replayed_log(log: EditLog, original, generated, path: Path) -> None:
+    """Save `log`, then check that the saved file replays `original` to `generated`."""
+    log.save(path)
+    if EditLog.load(path).replay(original) != generated:
+        raise RuntimeError("edit log replay does not reproduce the generated graph")
+
+
+def _cmd_generate(args) -> dict:
     goal = BetaGoal(args.alpha, args.beta)
     g, t = _load_pair(args)
     generated, log, report = generate(g, t, goal, args.bins, args.seed)
-    out = _out_dir(args)
-    # Written under temporary names and moved into place only once the log
-    # replays to the written graph, so a failed check or write leaves none.
-    parts = {name: out / f"{name}.tmp"
-             for name in ("generated_edges.txt", "edit_log.jsonl", "report.json")}
-    try:
-        save_edge_list(generated, parts["generated_edges.txt"])
-        log.save(parts["edit_log.jsonl"])
-        _dump_json({
+    return {
+        "generated_edges.txt": partial(save_edge_list, generated),
+        "edit_log.jsonl": partial(_save_replayed_log, log, g, generated),
+        "report.json": partial(_dump_json, {
             "emd_original_goal": report.emd_original_goal,
             "emd_generated_goal": report.emd_generated_goal,
             "edits_rewire": report.edits_rewire,
             "edits_refine": report.edits_refine,
             "degree_delta_histogram": {str(k): v for k, v in
                                        sorted(report.degree_delta_histogram.items())},
-        }, parts["report.json"])
-        replayed = EditLog.load(parts["edit_log.jsonl"]).replay(g)
-        if replayed != generated:
-            raise RuntimeError("edit log replay does not reproduce the generated graph")
-        for name, part in parts.items():
-            os.replace(part, out / name)
-    finally:
-        for part in parts.values():
-            part.unlink(missing_ok=True)
+        }),
+    }
 
 
-def _cmd_split(args) -> None:
+def _save_reloaded_split(assignment, path: Path) -> None:
+    """Save a split CSV, then check that the saved file reads back as its tags."""
+    save_split(assignment, path)
+    if not np.array_equal(load_split(path), assignment.tags):
+        raise RuntimeError(f"{path.stem} did not round-trip")
+
+
+def _cmd_split(args) -> dict:
     gammas = args.gamma if args.gamma else [0.0]
     for gm in gammas:
         if not (math.isfinite(gm) and gm >= 0):
@@ -145,16 +148,13 @@ def _cmd_split(args) -> None:
                              f"split_gamma{gm:g}.csv")
     g, t = _load_pair(args)
     ratios = local_homophily_all(g, t)
-    assignments = {stem: stratified_split(ratios, gm, args.bins, args.seed,
-                                          train_frac=args.train_frac, val_frac=args.val_frac)
-                   for stem, gm in stems.items()}
-    out = _out_dir(args)
-    for stem, assignment in assignments.items():
-        save_split(assignment, out / f"{stem}.csv")
-        save_split_diagnostics(assignment, out / f"{stem}.json")
-        reloaded = load_split(out / f"{stem}.csv")
-        if not np.array_equal(reloaded, assignment.tags):
-            raise RuntimeError(f"{stem}.csv did not round-trip")
+    artifacts = {}
+    for stem, gm in stems.items():
+        assignment = stratified_split(ratios, gm, args.bins, args.seed,
+                                      train_frac=args.train_frac, val_frac=args.val_frac)
+        artifacts[f"{stem}.csv"] = partial(_save_reloaded_split, assignment)
+        artifacts[f"{stem}.json"] = partial(save_split_diagnostics, assignment)
+    return artifacts
 
 
 def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
@@ -174,7 +174,7 @@ def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
                                  dataset=dataset, model=model)
 
 
-def _cmd_metrics(args) -> None:
+def _cmd_metrics(args) -> dict:
     payload_a, rec_a = _score(args.run_a, args.dataset, args.model)
     artifacts = {"metrics_a.json": payload_a}
     rec_b = None
@@ -199,12 +199,10 @@ def _cmd_metrics(args) -> None:
             raise ValueError(f"{exc}: {args.run_a} has {rec_a.n_eval} rows, "
                              f"{args.run_b} has {rec_b.n_eval}") from None
         artifacts["delta.json"] = {"delta_f1": d_f1, "delta_sp": d_sp}
-    out = _out_dir(args)
-    for name, payload in artifacts.items():
-        _dump_json(payload, out / name)
+    return {name: partial(_dump_json, payload) for name, payload in artifacts.items()}
 
 
-def _cmd_theory(args) -> None:
+def _cmd_theory(args) -> dict:
     grid = []
     for entry in args.alpha_grid.split(","):
         if entry.strip() == "":
@@ -221,7 +219,7 @@ def _cmd_theory(args) -> None:
     rows = sweep_alpha(params, grid, args.trials, args.seed)
     if not rows:
         raise ValueError("every grid point was skipped; no sweep rows produced")
-    save_sweep(rows, _out_dir(args) / "sweep.csv")
+    return {"sweep.csv": partial(save_sweep, rows)}
 
 
 def _add_graph_args(sp) -> None:
@@ -299,8 +297,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        args.func(args)
-        _write_config(args)
+        artifacts = vars(args).pop("func")(args)
+        config = dict(vars(args), subcommand=args.command)
+        artifacts[f"{args.command}.config.json"] = partial(_dump_json, config)
+        _write_artifacts(Path(args.out), artifacts)
     except Exception as exc:
         print(f"homshift {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -271,9 +271,9 @@ def _block_columns(block: list[bytes], index: int):
     and at most 18 digits is the JSON int of its int64 value.
     """
     data = b"".join(block)
-    *lines, tail = data.translate(None, _DIGITS).split(b"\n")
-    if tail:  # no final newline
+    if not data.endswith(b"\n"):
         return None
+    lines = data.translate(None, _DIGITS).split(b"\n")[:-1]
     try:
         phases, ops = zip(*map(_SKELETONS.__getitem__, lines))
     except KeyError:

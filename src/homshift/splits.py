@@ -54,9 +54,13 @@ def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
     """Round real quotas to nonnegative integers summing to `total`.
 
     Floors every quota (clamped to [0, caps]), then hands leftover units to
-    the largest fractional parts, ties toward the lower index, one unit per
-    index per pass and never above its cap. An excess is taken back from the
-    smallest fractional parts the same way. Raises when no pass can move.
+    the largest fractional parts, one unit per index per pass and never above
+    its cap. An excess is taken back from the smallest fractional parts the
+    same way. Raises when no pass can move. Fractional parts are compared as
+    the computed floats `quotas - floors`; of exactly equal ones, the lower
+    index gains a unit first and gives one back last. Nominally equal parts
+    carry rounding noise (0.9 * 266 and 0.9 * 406 leave 0.4000000000000057
+    and 0.4000000000000341), so such a tie can go to the higher index.
     """
     quotas = np.asarray(quotas, dtype=np.float64)
     if caps is None:

@@ -386,6 +386,7 @@ def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
 
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
+    assert not [name for name in names if name.endswith(".tmp")]
     for name in names:
         if name == f"{command}.config.json":
             rerun = json.loads((second / name).read_text())
@@ -395,25 +396,30 @@ def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command, writer", [
+# One artifact writer per command, made to raise after it has written.
+_FAILING_WRITERS = pytest.mark.parametrize("command, writer", [
     ("analyze", "_dump_json"),
     ("generate", "_dump_json"),
     ("split", "save_split_diagnostics"),
     ("metrics", "_dump_json"),
     ("theory", "save_sweep"),
 ])
-def test_a_run_that_fails_after_writing_an_artifact_leaves_no_sidecar(
-        sbm_files, tmp_path, monkeypatch, capsys, command, writer):
+
+
+def _command_argv(sbm_files, tmp_path, command) -> list[str]:
     root, _, t = sbm_files
     _write_predictions(tmp_path / "a.csv", t.labels, t.labels, t.sensitive)
     graph = ["--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv")]
-    argv = {
+    return {
         "analyze": graph,
         "generate": graph + ["--alpha", "3.0", "--beta", "10.0"],
         "split": graph,
         "metrics": ["--run-a", str(tmp_path / "a.csv")],
         "theory": ["--trials", "20"],
     }[command]
+
+
+def _fail_after_writing(monkeypatch, writer) -> None:
     write = getattr(cli, writer)
 
     def write_then_fail(*args, **kwargs):
@@ -421,12 +427,40 @@ def test_a_run_that_fails_after_writing_an_artifact_leaves_no_sidecar(
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, writer, write_then_fail)
+
+
+@_FAILING_WRITERS
+def test_a_run_that_fails_after_writing_an_artifact_leaves_no_sidecar(
+        sbm_files, tmp_path, monkeypatch, capsys, command, writer):
+    argv = _command_argv(sbm_files, tmp_path, command)
+    _fail_after_writing(monkeypatch, writer)
     out = tmp_path / "out"
     assert main([command, *argv, "--out", str(out)]) == 1
     assert f"homshift {command}: error: disk full" in capsys.readouterr().err
-    # generate moves its artifacts into place only after its replay check
-    assert any(out.iterdir()) is (command != "generate")
-    assert not (out / f"{command}.config.json").exists()
+    assert not any(out.iterdir())  # no artifact, temporary file or sidecar
+
+
+@_FAILING_WRITERS
+def test_a_failed_run_leaves_an_existing_output_directory_as_it_was(
+        sbm_files, tmp_path, monkeypatch, capsys, command, writer):
+    """A previous run's artifacts and sidecar, and files that are not
+    homshift's, keep their bytes when a run into the same --out fails."""
+    root, _, t = sbm_files
+    argv = _command_argv(sbm_files, tmp_path, command)
+    _write_predictions(tmp_path / "b.csv", t.labels, t.labels[::-1], t.sensitive)
+    # the previous run differs, so a rewritten artifact would show
+    previous = {"analyze": ["--bins", "7"], "metrics": ["--run-a", str(tmp_path / "b.csv")]}
+    out = tmp_path / "out"
+    assert main([command, *argv, *previous.get(command, ["--seed", "1"]),
+                 "--out", str(out)]) == 0
+    (out / "notes.txt").write_bytes(b"not homshift's\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"{command}.config.json" in before and len(before) > 2
+
+    _fail_after_writing(monkeypatch, writer)
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert f"homshift {command}: error: disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------- errors

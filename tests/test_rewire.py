@@ -645,6 +645,23 @@ def test_edit_log_load_decodes_saved_logs_as_the_line_reference(tmp_path_factory
     assert outcome == _load_outcome(reference_edit_log_load, path)
 
 
+@pytest.mark.parametrize("chunk", [1, None], ids=["chunk1", "chunk-default"])
+@pytest.mark.parametrize("text", ["{}\n0", '{"seed": 11}\n' + _record_line(0) + "\n42"],
+                         ids=["after-header", "after-record"])
+def test_edit_log_load_names_a_last_line_of_digits_with_no_final_newline(
+        tmp_path, monkeypatch, chunk, text):
+    """Such a block has no record line once its digits are deleted; it is
+    read line by line, and the error names the file and the line."""
+    if chunk is not None:
+        monkeypatch.setattr(rewire, "_LOG_CHUNK", chunk)
+    path = tmp_path / "edits.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    line = text.count("\n") + 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: expected a JSON object")):
+        EditLog.load(path)
+    assert _load_outcome(EditLog.load, path) == _load_outcome(reference_edit_log_load, path)
+
+
 def test_saved_generator_logs_take_the_block_decoder(tmp_path, log_chunk, monkeypatch):
     """Logs in `save`'s form never fall back to the line reader, so a
     silently slower load fails here."""
