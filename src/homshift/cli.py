@@ -9,6 +9,7 @@ refused run leaves no artifact and no sidecar; exit status 0 means all were writ
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,12 +44,15 @@ def _dump_json(obj, path: Path) -> None:
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
     """Write each `name: writer` entry to `out/<name>.tmp`, then move them all into
-    place in order; a writer that raises leaves no artifact or temporary file."""
+    place in order; a writer that raises leaves no artifact or temporary file. The
+    last entry's old file goes before the first move, so a run stopped between two
+    moves leaves no earlier run's last entry (the sidecar) next to new artifacts."""
     out.mkdir(parents=True, exist_ok=True)
     parts = {out / f"{name}.tmp": out / name for name in artifacts}
     try:
         for part, write in zip(parts, artifacts.values()):
             write(part)
+        next(reversed(parts.values())).unlink(missing_ok=True)
         for part, final in parts.items():
             os.replace(part, final)
     finally:
@@ -113,17 +117,14 @@ def _cmd_generate(args) -> dict:
     goal = BetaGoal(args.alpha, args.beta)
     g, t = _load_pair(args)
     generated, log, report = generate(g, t, goal, args.bins, args.seed)
+    payload = dataclasses.asdict(report)
+    # str keys keep the text order ("10" before "2"); sort_keys orders int keys as numbers
+    payload["degree_delta_histogram"] = {
+        str(k): v for k, v in report.degree_delta_histogram.items()}
     return {
         "generated_edges.txt": partial(save_edge_list, generated),
         "edit_log.jsonl": partial(_save_replayed_log, log, g, generated),
-        "report.json": partial(_dump_json, {
-            "emd_original_goal": report.emd_original_goal,
-            "emd_generated_goal": report.emd_generated_goal,
-            "edits_rewire": report.edits_rewire,
-            "edits_refine": report.edits_refine,
-            "degree_delta_histogram": {str(k): v for k, v in
-                                       sorted(report.degree_delta_histogram.items())},
-        }),
+        "report.json": partial(_dump_json, payload),
     }
 
 

@@ -49,9 +49,11 @@ from .homophily import (
 )
 from .splits import largest_remainder
 
-# Tolerances: _EQ_TOL decides "on target"; a gate passes only if the edit
-# shrinks the potential by more than _GATE_TOL (strict improvement).
-_EQ_TOL = 1e-12
+# Tolerances: a node is on target when gap * degree <= _MOVE_TOL, the dust
+# _ceil_tol forgives, so its lower edge-move bound leaves no move; a gate
+# passes only if the edit shrinks the potential by more than _GATE_TOL.
+_EQ_TOL = 1e-12  # edge_move_bounds' "no gap"
+_MOVE_TOL = 1e-9
 _GATE_TOL = 1e-12
 
 
@@ -135,8 +137,8 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
 
 
 def _ceil_tol(x: float) -> int:
-    """Ceiling robust to float dust just above an integer."""
-    return int(math.ceil(x - 1e-9))
+    """Ceiling robust to float dust, up to _MOVE_TOL, just above an integer."""
+    return int(math.ceil(x - _MOVE_TOL))
 
 
 def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int, int]:
@@ -160,18 +162,6 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
     else:
         upper = lower if h_goal <= _EQ_TOL else _ceil_tol(gap * degree / h_goal)
     return (lower, upper)
-
-
-def _no_addition_left(gap: float, goal: float, degree: int, sign: int) -> bool:
-    """edge_move_bounds(h, goal, degree)[1] < 1 for a live node, without the
-    checks: gap = |goal - h| > _EQ_TOL, sign is that of goal - h, degree >= 1.
-    The refine loop asks this once per attempt."""
-    moves = gap * degree
-    if sign > 0 and goal < 1.0 - _EQ_TOL:
-        moves /= 1.0 - goal
-    elif sign < 0 and goal > _EQ_TOL:
-        moves /= goal
-    return moves <= 1e-9  # _ceil_tol(moves) < 1
 
 
 # Edit logs are written and decoded this many lines at a time, which bounds
@@ -516,7 +506,7 @@ class EditLog:
 
 
 class _PartnerPool:
-    """The nodes of one (label, live sign), grouped by (gap_abs, add_delta).
+    """The nodes of one (label, live sign), grouped by filed (gap, add change) key.
 
     Members that share both floats are interchangeable for a search, so they
     form one class. `keys` holds the distinct class keys in ascending order,
@@ -558,29 +548,31 @@ class _EditState:
     `generate` runs both loops on one state; `rewire_phase` and
     `refine_phase` each build a state for their one loop.
 
-    `_refresh` alone computes a node's gap_abs, live sign and add change.
-    `__init__` calls it for each node with a goal, in id order, which also
-    fills the pools; a node without a goal keeps live 0 and gap_abs and
-    add_delta inf. After an edit it runs once per endpoint, after all of
-    a move's edits: after a refine addition on (i, k), and after both edits
-    of a rewire pair on i, j and k, since no pool is read between the
-    pair's removal and its addition.
+    `_refresh` alone decides whether a node is live, by one rule: a node is
+    on target when its lower edge-move bound leaves no move (gap * degree
+    <= _MOVE_TOL, gap = |goal - h|), and live with the sign of goal - h
+    otherwise. Its additions-only upper bound divides the same gap * degree
+    by 1 - goal or goal, both in (0, 1], or equals the lower bound at a
+    goal of 0 or 1, so it leaves a move whenever the lower one does.
+    `__init__` calls `_refresh` for each node with a goal, in id order,
+    which also fills the pools; a node without a goal keeps live 0. After
+    an edit it runs once per endpoint, after all of a move's edits: after
+    a refine addition on (i, k), and after both edits of a rewire pair on
+    i, j and k, since no pool is read between the pair's removal and its
+    addition.
 
-    Partner pools. The nodes with live sign s and label c form the pool
+    Partner pools. The live nodes with sign s and label c form the pool
     (c, s). An addition at source i with sign s draws its partner from pool
     (label_i, s) when s > 0, and from every pool (c, s) with c != label_i
-    when s < 0; `live` alone decides membership. Each member k carries its
-    add change add_delta[k]: the change in |h_k - goal_k| if k gained one
-    edge of the kind its own sign wants. A node that reaches its goal
-    leaves its pool and keeps a stale add_delta, which no search reads.
-
-    Each pool files a member k under its class key (gap_abs[k],
-    add_delta[k]), in a sorted list of distinct keys and a dict from key to
-    the class's ids in ascending order. `filed[k]` holds the key k was
-    filed under, None while k is in no pool. `_refresh` finds v's old class
-    by that stored key, without rebuilding it, takes v out, and puts v into
-    its new class; this is all of the pool bookkeeping, and only a class
-    that appears or empties touches the key list.
+    when s < 0. Each pool files a live member k under its class key
+    filed[k] = (gap, add change), the add change being the change in gap if
+    k gained one edge of the kind its own sign wants, in a sorted list of
+    distinct keys and a dict from key to the class's ids in ascending
+    order. The key is the state's only copy of either float; filed[k] is
+    None while k is in no pool. `_refresh` finds v's old class by its
+    stored key, without rebuilding it, takes v out, and puts v into its new
+    class; this is all of the pool bookkeeping, and only a class that
+    appears or empties touches the key list.
 
     A rewire pair is applied as one update (`attempt_rewire`): i's
     neighbour set swaps j for k, i's degree stays while j's drops and k's
@@ -625,9 +617,7 @@ class _EditState:
         self.deg = deg.tolist()
         self.same = same.tolist()
         self.goal = goal.tolist()
-        self.gap_abs = [math.inf] * n
         self.live = [0] * n
-        self.add_delta = [math.inf] * n
         self.filed: list[tuple[float, float] | None] = [None] * n
         pool_labels = np.unique(t.labels[act]).tolist()
         self._pools = {(c, sign): _PartnerPool() for c in pool_labels for sign in (-1, 1)}
@@ -641,13 +631,12 @@ class _EditState:
             self._refresh(v)
 
     def _refresh(self, v: int) -> None:
-        """Recompute v's gap, sign and add change; move it between pools.
-        v has a goal, so degree >= 1."""
+        """Recompute v's sign and, while it is live, its key; move it between
+        pools. v has a goal, so degree >= 1."""
         same, deg, goal = self.same[v], self.deg[v], self.goal[v]
         diff = goal - same / deg
         gap = abs(diff)
-        self.gap_abs[v] = gap
-        s = 0 if gap <= _EQ_TOL else (1 if diff > 0 else -1)
+        s = (1 if diff > 0 else -1) if gap * deg > _MOVE_TOL else 0
         c = self.labels[v]
         old = self.filed[v]
         if old is not None:
@@ -664,7 +653,6 @@ class _EditState:
         self.live[v] = s
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
-            self.add_delta[v] = d
             key = self.filed[v] = (gap, d)
             pool = self._pools[c, s]
             members = pool.ids.get(key)
@@ -722,14 +710,14 @@ class _EditState:
         k = self._best_partner(i, s, d_add_i)
         if k < 0:
             return False
-        d_rm_i = gap_i2 - self.gap_abs[i]
+        d_rm_i = gap_i2 - self.filed[i][0]
         label_i = self.labels[i]
         best = None
         for j in self.adj[i]:
             if (self.live[j] != s or self.deg[j] <= 1
                     or (self.labels[j] != label_i) != want_diff):
                 continue
-            gap_j = self.gap_abs[j]
+            gap_j = self.filed[j][0]
             d_j = abs((self.same[j] - eq_rm) / (self.deg[j] - 1) - self.goal[j]) - gap_j
             if d_rm_i + d_j < -_GATE_TOL and (best is None or (gap_j, j) < best):
                 best = (gap_j, j)
@@ -769,9 +757,7 @@ class _EditState:
         s = self.live[i]
         if s == 0:
             return False
-        if _no_addition_left(self.gap_abs[i], self.goal[i], self.deg[i], s):
-            return False
-        k = self._best_partner(i, s, self.add_delta[i])
+        k = self._best_partner(i, s, self.filed[i][1])
         if k < 0:
             return False
         adj_i = self.adj[i]
@@ -794,11 +780,8 @@ class _EditState:
         rng = np.random.default_rng(seed)
         # The sources are the nodes with a goal and a direction, in id order.
         for i in rng.permutation(np.flatnonzero(~np.isnan(self.goal))).tolist():
-            # For a live node this is edge_move_bounds(...)[0] < 1: its
-            # lower bound is _ceil_tol(gap * degree).
-            while self.live[i] != 0:
-                if self.gap_abs[i] * self.deg[i] <= 1e-9 or not self.attempt_rewire(i):
-                    break
+            while self.live[i] and self.attempt_rewire(i):
+                pass
 
     def run_refine(self, seed) -> None:
         """The refine phase's loop (see `refine_phase`), logged as "refine"."""
@@ -832,10 +815,11 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     A pair keeps the source's degree; the removed neighbour loses an edge
     and the added partner gains one.
 
-    Sources are visited once in seeded random order; each gets up to its
-    lower edge-move bound of paired edits. An edit fires only when the
-    removal and the addition each strictly shrink the summed goal distance
-    of their endpoints, so every log record lowers the potential.
+    Sources are visited once in seeded random order; each gets paired edits
+    while its lower edge-move bound leaves a move and a pair passes the
+    gate. An edit fires only when the removal and the addition each
+    strictly shrink the summed goal distance of their endpoints, so every
+    log record lowers the potential.
     """
     state = _EditState(g, t, goals, _phase_log(log, seed))
     state.run_rewire(seed)
@@ -846,9 +830,10 @@ def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
                  log: EditLog | None = None) -> tuple[Graph, EditLog]:
     """Addition-only cleanup for nodes rewiring could not finish.
 
-    Sweeps off-target nodes in seeded random order, adding mutually
-    beneficial edges (each capped by the additions-only upper bound at the
-    node's current state) until no beneficial pair remains.
+    Sweeps off-target nodes, those whose lower edge-move bound leaves a
+    move, in seeded random order, adding mutually beneficial edges until no
+    beneficial pair remains. Each addition is within the additions-only
+    upper bound at the node's current state, which is never below the lower.
     """
     state = _EditState(g, t, goals, _phase_log(log, seed))
     state.run_refine(seed)

@@ -46,8 +46,8 @@ from homshift import (
     two_class_sbm,
 )
 from homshift.graph import _cells, _parse_rows
-from homshift.rewire import _EQ_TOL as EQ_TOL
 from homshift.rewire import _GATE_TOL as GATE_TOL
+from homshift.rewire import _MOVE_TOL as MOVE_TOL
 from homshift.splits import largest_remainder
 
 
@@ -513,14 +513,15 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     live sign s and i's label (s > 0) or another label (s < 0), drop i and
     its neighbours, gate every candidate in one numpy expression, and take
     the smallest gap among those that pass, ties to the lower id; -1 if
-    none passes. Reads the state's per-node values; touches no pool.
+    none passes. Reads the state's per-node values and each live node's
+    gap from its filed key; touches no pool.
     """
     labels = np.asarray(state.labels)
     live = np.asarray(state.live)
     same = np.asarray(state.same)
     deg = np.asarray(state.deg)
     goal = np.asarray(state.goal)
-    gap = np.asarray(state.gap_abs)
+    gap = np.array([np.inf if key is None else key[0] for key in state.filed])
     mask = labels == labels[i] if s > 0 else labels != labels[i]
     mask &= ~np.isnan(goal) & (live == s)
     mask[i] = False
@@ -535,15 +536,16 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     return int(ks[np.argmin(gap[ks])])
 
 
-def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, list, dict]:
+def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, dict]:
     """The per-node status and partner pools of a fresh _EditState, built in bulk.
 
     The construction before `_refresh` filled the state node by node: one
     vectorised gap |goal - same/deg|, live sign and add change over the
     nodes with a moving goal, then each (label, sign) pool from a mask of
-    its members, grouped by (gap, add change) class. Same-label counts come
-    from the edge array, not from the library. Returns gap_abs, live and
-    add_delta (inf off the live nodes) as lists, and {(label, sign): (keys,
+    its members, grouped by (gap, add change) class. A node is live when
+    gap * deg > MOVE_TOL. Same-label counts come from the edge array, not
+    from the library. Returns each node's (gap, add change) key (None off
+    the live nodes) and live sign as lists, and {(label, sign): (keys,
     ids)} with keys ascending and each class's ids ascending.
     """
     n = g.node_count
@@ -561,7 +563,7 @@ def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, lis
     gap = np.full(n, np.inf)
     gap[act] = np.abs(diff)
     live = np.zeros(n, dtype=np.int64)
-    live[act] = np.where(np.abs(diff) <= EQ_TOL, 0, np.where(diff > 0, 1, -1))
+    live[act] = np.where(np.abs(diff) * deg[act] <= MOVE_TOL, 0, np.where(diff > 0, 1, -1))
     add = np.abs((same + (live > 0)) / (deg + 1) - goal) - gap
     add = np.where(live != 0, add, np.inf)
     pools = {}
@@ -572,7 +574,8 @@ def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, lis
             for key, k in zip(zip(gap[ks].tolist(), add[ks].tolist()), ks.tolist()):
                 ids.setdefault(key, []).append(k)
             pools[c, sign] = (sorted(ids), ids)
-    return gap.tolist(), live.tolist(), add.tolist(), pools
+    filed = [(a, b) if s else None for a, b, s in zip(gap.tolist(), add.tolist(), live.tolist())]
+    return filed, live.tolist(), pools
 
 
 def reference_replay(log, g: Graph) -> Graph:

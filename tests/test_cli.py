@@ -463,6 +463,30 @@ def test_a_failed_run_leaves_an_existing_output_directory_as_it_was(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_run_stopped_between_two_moves_leaves_no_earlier_sidecar(
+        sbm_files, tmp_path, monkeypatch, capsys):
+    """A run whose second rename fails has moved one new artifact in next to
+    the previous run's others; the previous sidecar must not stay to claim
+    them, and no temporary file is left."""
+    argv = _command_argv(sbm_files, tmp_path, "analyze")
+    out = tmp_path / "out"
+    assert main(["analyze", *argv, "--bins", "7", "--out", str(out)]) == 0
+    assert (out / "analyze.config.json").exists()
+    replace, calls = os.replace, []
+
+    def stop_at_the_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("stopped")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", stop_at_the_second)
+    assert main(["analyze", *argv, "--out", str(out)]) == 1
+    assert "homshift analyze: error: stopped" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["histogram.csv", "ratios.csv",
+                                                     "summary.json"]
+
+
 # ---------------------------------------------------------------- errors
 
 

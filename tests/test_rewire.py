@@ -310,24 +310,29 @@ def test_edge_move_bounds_brute_force_oracle():
 # ---------------------------------------------------------------- edit log
 
 
-def test_no_addition_left_matches_edge_move_bounds():
-    """The refine loop's unchecked test equals edge_move_bounds' upper bound
-    below 1 on every live (same, degree, goal), goals within float dust of
-    the ratio and at or near 0 and 1 included."""
+def test_a_fresh_state_is_live_exactly_when_the_lower_bound_leaves_a_move():
+    """On every (same, degree, goal), goals within float dust of the ratio
+    and at or near 0 and 1 included, a new _EditState marks the node live,
+    with the sign of goal - h, exactly when edge_move_bounds' lower bound is
+    at least 1, and then its upper bound is at least 1 too. So neither loop
+    needs a bound test of its own."""
     seen = set()
     for degree in range(1, 13):
+        g = Graph.from_edges(degree + 1, [(0, k) for k in range(1, degree + 1)])
         for same in range(degree + 1):
+            # node 0 has `same` label-0 neighbours and degree - same label-1 ones
+            t = NodeTable(np.array([0] * (same + 1) + [1] * (degree - same)),
+                          np.zeros(degree + 1, dtype=int))
             h = same / degree
             goals = {0.0, 1e-13, 1 - 1e-13, 1.0, *(j / 20 for j in range(21))}
             goals |= {h + o for o in (1e-11, 5e-10, 1.5e-9, 1e-3) for o in (o, -o)}
             for goal in sorted(x for x in goals if 0.0 <= x <= 1.0):
-                gap = abs(goal - h)
-                if gap <= rewire._EQ_TOL:
-                    continue
-                sign = 1 if goal > h else -1
-                expected = edge_move_bounds(h, goal, degree)[1] < 1
-                assert rewire._no_addition_left(gap, goal, degree, sign) == expected
-                seen.add(expected)
+                state = _EditState(g, t, [NodeGoal(0, h, goal, 1)], EditLog())
+                lower, upper = edge_move_bounds(h, goal, degree)
+                assert (state.live[0] != 0) == (lower >= 1) == (state.filed[0] is not None)
+                if state.live[0]:
+                    assert state.live[0] == (1 if goal > h else -1) and upper >= 1
+                seen.add(lower >= 1)
     assert seen == {True, False}
 
 
@@ -993,23 +998,30 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
 # --------------------------------------------------------- partner pools
 
 
+def _current_key(state, v):
+    """v's (gap, add change) key, computed from its current counts."""
+    same, deg, goal = state.same[v], state.deg[v], state.goal[v]
+    gap = abs(goal - same / deg)
+    return gap, abs((same + (state.live[v] > 0)) / (deg + 1) - goal) - gap
+
+
 def _check_pools(state):
     """Every pool holds exactly its (label, live sign) members, each under its
-    current (gap_abs, add_delta) key, which is the key the node stores; its
+    current (gap, add change) key, which is the key the node stores; its
     keys are sorted and distinct, and each key's id list is ascending and
     non-empty. A node off every pool stores no key."""
     live = np.asarray(state.live)
     labels = np.asarray(state.labels)
     for v, key in enumerate(state.filed):
         if live[v]:
-            assert key == (state.gap_abs[v], state.add_delta[v])
+            assert key == _current_key(state, v)
             assert v in state._pools[labels[v], live[v]].ids[key]
         else:
             assert key is None
     for (c, s), pool in state._pools.items():
         classes = {}
         for v in np.flatnonzero((labels == c) & (live == s)).tolist():
-            classes.setdefault((state.gap_abs[v], state.add_delta[v]), []).append(v)
+            classes.setdefault(state.filed[v], []).append(v)
         assert pool.ids == classes
         assert pool.keys == sorted(classes)
         assert all(a < b for a, b in zip(pool.keys, pool.keys[1:]))
@@ -1063,8 +1075,8 @@ def _checked_replay(g, t, goals, seed):
         got = search(self, i, s, d_i)
         assert got == reference_best_partner(self, i, s, d_i)
         seen["found" if got >= 0 else "none"] += 1
-        if got >= 0 and sum(gap == self.gap_abs[got] and live == s
-                            for gap, live in zip(self.gap_abs, self.live)) > 1:
+        if got >= 0 and sum(live == s and key[0] == self.filed[got][0]
+                            for key, live in zip(self.filed, self.live)) > 1:
             seen["tied"] += 1
         return got
 
@@ -1144,7 +1156,7 @@ def test_partner_search_takes_the_lowest_id_across_classes_of_one_gap(
     pool = state._pools[1, -1]
     assert [(key, pool.ids[key]) for key in pool.keys] == classes
     eq = 0  # a lowering source gains a cross-label edge
-    d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.gap_abs[0]
+    d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.filed[0][0]
     assert state._best_partner(0, -1, d_0) == reference_best_partner(state, 0, -1, d_0) == expected
     assert state.attempt_refine(0)
     assert _trace(state) == [("add", 0, expected)]
@@ -1191,7 +1203,8 @@ def _state_problems(draw):
     """A graph of 1-4 labels with unlabeled and isolated nodes. Each node may
     get no goal, a goal with direction 0, or, when it has a label and an
     edge, a moving goal: one on a grid, or its own ratio, exactly or off by
-    less than _EQ_TOL, so that some goals are met from the start."""
+    a little, so that some goals are met from the start. The offsets put
+    gap * degree on both sides of _MOVE_TOL."""
     n = draw(st.integers(1, 30))
     n_labels = draw(st.integers(1, 4))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -1207,8 +1220,9 @@ def _state_problems(draw):
             goals.append(NodeGoal(v, 0.5, 0.5, 0))
         elif kind != "none":
             ratio = sum(labels[int(k)] == labels[v] for k in g.neighbors(v)) / int(g.degrees[v])
+            offsets = (0.0, 5e-13, -5e-13, 1e-11, -1e-11, 2e-10, -2e-10)
             h = (draw(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0))) if kind == "grid"
-                 else min(1.0, max(0.0, ratio + draw(st.sampled_from((0.0, 5e-13, -5e-13))))))
+                 else min(1.0, max(0.0, ratio + draw(st.sampled_from(offsets)))))
             goals.append(NodeGoal(v, ratio, h, draw(st.sampled_from((-1, 1)))))
     return g, t, goals
 
@@ -1217,46 +1231,67 @@ def _state_problems(draw):
 @settings(max_examples=300, deadline=None)
 def test_fresh_state_matches_the_bulk_reference(problem):
     """A new _EditState, filled node by node by `_refresh`, holds what the
-    bulk construction computes: gaps, live signs, the add change of every
-    live node, and each pool's class keys and ids."""
+    bulk construction computes: live signs, the (gap, add change) key of
+    every live node, and each pool's class keys and ids."""
     g, t, goals = problem
     state = _EditState(g, t, goals, EditLog())
-    gap, live, add, pools = reference_edit_state(g, t, goals)
-    assert state.gap_abs == gap
+    filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live
-    assert [state.add_delta[v] for v, s in enumerate(live) if s] == \
-        [add[v] for v, s in enumerate(live) if s]
+    assert state.filed == filed
     assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
 
 
 def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
-    """Node 0 sits under _EQ_TOL from its goal and nodes 1 and 3 exactly on
-    theirs, so only node 2 is live; the bulk reference agrees."""
+    """Node 0 sits within _MOVE_TOL / degree of its goal and nodes 1 and 3
+    exactly on theirs, so only node 2 is live; the bulk reference agrees."""
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
     t = NodeTable(np.array([0, 0, 1, 1, -1, 2]), np.zeros(6, dtype=int))
     goals = [NodeGoal(0, 0.5, 0.5 + 5e-13, 1), NodeGoal(1, 0.5, 0.5, -1),
              NodeGoal(2, 0.0, 1.0, 1), NodeGoal(3, 0.0, 0.0, 1), NodeGoal(5, 0.0, 0.2, 0)]
     state = _EditState(g, t, goals, EditLog())
-    gap, live, _, pools = reference_edit_state(g, t, goals)
+    filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live == [0, 0, 1, 0, 0, 0]
-    assert 0.0 < state.gap_abs[0] <= rewire._EQ_TOL and state.gap_abs == gap
+    assert state.filed == filed == [None, None, (1.0, abs(1 / 3 - 1.0) - 1.0), None, None, None]
     assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
     # node 2 (h 0, goal 1) would reach h 1/3 with one more same-label edge
     assert [(c_s, ids) for c_s, (_, ids) in pools.items() if ids] == \
         [((1, 1), {(1.0, abs(1 / 3 - 1.0) - 1.0): [2]})]
 
 
+@pytest.mark.parametrize("offset, live, records", [
+    (1e-10, 0, [("add", 2, 0)]),
+    (3e-10, 1, [("add", 0, 1), ("add", 0, 2)]),
+])
+def test_a_goal_within_move_tolerance_takes_part_in_no_edit(offset, live, records):
+    """Node 1 has degree 4 and a goal `offset` above its ratio 0.5. At 1e-10,
+    gap * degree is under _MOVE_TOL, so its lower edge-move bound leaves no
+    move: it is in no pool, and no edit touches it, although as the partner
+    of the lowest gap it would pass the gate for source 0. At 3e-10 it is
+    live, and source 0 takes it first."""
+    labels = [0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1]
+    g = Graph.from_edges(11, [(0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 9), (2, 10)])
+    t = NodeTable(np.array(labels), np.zeros(11, dtype=int))
+    goals = [NodeGoal(0, 0.0, 1.0, 1), NodeGoal(1, 0.5, 0.5 + offset, 1),
+             NodeGoal(2, 0.5, 0.75, 1)]
+    state = _EditState(g, t, goals, EditLog())
+    assert state.live[:3] == [1, live, 1]
+    assert (state.filed[1] is not None) == any(
+        1 in ids for pool in state._pools.values() for ids in pool.ids.values()) == bool(live)
+    g_rw, log = rewire_phase(g, t, goals, seed=3)
+    g_fin, log = refine_phase(g_rw, t, goals, seed=4, log=log)
+    assert [(r.op, r.u, r.v) for r in log.records] == records
+    checker = EditLogChecker(g, t, goals).apply(log.records)
+    assert checker.edges() == tuple(map(tuple, g_fin.edge_array().tolist()))
+
+
 def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
-    final graph holds: live signs, same-label counts, degrees, gaps and pool
-    members, and the add change of every live node (it is left stale once a
-    node is on target)."""
+    final graph holds: live signs, same-label counts, degrees, the (gap,
+    add change) key of every live node, and pool members."""
     fresh = _EditState(state.finish(), t, goals, EditLog())
     assert state.live == fresh.live
     assert (state.same, state.deg) == (fresh.same, fresh.deg)
-    assert state.gap_abs == fresh.gap_abs
-    live = [v for v, s in enumerate(state.live) if s]
-    assert [state.add_delta[v] for v in live] == [fresh.add_delta[v] for v in live]
+    assert state.filed == fresh.filed
     assert state._pools.keys() == fresh._pools.keys()
     for c_s, pool in state._pools.items():
         assert (pool.keys, pool.ids) == (fresh._pools[c_s].keys, fresh._pools[c_s].ids)
