@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .editlog import EditLog
 from .graph import load_edge_list, load_node_table, save_edge_list
 from .homophily import BetaGoal, defined_histogram, global_homophily, local_homophily_all
 from .metrics import (
@@ -29,7 +30,7 @@ from .metrics import (
     micro_f1,
     per_class_statistical_parity,
 )
-from .rewire import EditLog, generate
+from .rewire import generate
 from .splits import load_split, save_split, save_split_diagnostics, stratified_split
 from .theory import TheoryParams, save_sweep, sweep_alpha
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -63,6 +64,15 @@ def tiny_pair():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     t = NodeTable(np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 0]))
     return g, t
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """The collector's setting as the caller holds it; restored afterwards."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
 
 
 def lp_transport_cost(p_mass, q_mass) -> float:
