@@ -82,7 +82,7 @@ _SKELETONS = {(_RECORD_FORMAT % (_record_prefix(op, phase), 0, 0, 0)).encode()
               for op in ("add", "remove") for phase in ("refine", "rewire")}
 
 
-def _block_columns(block: list[bytes], index: int):
+def _block_columns(block: list[str], index: int):
     """(phases, ops, us, vs) of a block of record lines whose first seq is
     `index`, or None unless every line is in `save`'s exact form for the
     generator's words, with seq equal to its index.
@@ -93,7 +93,7 @@ def _block_columns(block: list[bytes], index: int):
     such runs per line fill the slots exactly. A run with no leading zero
     and at most 18 digits is the JSON int of its int64 value.
     """
-    data = b"".join(block)
+    data = "".join(block).encode()
     if not data.endswith(b"\n"):
         return None
     lines = data.translate(None, _DIGITS).split(b"\n")[:-1]
@@ -123,29 +123,6 @@ def _block_columns(block: list[bytes], index: int):
     if not np.array_equal(values[0::3], np.arange(index, index + len(lines))):
         return None
     return phases, ops, values[1::3].tolist(), values[2::3].tolist()
-
-
-def _saved_log(path):
-    """The log at `path` when its first line is a header and every record
-    line passes `_block_columns`, else None."""
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        try:
-            header = json.loads(first.decode("utf-8"))
-        except (ValueError, RecursionError):  # RecursionError: nesting too deep for the decoder
-            return None
-        # a CR would end a line in the text reader, which splits only at LF here
-        if not first.endswith(b"\n") or b"\r" in first or not _is_header(header):
-            return None
-        log = EditLog(header)
-        columns = (log.phases, log.ops, log.us, log.vs)
-        for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
-            values = _block_columns(block, len(log))
-            if values is None:
-                return None
-            for column, chunk in zip(columns, values):
-                column.extend(chunk)
-    return log
 
 
 def _line_chunk(path, block: list[str], start: int, header_open: bool, index: int):
@@ -270,18 +247,22 @@ class EditLog:
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys.
 
-        What `load` would refuse, or `%d` would write as another number,
-        raises ValueError before the file is opened: a header that is not a
-        dict, has an "op" key or holds NaN or an infinity; a phase or op that
-        is not a string, named; or a u or v that is not an int or numpy
-        integer (a bool, a float, a str), named with its record's seq.
+        What `load` would refuse or read back as something else, or `%d`
+        would write as another number, raises ValueError before the file is
+        opened: a header that is not a dict, has an "op" key, holds NaN or
+        an infinity, or does not load back equal (a non-str key, a tuple, a
+        value JSON cannot write); a phase or op that is not a string, named;
+        or a u or v that is not an int or numpy integer (a bool, a float, a
+        str), named with its record's seq.
         """
         if not _is_header(self.header):
             raise ValueError(f"header must be a dict without an 'op' key, got {self.header!r}")
         try:
             header = json.dumps(self.header, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"header {self.header!r}: {exc}") from None
+        if json.loads(header) != self.header:
+            raise ValueError(f"header {self.header!r} would load back as {json.loads(header)!r}")
         pairs = set(zip(self.ops, self.phases))
         for key, words in (("phase", {p for _, p in pairs}), ("op", {o for o, _ in pairs})):
             for word in words:
@@ -313,26 +294,27 @@ class EditLog:
         unless it has an "op" key. A record needs string "phase" and "op",
         integer "u" and "v", and an integer "seq" equal to its index.
 
-        Two tiers give the same result. A log in `save`'s exact form for
-        the generator's words (a header line, then records with canonical
-        non-negative ids, LF line ends) is decoded in numpy blocks
-        (`_saved_log`). Any other file is read again from the start, one
-        line at a time (`_line_chunk`), which raises for its first bad line.
+        The file is read once, in blocks. The first line is a block of its
+        own; until a non-blank line has been read, blocks are decoded line
+        by line (`_line_chunk`), which settles the header. After that, each
+        block of `_LOG_CHUNK` lines in `save`'s exact form for the
+        generator's words is decoded in numpy (`_block_columns`), and any
+        other block line by line, with the same result; the line reader
+        raises for its first bad line.
         """
-        with _collector_paused():
-            log = _saved_log(path)
-            if log is not None:
-                return log
-            log = EditLog()
-            columns = (log.phases, log.ops, log.us, log.vs)
-            header_open, start = True, 1  # no non-blank line read yet; the chunk's first line
-            with open(path, "r", encoding="utf-8") as fh:
-                for block in iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), []):
+        log = EditLog()
+        columns = (log.phases, log.ops, log.us, log.vs)
+        header_open, start = True, 1  # no non-blank line read yet; the block's first line
+        with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
+            chunks = iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), [])
+            for block in itertools.chain([list(itertools.islice(fh, 1))], chunks):
+                values = None if header_open else _block_columns(block, len(log))
+                if values is None:
                     header, values = _line_chunk(path, block, start, header_open, len(log))
                     if header is not None:
                         log.header = header
                     header_open = header_open and not any(map(str.strip, block))
-                    for column, chunk in zip(columns, values):
-                        column.extend(chunk)
-                    start += len(block)
+                for column, chunk in zip(columns, values):
+                    column.extend(chunk)
+                start += len(block)
         return log

@@ -49,7 +49,7 @@ from .splits import largest_remainder
 # Tolerances: a node is on target when gap * degree <= _MOVE_TOL, the dust
 # _ceil_tol forgives, so its lower edge-move bound leaves no move; a gate
 # passes only if the edit shrinks the potential by more than _GATE_TOL.
-_EQ_TOL = 1e-12  # edge_move_bounds' "no gap"
+_EQ_TOL = 1e-12  # edge_move_bounds: a goal this close to 0 or 1 is at that end
 _MOVE_TOL = 1e-9
 _GATE_TOL = 1e-12
 
@@ -144,16 +144,18 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
     Lower bound: moves needed when each rewire shifts h by exactly 1/degree.
     Upper bound: additions-only count, solving (s + e)/(d + e) = h_goal for
     a raising goal and s/(d + e) = h_goal for a lowering one. Goals of
-    exactly 0 or 1 fall back to pure rewiring (upper == lower).
+    exactly 0 or 1 fall back to pure rewiring (upper == lower). A gap whose
+    lower bound leaves no move, the dust `_ceil_tol` forgives, gives (0, 0):
+    the node is on target, as `_EditState` marks it.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if not (0.0 <= h_current <= 1.0 and 0.0 <= h_goal <= 1.0):
         raise ValueError("ratios must lie in [0, 1]")
     gap = abs(h_goal - h_current)
-    if gap <= _EQ_TOL:
-        return (0, 0)
     lower = _ceil_tol(gap * degree)
+    if lower == 0:
+        return (0, 0)
     if h_current < h_goal:
         upper = lower if h_goal >= 1.0 - _EQ_TOL else _ceil_tol(gap * degree / (1.0 - h_goal))
     else:

@@ -347,23 +347,66 @@ def test_edit_log_load_names_a_last_line_of_digits_with_no_final_newline(
     assert _load_outcome(EditLog.load, path) == _load_outcome(reference_edit_log_load, path)
 
 
-def test_saved_generator_logs_take_the_block_decoder(tmp_path, log_chunk, monkeypatch):
-    """Logs in `save`'s form never fall back to the line reader, so a
-    silently slower load fails here."""
+def _line_chunk_spy(monkeypatch) -> list:
+    """The (first line number, lines) of each block that reaches the line
+    reader, in order."""
+    seen = []
+    line_chunk = editlog._line_chunk
+
+    def spy(path, block, start, *args):
+        seen.append((start, block))
+        return line_chunk(path, block, start, *args)
+
+    monkeypatch.setattr(editlog, "_line_chunk", spy)
+    return seen
+
+
+def _generated_log() -> EditLog:
     g, t = two_class_sbm(200, 6, 0.5, seed=3)
-    generated = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=1)[1]
+    return generate(g, t, BetaGoal(3.0, 10.0), 10, seed=1)[1]
+
+
+@pytest.mark.parametrize("change", ["as-saved", "crlf", "cr", "no-header"])
+def test_saved_generator_logs_take_the_block_decoder(tmp_path, log_chunk, monkeypatch, change):
+    """Of a log in `save`'s form, also with CRLF or CR line ends or without
+    its header line, only the one-line block of line 1, which settles the
+    header, reaches the line reader; so a silently slower load fails here."""
     by_hand = EditLog(header={"seed": 1})
     for k, (u, v) in enumerate(zip(_EDGE_IDS[:5], _EDGE_IDS[4::-1])):
         by_hand.append(("rewire", "refine")[k % 2], ("remove", "add")[k // 2 % 2], u, v)
-
-    def no_line_reads(*args):
-        raise AssertionError("a saved log reached the line reader")
-
-    monkeypatch.setattr(editlog, "_line_chunk", no_line_reads)
-    for log in (generated, by_hand):
+    seen = _line_chunk_spy(monkeypatch)
+    for log in (_generated_log(), by_hand):
         path = tmp_path / "edits.jsonl"
         log.save(path)
+        text = path.read_text(encoding="utf-8")
+        if change == "no-header":
+            text = text.split("\n", 1)[1]
+            log.header = {}
+        elif change != "as-saved":
+            text = text.replace("\n", {"crlf": "\r\n", "cr": "\r"}[change])
+        path.write_bytes(text.encode("utf-8"))
+        seen.clear()
         assert EditLog.load(path) == log
+        assert seen == [(1, [text.splitlines()[0] + "\n"])]
+
+
+def test_an_off_form_block_alone_takes_the_line_reader(tmp_path, monkeypatch):
+    """A blank line in a saved log's third block of records sends that block
+    alone to the line reader; the blocks after it still take the block
+    decoder, and the log loads as it was saved."""
+    chunk = 4
+    monkeypatch.setattr(editlog, "_LOG_CHUNK", chunk)
+    log = _generated_log()
+    assert len(log) > 3 * chunk
+    path = tmp_path / "edits.jsonl"
+    log.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    third = 1 + 2 * chunk  # index of the third record block's first line
+    lines.insert(third + 1, "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    seen = _line_chunk_spy(monkeypatch)
+    assert EditLog.load(path) == log
+    assert seen == [(1, lines[:1]), (third + 1, lines[third:third + chunk])]
 
 
 def test_edit_log_save_refuses_what_load_refuses(tmp_path):
@@ -380,6 +423,11 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     ([1, 2], "header must be a dict without an 'op' key, got [1, 2]"),
     ({"x": math.nan}, "header {'x': nan}: Out of range float values are not JSON compliant"),
     ({"x": [-math.inf]}, "header {'x': [-inf]}: Out of range float values are not JSON compliant"),
+    ({1: "a"}, "header {1: 'a'} would load back as {'1': 'a'}"),
+    ({"a": (1, 2)}, "header {'a': (1, 2)} would load back as {'a': [1, 2]}"),
+    ({1: "a", "b": 2}, "header {1: 'a', 'b': 2}: '<' not supported between instances of "),
+    ({"seed": np.int64(1)}, "header {'seed': np.int64(1)}: Object of type int64 is not JSON "
+                            "serializable"),
 ])
 def test_edit_log_save_refuses_a_header_load_would_not_read_back(tmp_path, header, message):
     log = EditLog(header=header)

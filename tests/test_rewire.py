@@ -260,6 +260,10 @@ def test_edge_move_bounds_examples():
 def test_edge_move_bounds_float_dust():
     # 0.2 - 0.1 slightly exceeds 0.1 in floats; the bound must still be 1
     assert edge_move_bounds(0.1, 0.2, 10)[0] == 1
+    # a gap counts exactly when its lower bound leaves a move: gap * degree
+    # beyond the dust _ceil_tol forgives, however small the gap itself
+    assert edge_move_bounds(0.5, 0.5 + 8e-13, 2000) == (1, 1)
+    assert edge_move_bounds(0.5, 0.5 + 5e-10, 1) == (0, 0)
 
 
 def test_edge_move_bounds_invalid_degree():
@@ -313,23 +317,29 @@ def test_a_fresh_state_is_live_exactly_when_the_lower_bound_leaves_a_move():
     with the sign of goal - h, exactly when edge_move_bounds' lower bound is
     at least 1, and then its upper bound is at least 1 too. So neither loop
     needs a bound test of its own."""
-    seen = set()
+    cases = []
     for degree in range(1, 13):
-        g = Graph.from_edges(degree + 1, [(0, k) for k in range(1, degree + 1)])
         for same in range(degree + 1):
-            # node 0 has `same` label-0 neighbours and degree - same label-1 ones
-            t = NodeTable(np.array([0] * (same + 1) + [1] * (degree - same)),
-                          np.zeros(degree + 1, dtype=int))
             h = same / degree
             goals = {0.0, 1e-13, 1 - 1e-13, 1.0, *(j / 20 for j in range(21))}
             goals |= {h + o for o in (1e-11, 5e-10, 1.5e-9, 1e-3) for o in (o, -o)}
-            for goal in sorted(x for x in goals if 0.0 <= x <= 1.0):
-                state = _EditState(g, t, [NodeGoal(0, h, goal, 1)], EditLog())
-                lower, upper = edge_move_bounds(h, goal, degree)
-                assert (state.live[0] != 0) == (lower >= 1) == (state.filed[0] is not None)
-                if state.live[0]:
-                    assert state.live[0] == (1 if goal > h else -1) and upper >= 1
-                seen.add(lower >= 1)
+            cases.append((degree, same, goals))
+    # above degree 1000 a gap below 1e-12 can leave a move
+    cases.append((2000, 1000, {0.5 + o for o in (4e-13, 8e-13) for o in (o, -o)}))
+    seen = set()
+    for degree, same, goals in cases:
+        g = Graph.from_edges(degree + 1, [(0, k) for k in range(1, degree + 1)])
+        # node 0 has `same` label-0 neighbours and degree - same label-1 ones
+        t = NodeTable(np.array([0] * (same + 1) + [1] * (degree - same)),
+                      np.zeros(degree + 1, dtype=int))
+        h = same / degree
+        for goal in sorted(x for x in goals if 0.0 <= x <= 1.0):
+            state = _EditState(g, t, [NodeGoal(0, h, goal, 1)], EditLog())
+            lower, upper = edge_move_bounds(h, goal, degree)
+            assert (state.live[0] != 0) == (lower >= 1) == (state.filed[0] is not None)
+            if state.live[0]:
+                assert state.live[0] == (1 if goal > h else -1) and upper >= 1
+            seen.add(lower >= 1)
     assert seen == {True, False}
 
 
