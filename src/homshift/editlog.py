@@ -178,12 +178,18 @@ class EditLog:
     vs: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        """The record count; raises ValueError if the columns differ in length,
+        so `records`, `replay` and `save` refuse such a log."""
+        lengths = len(self.phases), len(self.ops), len(self.us), len(self.vs)
+        if min(lengths) != max(lengths):
+            raise ValueError("edit log columns differ in length: "
+                             "phases %d, ops %d, us %d, vs %d" % lengths)
+        return lengths[0]
 
     @property
     def records(self) -> list[EditRecord]:
         """A read-only view: a new list of `EditRecord`s built from the columns."""
-        return list(map(EditRecord, itertools.count(), self.phases, self.ops, self.us, self.vs))
+        return list(map(EditRecord, range(len(self)), self.phases, self.ops, self.us, self.vs))
 
     def append(self, phase: str, op: str, u: int, v: int) -> None:
         self.phases.append(phase)
@@ -249,20 +255,25 @@ class EditLog:
 
         What `load` would refuse or read back as something else, or `%d`
         would write as another number, raises ValueError before the file is
-        opened: a header that is not a dict, has an "op" key, holds NaN or
-        an infinity, or does not load back equal (a non-str key, a tuple, a
-        value JSON cannot write); a phase or op that is not a string, named;
-        or a u or v that is not an int or numpy integer (a bool, a float, a
-        str), named with its record's seq.
+        opened: columns of different lengths; a header that is not a dict,
+        has an "op" key, holds NaN or an infinity, does not load back equal
+        (a non-str key, a tuple, a value JSON cannot write) or is nested too
+        deeply to write; a phase or op that is not a string, named; or a u
+        or v that is not an int or numpy integer (a bool, a float, a str),
+        named with its record's seq.
         """
-        if not _is_header(self.header):
-            raise ValueError(f"header must be a dict without an 'op' key, got {self.header!r}")
-        try:
-            header = json.dumps(self.header, sort_keys=True, allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"header {self.header!r}: {exc}") from None
-        if json.loads(header) != self.header:
-            raise ValueError(f"header {self.header!r} would load back as {json.loads(header)!r}")
+        m = len(self)
+        try:  # json and the messages' repr both recurse into the header
+            if not _is_header(self.header):
+                raise ValueError(f"header must be a dict without an 'op' key, got {self.header!r}")
+            try:
+                header = json.dumps(self.header, sort_keys=True, allow_nan=False)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"header {self.header!r}: {exc}") from None
+            if json.loads(header) != self.header:
+                raise ValueError(f"header {self.header!r} would load back as {json.loads(header)!r}")
+        except RecursionError:
+            raise ValueError("header is nested too deeply to write as JSON") from None
         pairs = set(zip(self.ops, self.phases))
         for key, words in (("phase", {p for _, p in pairs}), ("op", {o for o, _ in pairs})):
             for word in words:
@@ -279,7 +290,7 @@ class EditLog:
         prefixes = {pair: _record_prefix(*pair) for pair in pairs}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for a in range(0, len(self), _LOG_CHUNK):
+            for a in range(0, m, _LOG_CHUNK):
                 b = a + _LOG_CHUNK
                 args = tuple(itertools.chain.from_iterable(zip(
                     map(prefixes.__getitem__, zip(self.ops[a:b], self.phases[a:b])),

@@ -98,9 +98,12 @@ def load_predictions(path) -> PredictionTable:
 
 
 def save_predictions(p: PredictionTable, path) -> None:
+    """Write the rows `p` scores, each under its row index as node_id, so the
+    file loads back as a table with the same scores."""
+    rows = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_PREDICTION_COLUMNS) + "\n")
-        for node in range(p.y_true.size):
+        for node in rows:
             fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
 
 

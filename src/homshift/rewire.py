@@ -163,11 +163,6 @@ def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int,
     return (lower, upper)
 
 
-# The phase and op columns of a rewire pair's two records.
-_REWIRE_PHASES = ("rewire", "rewire")
-_REWIRE_OPS = ("remove", "add")
-
-
 def _adjacency_sets(g: Graph) -> list[set[int]]:
     """Mutable neighbour sets of g, one per node."""
     ptr = g.indptr.tolist()
@@ -256,7 +251,7 @@ class _EditState:
     A rewire pair is applied as one update (`attempt_rewire`): i's
     neighbour set swaps j for k, i's degree stays while j's drops and k's
     grows by one, `same` changes for i and for whichever of j and k shares
-    i's label, and the log gains both records at once.
+    i's label, and then the log gains the removal and the addition.
 
     `generate` builds and runs the state with the cyclic garbage collector
     paused (`_collector_paused`). The state's sets and lists, the goals and
@@ -371,9 +366,9 @@ class _EditState:
         by the partner rule.
 
         Both are picked from the state before the edit, so the pair is
-        applied as one update of adj, deg, same and the log, and then i, j
-        and k are refreshed once each; j != k, since j is a neighbour of i
-        and k is not.
+        applied as one update of adj, deg and same, then logged; i, j and
+        k are refreshed once each. j != k, since j is a neighbour of i and
+        k is not.
         """
         s = self.live[i]
         if s == 0 or self.deg[i] <= 1:
@@ -422,10 +417,8 @@ class _EditState:
         else:
             same[j] -= 1
         same[i] = same_i2 + eq_add
-        log.phases += _REWIRE_PHASES
-        log.ops += _REWIRE_OPS
-        log.us += (i, i)
-        log.vs += (j, k)
+        log.append("rewire", "remove", i, j)
+        log.append("rewire", "add", i, k)
         self._refresh(i)
         self._refresh(j)
         self._refresh(k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import read_id_table
+from .graph import owned_readonly, read_id_table
 from .homophily import defined_bins, emd, histogram
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
@@ -28,7 +28,8 @@ class SplitAssignment:
     for the rest. The val set is carved out of the training pool, so the
     train side of emd_train_test is the full pool (train plus val) and
     per_bin_train_share is the pool's fraction of each bin (0.0 when the
-    bin is empty).
+    bin is empty). Like `NodeTable`, it keeps read-only arrays of its own
+    and never marks or shares the caller's.
     """
 
     tags: np.ndarray
@@ -39,12 +40,10 @@ class SplitAssignment:
     per_bin_train_share: np.ndarray
 
     def __post_init__(self):
-        tags = np.asarray(self.tags, dtype=np.int8)
-        tags.flags.writeable = False
-        object.__setattr__(self, "tags", tags)
-        share = np.asarray(self.per_bin_train_share, dtype=np.float64)
-        share.flags.writeable = False
-        object.__setattr__(self, "per_bin_train_share", share)
+        tags, share = self.tags, self.per_bin_train_share
+        object.__setattr__(self, "tags", owned_readonly(np.asarray(tags, dtype=np.int8), tags))
+        object.__setattr__(self, "per_bin_train_share",
+                           owned_readonly(np.asarray(share, dtype=np.float64), share))
 
     def mask(self, tag: int) -> np.ndarray:
         return self.tags == tag

@@ -1,9 +1,11 @@
 """The edit log: save, load and replay."""
 
+import ast
 import gc
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +420,13 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     assert not path.exists()
 
 
+def _nested(kind: str, depth: int):
+    value = 1
+    for _ in range(depth):
+        value = {"a": value} if kind == "dict" else [value]
+    return value
+
+
 @pytest.mark.parametrize("header, message", [
     ({"op": "x"}, "header must be a dict without an 'op' key, got {'op': 'x'}"),
     ([1, 2], "header must be a dict without an 'op' key, got [1, 2]"),
@@ -428,6 +437,9 @@ def test_edit_log_save_refuses_what_load_refuses(tmp_path):
     ({1: "a", "b": 2}, "header {1: 'a', 'b': 2}: '<' not supported between instances of "),
     ({"seed": np.int64(1)}, "header {'seed': np.int64(1)}: Object of type int64 is not JSON "
                             "serializable"),
+    # json.dumps fails on the dict, and the not-a-dict message's repr on the list
+    (_nested("dict", 5000), "header is nested too deeply to write as JSON"),
+    (_nested("list", 5000), "header is nested too deeply to write as JSON"),
 ])
 def test_edit_log_save_refuses_a_header_load_would_not_read_back(tmp_path, header, message):
     log = EditLog(header=header)
@@ -436,6 +448,51 @@ def test_edit_log_save_refuses_a_header_load_would_not_read_back(tmp_path, heade
     with pytest.raises(ValueError, match=re.escape(message)):
         log.save(path)
     assert not path.exists()
+
+
+def _misaligned_log():
+    return EditLog(header={"seed": 1}, phases=["rewire", "rewire"], ops=["remove", "add"],
+                   us=[0, 0], vs=[1])
+
+
+_MISALIGNED = re.escape("edit log columns differ in length: phases 2, ops 2, us 2, vs 1")
+
+
+def test_edit_log_save_refuses_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "edits.jsonl"
+    with pytest.raises(ValueError, match=_MISALIGNED):
+        _misaligned_log().save(path)
+    assert not path.exists()
+
+
+def test_edit_log_replay_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match=_MISALIGNED):
+        _misaligned_log().replay(Graph.from_edges(3, [(0, 1)]))
+
+
+def test_edit_log_records_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match=_MISALIGNED):
+        _misaligned_log().records
+    for column in ("phases", "ops", "us"):  # one column longer than the other three
+        log = EditLog(phases=["rewire"], ops=["add"], us=[0], vs=[1])
+        getattr(log, column).append(getattr(log, column)[0])
+        with pytest.raises(ValueError, match="edit log columns differ in length"):
+            log.records
+
+
+def test_only_editlog_reads_or_writes_the_log_columns():
+    """Every module of the package but editlog.py goes through EditLog's
+    methods, so a change to how the log stores its records is a change to
+    editlog.py alone."""
+    package = Path(editlog.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "editlog.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("phases", "ops", "us", "vs"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
 
 
 @pytest.mark.parametrize("key, value", [

@@ -239,6 +239,25 @@ def test_predictions_roundtrip(tmp_path):
         "node_id,y_true,y_pred,sensitive"
 
 
+def test_masked_predictions_roundtrip_keeps_their_scores(tmp_path):
+    p = PredictionTable([0, 0, 1, 1, 5], [0, 1, 1, 0, 5], [0, 1, 0, 1, 1],
+                        mask=[True, True, True, True, False])
+    path = tmp_path / "preds.csv"
+    save_predictions(p, path)
+    q = load_predictions(path)
+    assert (micro_f1(q), q.n_eval) == (micro_f1(p), p.n_eval) == (0.5, 4)
+    assert per_class_statistical_parity(q).tolist() == per_class_statistical_parity(p).tolist()
+    # each scored row is written under its row index
+    p = PredictionTable([0, 0, 1, 1, 5], [0, 1, 1, 0, 5], [0, 1, 0, 1, 1],
+                        mask=[True, True, False, False, True])
+    save_predictions(p, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == \
+        ["0,0,0,0", "1,0,1,1", "4,5,5,1"]
+    q = load_predictions(path)
+    assert (micro_f1(q), q.n_eval) == (micro_f1(p), p.n_eval)
+    assert per_class_statistical_parity(q).tolist() == per_class_statistical_parity(p).tolist()
+
+
 def test_load_predictions_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n0,0,0,0\n")

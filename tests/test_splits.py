@@ -329,6 +329,17 @@ def test_save_split_matches_row_writer(tmp_path_factory, tags):
     assert (root / "bulk.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
 
+def test_split_assignment_keeps_its_own_arrays():
+    tags, share = np.array([0, 2, 3, 1], dtype=np.int8), np.array([0.5, 0.0])
+    a = SplitAssignment(tags, 0.0, 2, None, 0.0, share)
+    assert a.tags is not tags and a.per_bin_train_share is not share
+    tags[0], share[0] = 2, 1.0
+    assert tags.flags.writeable and share.flags.writeable
+    assert a.tags.tolist() == [0, 2, 3, 1] and a.per_bin_train_share.tolist() == [0.5, 0.0]
+    assert not a.tags.flags.writeable and not a.per_bin_train_share.flags.writeable
+    assert a.tags.dtype == np.int8 and a.per_bin_train_share.dtype == np.float64
+
+
 def test_split_save_load_roundtrip(tmp_path, beta_ratios):
     ratios = beta_ratios.copy()
     ratios[:10] = np.nan
