@@ -137,7 +137,7 @@ def _save_reloaded_split(assignment, path: Path) -> None:
 
 
 def _cmd_split(args) -> dict:
-    gammas = args.gamma if args.gamma else [0.0]
+    gammas = [gm + 0.0 for gm in args.gamma or [0.0]]  # + 0.0 reads -0.0 as 0
     for gm in gammas:
         if not (math.isfinite(gm) and gm >= 0):
             raise ValueError(f"--gamma must be a finite non-negative number, got {gm!r}")
@@ -159,31 +159,27 @@ def _cmd_split(args) -> dict:
     return artifacts
 
 
-def _score(path, dataset: str, model: str) -> tuple[dict, MetricRecord]:
+def _score(path) -> tuple[dict, MetricRecord]:
     table = load_predictions(path)
     f1 = micro_f1(table)
-    if table.class_count >= 2:
-        try:
-            per_class = [float(x) for x in per_class_statistical_parity(table)]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        sp = max(per_class)  # the multiclass parity
-    else:
-        sp = 0.0
-        per_class = [0.0]
+    try:
+        per_class = [float(x) for x in per_class_statistical_parity(table)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    sp = max(per_class)  # the multiclass parity
     payload = {"f1": f1, "sp": sp, "n_eval": table.n_eval, "per_class_sp": per_class}
-    return payload, MetricRecord(f1=f1, sp=sp, n_eval=table.n_eval,
-                                 dataset=dataset, model=model)
+    # the runs compared are the files named on the command line, so all share one identity
+    return payload, MetricRecord(f1=f1, sp=sp, n_eval=table.n_eval, dataset="", model="")
 
 
 def _cmd_metrics(args) -> dict:
-    payload_a, rec_a = _score(args.run_a, args.dataset, args.model)
+    payload_a, rec_a = _score(args.run_a)
     artifacts = {"metrics_a.json": payload_a}
     rec_b = None
     if args.run_b:
-        artifacts["metrics_b.json"], rec_b = _score(args.run_b, args.dataset, args.model)
+        artifacts["metrics_b.json"], rec_b = _score(args.run_b)
     if args.baseline:
-        _, rec_base = _score(args.baseline, args.dataset, "baseline")
+        _, rec_base = _score(args.baseline)
         for run, rec, name in ((args.run_a, rec_a, "adjusted_a.json"),
                                (args.run_b, rec_b, "adjusted_b.json")):
             if rec is None:
@@ -210,7 +206,7 @@ def _cmd_theory(args) -> dict:
         if entry.strip() == "":
             continue
         try:
-            grid.append(float(entry))
+            grid.append(float(entry) + 0.0)  # + 0.0 reads -0.0 as 0
         except ValueError:
             raise ValueError(f"--alpha-grid entry {entry!r} is not a number") from None
     if not grid:
@@ -270,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-a", required=True, help="prediction CSV")
     p.add_argument("--run-b", help="second prediction CSV for delta metrics")
     p.add_argument("--baseline", help="baseline prediction CSV to subtract")
-    p.add_argument("--dataset", default="dataset")
-    p.add_argument("--model", default="model")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_metrics)
 

@@ -34,8 +34,6 @@ class SplitAssignment:
 
     tags: np.ndarray
     gamma: float
-    bin_count: int
-    seed: int | None
     emd_train_test: float
     per_bin_train_share: np.ndarray
 
@@ -151,8 +149,6 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
     return SplitAssignment(
         tags=tags,
         gamma=float(gamma),
-        bin_count=bin_count,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
         emd_train_test=float(pair_emd),
         per_bin_train_share=share,
     )

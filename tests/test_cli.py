@@ -1,5 +1,6 @@
 """End-to-end coverage of the homshift command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -213,6 +214,18 @@ def test_split_rejects_a_gamma_that_is_not_finite_and_non_negative(
     assert not out.exists()
 
 
+def test_split_reads_negative_zero_gamma_as_zero(sbm_files, tmp_path):
+    root, _, _ = sbm_files
+    graph = ["--graph", str(root / "edges.txt"), "--nodes", str(root / "nodes.csv")]
+    neg, pos = tmp_path / "neg", tmp_path / "pos"
+    assert main(["split", *graph, "--gamma=-0.0", "--gamma", "0", "--out", str(neg)]) == 0
+    assert main(["split", *graph, "--out", str(pos)]) == 0
+    names = ["split.config.json", "split_gamma0.csv", "split_gamma0.json"]
+    assert sorted(p.name for p in neg.iterdir()) == names
+    for name in names[1:]:
+        assert (neg / name).read_bytes() == (pos / name).read_bytes(), name
+
+
 def test_split_refuses_zero_bins(sbm_files, tmp_path, capsys):
     root, _, _ = sbm_files
     out = tmp_path / "out"
@@ -235,8 +248,7 @@ def test_metrics_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["metrics", "--run-a", str(tmp_path / "a.csv"),
                "--run-b", str(tmp_path / "b.csv"),
-               "--baseline", str(tmp_path / "a.csv"),
-               "--dataset", "toy", "--model", "gcn", "--out", str(out)])
+               "--baseline", str(tmp_path / "a.csv"), "--out", str(out)])
     assert rc == 0
 
     a = json.loads((out / "metrics_a.json").read_text())
@@ -265,10 +277,12 @@ def test_metrics_single_class_parity_is_zero(tmp_path):
     ("0,1,1,0\n1,0,0,2\n", "{bad}: line 3: sensitive attribute must be 0 or 1, got 2"),
     # every row in sensitive group 0
     ("0,1,1,0\n1,0,0,0\n", "{bad}: both sensitive groups must be nonempty on the evaluated subset"),
+    # one class and one group: refused like any one-group file, not scored as parity 0
+    ("0,0,0,0\n1,0,0,0\n", "{bad}: both sensitive groups must be nonempty on the evaluated subset"),
     # a valid file with 2 rows where the others have 3
     ("0,1,1,0\n1,0,0,1\n", "baseline must score the same evaluation subset: "
                            "{base} has {n_base} rows, {run} has {n_run}"),
-], ids=["bad-row", "one-group", "row-count"])
+], ids=["bad-row", "one-group", "one-class-one-group", "row-count"])
 @pytest.mark.parametrize("flag", ["--run-a", "--run-b", "--baseline"])
 def test_metrics_error_names_the_bad_prediction_file(tmp_path, capsys, flag, body, message):
     good = tmp_path / "good.csv"
@@ -376,7 +390,7 @@ def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
         "split": graph + ["--gamma", "0.0", "--gamma", "1.5", "--train-frac", "0.7",
                           "--seed", "4"],
         "metrics": ["--run-a", str(tmp_path / "a.csv"), "--run-b", str(tmp_path / "b.csv"),
-                    "--baseline", str(tmp_path / "b.csv"), "--dataset", "toy"],
+                    "--baseline", str(tmp_path / "b.csv")],
         "theory": ["--alpha-grid=-0.1,0.0", "--trials", "20", "--seed", "2"],
     }[command]
     first, second = tmp_path / "first", tmp_path / "second"
@@ -394,6 +408,71 @@ def test_outputs_regenerate_from_the_config_alone(sbm_files, tmp_path, command):
             assert rerun == config
         else:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# ------------------------------------------------ every option is read
+
+# Options that name the output or the inputs every run of a command needs.
+_INPUT_OPTIONS = {"--out", "--graph", "--nodes", "--run-a"}
+
+# A second value for every other option of every subcommand (None for a flag),
+# given after a base run's arguments; a new option needs an entry here.
+_SECOND_VALUES = {
+    "analyze": {"--one-indexed": None, "--bins": "7"},
+    "generate": {"--one-indexed": None, "--alpha": "10.0", "--beta": "3.0", "--bins": "7",
+                 "--seed": "1"},
+    "split": {"--one-indexed": None, "--gamma": "1.0", "--bins": "7", "--train-frac": "0.7",
+              "--val-frac": "0.1", "--seed": "1"},
+    "metrics": {"--run-b": "{b}", "--baseline": "{b}"},
+    "theory": {"--n": "800", "--k": "300", "--d": "8", "--h": "0.6", "--alpha-grid": "0.1",
+               "--mu-l": "2.0", "--mu-s": "0.5", "--sigma": "0.1", "--lam": "0.01",
+               "--trials": "30", "--seed": "1"},
+}
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.option_strings[0] for a in p._actions
+                      if a.dest != "help" and a.option_strings[0] not in _INPUT_OPTIONS}
+            for command, p in sub.choices.items()}
+
+
+def test_every_option_has_a_second_value():
+    assert {command: set(values) for command, values in _SECOND_VALUES.items()} \
+        == _subcommand_options()
+
+
+@pytest.mark.parametrize("command", sorted(_SECOND_VALUES))
+def test_every_option_reaches_a_result(sbm_files, tmp_path, command):
+    """A second value of any option changes an artifact other than the sidecar, or
+    the set of artifacts; an option that only reaches the sidecar fails here."""
+    root, g, t = sbm_files
+    # node 0 has no edge, so the list reads both 0- and 1-indexed
+    (tmp_path / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in g.edges if u and v))
+    _write_predictions(tmp_path / "a.csv", t.labels, t.labels[::-1], t.sensitive)
+    _write_predictions(tmp_path / "b.csv", t.labels, t.labels, t.sensitive)
+    graph = ["--graph", str(tmp_path / "edges.txt"), "--nodes", str(root / "nodes.csv")]
+    base = {
+        "analyze": graph,
+        "generate": graph + ["--alpha", "3.0", "--beta", "10.0"],
+        "split": graph,
+        "metrics": ["--run-a", str(tmp_path / "a.csv")],
+        "theory": ["--trials", "20"],
+    }[command]
+
+    def artifacts(argv, out):
+        assert main([command, *argv, "--out", str(out)]) == 0, argv
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != f"{command}.config.json"}
+
+    first = artifacts(base, tmp_path / "base")
+    unread = []
+    for option, value in _SECOND_VALUES[command].items():
+        extra = [] if value is None else [value.format(b=tmp_path / "b.csv")]
+        if artifacts(base + [option, *extra], tmp_path / option.lstrip("-")) == first:
+            unread.append(option)
+    assert unread == []
 
 
 # One artifact writer per command, made to raise after it has written.
@@ -594,6 +673,14 @@ def test_theory_reads_negative_zero_sigma_as_zero(tmp_path):
     argv = ["theory", "--alpha-grid", "0.0,0.2", "--trials", "20", "--seed", "4"]
     assert main(argv + ["--sigma=-0.0", "--out", str(tmp_path / "neg")]) == 0
     assert main(argv + ["--sigma=0.0", "--out", str(tmp_path / "pos")]) == 0
+    assert ((tmp_path / "neg" / "sweep.csv").read_bytes()
+            == (tmp_path / "pos" / "sweep.csv").read_bytes())
+
+
+def test_theory_reads_negative_zero_alpha_as_zero(tmp_path):
+    argv = ["theory", "--trials", "20", "--seed", "4"]
+    assert main(argv + ["--alpha-grid=-0.0,0.2", "--out", str(tmp_path / "neg")]) == 0
+    assert main(argv + ["--alpha-grid=0.0,0.2", "--out", str(tmp_path / "pos")]) == 0
     assert ((tmp_path / "neg" / "sweep.csv").read_bytes()
             == (tmp_path / "pos" / "sweep.csv").read_bytes())
 

@@ -322,7 +322,7 @@ def test_split_at_a_huge_gamma_is_the_extreme_split(beta_ratios, gamma):
 @given(st.lists(st.integers(0, 3), max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_save_split_matches_row_writer(tmp_path_factory, tags):
-    a = SplitAssignment(np.array(tags, dtype=np.int8), 0.0, 1, None, 0.0, np.zeros(1))
+    a = SplitAssignment(np.array(tags, dtype=np.int8), 0.0, 0.0, np.zeros(1))
     root = tmp_path_factory.mktemp("write")
     save_split(a, root / "bulk.csv")
     reference_save_split(a, root / "rows.csv")
@@ -331,7 +331,7 @@ def test_save_split_matches_row_writer(tmp_path_factory, tags):
 
 def test_split_assignment_keeps_its_own_arrays():
     tags, share = np.array([0, 2, 3, 1], dtype=np.int8), np.array([0.5, 0.0])
-    a = SplitAssignment(tags, 0.0, 2, None, 0.0, share)
+    a = SplitAssignment(tags, 0.0, 0.0, share)
     assert a.tags is not tags and a.per_bin_train_share is not share
     tags[0], share[0] = 2, 1.0
     assert tags.flags.writeable and share.flags.writeable
