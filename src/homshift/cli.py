@@ -206,9 +206,12 @@ def _cmd_theory(args) -> dict:
         if entry.strip() == "":
             continue
         try:
-            grid.append(float(entry) + 0.0)  # + 0.0 reads -0.0 as 0
+            alpha = float(entry) + 0.0  # + 0.0 reads -0.0 as 0
         except ValueError:
             raise ValueError(f"--alpha-grid entry {entry!r} is not a number") from None
+        if not math.isfinite(alpha):
+            raise ValueError(f"--alpha-grid entry {entry!r} is not a finite number")
+        grid.append(alpha)
     if not grid:
         raise ValueError("--alpha-grid must list at least one value")
     params = TheoryParams(n=args.n, k=args.k, d=args.d, h=args.h, alpha_shift=0.0,

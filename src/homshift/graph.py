@@ -260,25 +260,26 @@ def load_edge_list(path, one_indexed: bool = False) -> Graph:
     name = _plain_file_name(path)
     pairs = None if name is None else _parse_pairs(name)
     text = None
-    if pairs is None or pairs.shape[0] == 0 or pairs.shape[1] != 2 or (pairs < lowest).any():
+    if pairs is None or pairs.shape[0] == 0 or pairs.shape[1] != 2 or pairs.min() < lowest:
         text = _read_text(path)
         pairs = _parse_pairs(io.StringIO(text.replace(",", " ")))
         if pairs is not None and pairs.shape[0] == 0:
             raise ValueError(f"{path}: empty edge list")
-        if pairs is None or pairs.shape[1] != 2 or (pairs < lowest).any():
+        if pairs is None or pairs.shape[1] != 2 or pairs.min() < lowest:
             raise ValueError(_first_bad_line(path, text, one_indexed)
                              or f"{path}: unparseable edge list")
-    pairs -= lowest
+    if lowest:
+        pairs -= lowest
     node_count = int(pairs.max()) + 1
     if node_count > _MAX_NODES:
         text = _read_text(path) if text is None else text
         raise ValueError(_first_bad_line(path, text, one_indexed)
                          or f"{path}: node_count {node_count} too large")
     loops = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(np.count_nonzero(loops))
     # compress, not pairs[~loops]: under numpy 2.4 a boolean row mask on an
     # (m, 2) array copies row by row; on 687k rows that takes 21-30 ms, this 3.4 ms.
-    g = Graph.from_edges(node_count, pairs.compress(~loops, axis=0))
-    self_loops = int(loops.sum())
+    g = Graph.from_edges(node_count, pairs.compress(~loops, axis=0) if self_loops else pairs)
     duplicates = pairs.shape[0] - self_loops - g.edge_count
     if self_loops or duplicates:
         logger.info(
@@ -373,8 +374,11 @@ def read_id_table(path, columns, converters=None):
     formats"). Column 0 holds unique non-negative node ids. `converters`
     maps a column index to a function from cell text to int that raises
     ValueError on a bad cell; errors call the column by the function's name.
-    The bulk parse calls it once per distinct cell text. Other columns are
-    read as int() reads them.
+    The bulk parse stores those cells as text and calls each converter once
+    per distinct text, over all the columns it serves; a file whose text it
+    could not store exactly (a NUL anywhere, or a converter cell longer than
+    8 characters or not ASCII) is read row by row instead, with the same
+    result. Other columns are read as int() reads them.
 
     Returns (ints, floats, lines): the (r, k) int64 array of the k named
     columns, the (r, f) float64 array of the further ones (None if there are
@@ -387,7 +391,8 @@ def read_id_table(path, columns, converters=None):
     """
     names = [c for c in columns if c is not ...]
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().split("\n")
+        content = fh.read()
+    text = content.split("\n")
     header = [cell.strip() for cell in _cells(text[0])] if text[0].strip() else []
     if header[:len(names)] != names or (columns[-1] is not ... and len(header) != len(names)):
         raise ValueError(f"{path}: line 1: header must start with '{','.join(names)}'"
@@ -403,16 +408,30 @@ def read_id_table(path, columns, converters=None):
         lines = np.arange(2, len(body) + 2, dtype=np.int64)
     k, f = len(names), len(header) - len(names)
     converters = converters or {}
-    # np.loadtxt calls a converter on every cell, and a node table or split
-    # file holds a handful of distinct cells: look each text up instead.
-    cached = {conv: functools.cache(conv) for conv in converters.values()}
+    served: dict = {}  # each converter's columns, converted together: each text once
+    for c, conv in converters.items():
+        if c < k:  # as in the row-by-row pass, the float columns take none
+            served.setdefault(conv, []).append(c)
     try:
+        # numpy's string fields drop trailing NULs, so `1\0` would reach a
+        # converter as `1`; the row-by-row pass reads such a file instead.
+        if "\0" in content:
+            raise ValueError("a NUL in the file")
+        # Given converters, np.loadtxt calls one in Python on every cell;
+        # stored as text, the cells are split and kept in C instead.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(body, dtype=[("ints", np.int64, (k,)), ("floats", np.float64, (f,))],
-                               delimiter=",", quotechar='"', comments=None, ndmin=1,
-                               converters={c: cached[conv] for c, conv in converters.items()})
-        ints, floats = table["ints"], table["floats"]
+            table = np.loadtxt(body, dtype=[(f"c{c}", _CELL if c in converters else np.int64)
+                                            for c in range(k)] + [("floats", np.float64, (f,))],
+                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+        ints = np.empty((table.shape[0], k), dtype=np.int64)
+        for c in range(k):
+            if c not in converters:
+                ints[:, c] = table[f"c{c}"]
+        for conv, cols in served.items():
+            ints[:, cols] = _convert_each_text_once(
+                conv, np.stack([table[f"c{c}"] for c in cols], axis=1))
+        floats = table["floats"]
         # sort and diff rather than np.unique: 0.4 ms against 10 ms on 39.5k ids
         # under numpy 2.4. Fewer rows than lines means a quote joined two lines.
         ids = np.sort(ints[:, 0])
@@ -421,6 +440,35 @@ def read_id_table(path, columns, converters=None):
     except (ValueError, OverflowError):
         ints, floats = _parse_rows(path, body, lines, header, k, converters)
     return ints, floats if f else None, lines
+
+
+# read_id_table's field for a converter cell: np.loadtxt stores its text as
+# latin-1 bytes (refusing a character beyond U+00FF), one byte wider than
+# the uint64 key _convert_each_text_once reads, so a longer cell shows.
+_CELL = "S9"
+
+
+def _convert_each_text_once(convert, cells: np.ndarray) -> np.ndarray:
+    """int64 array of convert(cell) for a `_CELL` array, one call per distinct text.
+
+    A cell's first 8 bytes, NUL-padded, are read as one uint64 key, so the
+    distinct texts are found by sorting the keys in C and read back from
+    them (the caller has refused a file holding a NUL). A cell that fills
+    the field (it may have been cut) or holds a byte beyond ASCII raises
+    ValueError, as does any converter error.
+    """
+    if cells.getfield(np.uint8, 8).any():
+        raise ValueError("a cell of 9 or more characters")
+    keys = cells.getfield(np.uint64).ravel()
+    # sort and mask repeats rather than call np.unique, as Graph.from_edges does
+    distinct = np.sort(keys)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    # S8 drops the padding NULs; UnicodeDecodeError is a ValueError
+    texts = [text.decode("ascii") for text in distinct.view("S8").tolist()]
+    values = np.array([convert(text) for text in texts], dtype=np.int64)
+    return values[np.searchsorted(distinct, keys)].reshape(cells.shape)
 
 
 def _cells(line: str) -> list[str]:
@@ -504,15 +552,13 @@ def save_node_table(t: NodeTable, path) -> None:
     """Inverse of load_node_table; INVALID values are written as empty fields."""
     n_feat = 0 if t.features is None else t.features.shape[1]
     header = ["node_id", "label", "sensitive"] + [f"f{i}" for i in range(n_feat)]
+    columns = [map(str, range(len(t)))] + [
+        ["" if x == INVALID else str(x) for x in col.tolist()] for col in (t.labels, t.sensitive)]
+    if t.features is not None:
+        columns += [map(repr, col) for col in t.features.T.tolist()]
+    rows = [",".join(cells) + "\n" for cells in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(t)):
-            lab = "" if t.labels[i] == INVALID else str(int(t.labels[i]))
-            sen = "" if t.sensitive[i] == INVALID else str(int(t.sensitive[i]))
-            cells = [str(i), lab, sen]
-            if t.features is not None:
-                cells += [repr(float(x)) for x in t.features[i]]
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join([",".join(header) + "\n"] + rows))
 
 
 def induced_subgraph(g: Graph, t: NodeTable, keep: np.ndarray) -> tuple[Graph, NodeTable, np.ndarray]:

@@ -100,11 +100,11 @@ def load_predictions(path) -> PredictionTable:
 def save_predictions(p: PredictionTable, path) -> None:
     """Write the rows `p` scores, each under its row index as node_id, so the
     file loads back as a table with the same scores."""
-    rows = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
+    nodes = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
+    columns = [col.tolist() for col in p.evaluated()]
+    rows = [f"{node},{y},{pred},{s}\n" for node, y, pred, s in zip(nodes, *columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_PREDICTION_COLUMNS) + "\n")
-        for node in rows:
-            fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
+        fh.write("".join([",".join(_PREDICTION_COLUMNS) + "\n"] + rows))
 
 
 def _sensitive_groups(sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -294,10 +294,14 @@ def sweep_alpha(params: TheoryParams, alpha_grid, trials: int, seed) -> list[Swe
     """Closed-form and simulated gaps over a grid of homophily shifts.
 
     Grid points that push h + alpha outside [0, 1] are skipped with a
-    warning. Each row gets an independent RNG stream spawned from `seed`,
-    so results are reproducible and order-independent.
+    warning; a NaN or infinite point raises ValueError. Each row gets an
+    independent RNG stream spawned from `seed`, so results are
+    reproducible and order-independent.
     """
     alpha_grid = list(alpha_grid)
+    for alpha in alpha_grid:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha_grid must hold finite shifts, got {alpha!r}")
     streams = np.random.SeedSequence(seed).spawn(len(alpha_grid))
     rows: list[SweepRow] = []
     for i, alpha in enumerate(alpha_grid):

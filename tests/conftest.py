@@ -374,6 +374,30 @@ def reference_save_split(assignment, path) -> None:
             fh.write(f"{node},{TAG_NAMES[tag]}\n")
 
 
+def reference_save_node_table(t: NodeTable, path) -> None:
+    """Row-by-row node-table writer, as homshift.save_node_table was."""
+    n_feat = 0 if t.features is None else t.features.shape[1]
+    header = ["node_id", "label", "sensitive"] + [f"f{i}" for i in range(n_feat)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(t)):
+            lab = "" if t.labels[i] == INVALID else str(int(t.labels[i]))
+            sen = "" if t.sensitive[i] == INVALID else str(int(t.sensitive[i]))
+            cells = [str(i), lab, sen]
+            if t.features is not None:
+                cells += [repr(float(x)) for x in t.features[i]]
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_save_predictions(p: PredictionTable, path) -> None:
+    """Row-by-row prediction writer, as homshift.save_predictions was."""
+    rows = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("node_id,y_true,y_pred,sensitive\n")
+        for node in rows:
+            fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
+
+
 def reference_local_homophily(g: Graph, t: NodeTable, node: int) -> float:
     """Fraction of a labeled, non-isolated node's neighbours sharing its label,
     counted over its neighbour list."""

@@ -598,6 +598,8 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
      "the closed form's denominator is 0 at mu_l=0.0, mu_s=1e-200, lambda_reg=0.0, n=1000"),
     (["theory", "--alpha-grid=0.1,abc", "--trials", "20"],
      "--alpha-grid entry 'abc' is not a number"),
+    (["theory", "--alpha-grid=0,nan,inf", "--trials", "20"],
+     "--alpha-grid entry 'nan' is not a finite number"),
     (["metrics", "--run-a", "{missing}.csv"], "No such file or directory"),
     (["analyze", "--graph", "{graph}", "--nodes", "{nodes}", "--bins", "0"],
      "bin_count must be positive"),
@@ -617,7 +619,7 @@ def test_missing_input_reports_error(tmp_path, capsys, edges, nodes, message):
      "--seed must be a non-negative integer, got -2"),
     (["theory", "--trials", "20", "--seed", "-3"], "--seed must be a non-negative integer, got -3"),
 ], ids=["theory", "theory-sim-overflow", "theory-closed-form-overflow",
-        "theory-closed-form-zero-denominator", "theory-grid-entry",
+        "theory-closed-form-zero-denominator", "theory-grid-entry", "theory-grid-non-finite",
         "metrics", "analyze", "split", "split-no-train", "generate",
         "generate-goal-first", "generate-seed", "split-seed", "theory-seed"])
 def test_a_refused_run_leaves_no_output_directory(sbm_files, tmp_path, capsys, argv, message):

@@ -42,6 +42,7 @@ from conftest import (
     reference_load_predictions,
     reference_load_split,
     reference_read_id_table,
+    reference_save_node_table,
     union_find_components,
 )
 
@@ -371,6 +372,25 @@ def test_node_table_round_trip(tmp_path):
     assert np.allclose(t2.features, t.features)
 
 
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-1, 40), min_size=n, max_size=n),
+    st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+    st.none() | st.integers(0, 3).flatmap(lambda f: st.lists(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=f, max_size=f),
+        min_size=n, max_size=n)))))
+@settings(max_examples=80, deadline=None)
+def test_save_node_table_matches_row_writer(tmp_path_factory, case):
+    labels, sensitive, features = case
+    n = len(labels)
+    if features is not None:
+        features = np.array(features, dtype=np.float64).reshape(n, -1 if n else 0)
+    t = NodeTable(np.array(labels, dtype=np.int64), np.array(sensitive, dtype=np.int64), features)
+    root = tmp_path_factory.mktemp("write")
+    save_node_table(t, root / "bulk.csv")
+    reference_save_node_table(t, root / "rows.csv")
+    assert (root / "bulk.csv").read_bytes() == (root / "rows.csv").read_bytes()
+
+
 @pytest.mark.parametrize("labels, sensitive, shown", [
     ([0.5, 1.7], [0, 1], "labels must be int64 integers, got 0.5"),
     (np.array([0, 1]), np.array([1.0, np.inf]), "sensitive must be int64 integers, got inf"),
@@ -580,12 +600,19 @@ def test_id_tables_share_one_cell_grammar(tmp_path):
 # Lines `not line.strip()` calls blank: empty, or whitespace only, including
 # whitespace that is not ASCII and characters that split("\n") leaves alone.
 _BLANK_LINES = ["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x85", "\u2028", " \t\xa0"]
+# Cells at and past the 8 characters the bulk parse keys a converter cell
+# by, with a NUL (numpy's string fields drop a trailing one) or beyond ASCII
+# (int() reads the Arabic-Indic digit as 3; str.strip() drops U+00A0) read
+# as the row-by-row pass reads them.
 _ID_TABLE_KINDS = {
     "nodes": (("node_id", "label", "sensitive", ...), {1: _integer_or_blank, 2: _integer_or_blank},
-              ["", "0", "1", "1", '"1"', " 2 ", "x"]),
-    "split": (("node_id", "split"), {1: _tag}, ["train", "val", "test", "test", '"val"', "x"]),
+              ["", "0", "1", "1", '"1"', " 2 ", "x", "00000007", "000000007",
+               "9223372036854775807", "1\x00", "\u0663", "\xa02"]),
+    "split": (("node_id", "split"), {1: _tag},
+              ["train", "val", "test", "test", '"val"', "x", "train\x00", "t\xe9st", "\xa0val",
+               "\u3000test"]),
     "predictions": (("node_id", "y_true", "y_pred", "sensitive"), {},
-                    ["0", "1", "1", '"0"', "x"]),
+                    ["0", "1", "1", '"0"', "x", "1\x00", "\u0663"]),
 }
 
 
@@ -640,8 +667,11 @@ def test_read_id_table_matches_the_line_filtering_reference(tmp_path_factory, ca
 
 
 _CONVERTER_CELLS = {
-    _integer_or_blank: ["", " ", "\t", "0", "1", "+2", "-1", " 3 ", "1_000", "007", "-0", "x"],
-    _tag: ["train", "val", " test ", "excluded\t", "test", "Train"],
+    _integer_or_blank: ["", " ", "\t", "0", "1", "+2", "-1", " 3 ", "1_000", "007", "-0", "x",
+                        "00000007", "000000007", "9223372036854775807", "1\x00", "\u0663",
+                        "\xa02"],
+    _tag: ["train", "val", " test ", "excluded\t", "test", "Train", "excluded", "train\x00",
+           "t\xe9st", "\xa0val", "\u3000test"],
 }
 
 
@@ -650,7 +680,9 @@ def _converter_tables(draw):
     """(columns, converter, text, converter cell texts) for a node table or split file.
 
     Converter cells repeat, and may be blank, padded, quoted, signed or
-    written with an underscore; a few are bad ("x", "Train"). Ids are
+    written with an underscore; a few are bad ("x", "Train"). Some send
+    the table to the row-by-row pass: a cell of 9 or more characters, one
+    with a NUL or one beyond ASCII. Ids are
     unique and mostly plain, so most files pass the bulk parse; a feature
     `1_0` passes only the row-by-row one.
     """
@@ -720,6 +752,32 @@ def test_read_id_table_bulk_parse_matches_rows_and_converts_each_text_once(tmp_p
     if not rows.called:  # the bulk parse took the table
         assert set(collections.Counter(calls).values()) <= {1}
         assert set(calls) == set(cells)
+
+
+@pytest.mark.parametrize("kind, row, want", [
+    ("nodes", "0,1\x00,0", "line 2: expected '<integer node id>,<integer or blank>,"
+                           "<integer or blank>', got '0,1\\x00,0' "
+                           "(label: non-integer value '1\\x00')"),
+    ("split", "0,train\x00", "line 2: expected '<integer node id>,<tag>', got '0,train\\x00' "
+                             "(split: unknown split tag 'train\\x00')"),
+    ("nodes", "0,000000007,\u0663", [0, 7, 3]),
+    ("split", "0,\xa0val", [0, 1]),
+], ids=["nul-label", "nul-tag", "long-and-non-ascii-labels", "non-ascii-padded-tag"])
+def test_read_id_table_reads_cells_it_cannot_key_row_by_row(tmp_path, kind, row, want):
+    # numpy's string fields drop a trailing NUL and cut a long cell; a cell
+    # beyond ASCII has no 8-byte key either
+    columns, converters, _ = _ID_TABLE_KINDS[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(",".join(c for c in columns if c is not ...) + "\n" + row + "\n",
+                    encoding="utf-8")
+    with mock.patch.object(homshift.graph, "_parse_rows", wraps=_parse_rows) as rows:
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                read_id_table(path, columns, converters)
+            assert str(info.value) == f"{path}: {want}"
+        else:
+            assert read_id_table(path, columns, converters)[0].tolist() == [want]
+    assert rows.called
 
 
 def test_induced_subgraph_maps_ids():

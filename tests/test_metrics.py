@@ -20,7 +20,7 @@ from homshift import (
     statistical_parity,
 )
 
-from conftest import confusion_micro_f1
+from conftest import confusion_micro_f1, reference_save_predictions
 
 
 def _table(y_true, y_pred, sensitive, mask=None):
@@ -237,6 +237,20 @@ def test_predictions_roundtrip(tmp_path):
 
     assert path.read_text(encoding="utf-8").splitlines()[0] == \
         "node_id,y_true,y_pred,sensitive"
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    st.none() | st.lists(st.booleans(), min_size=n, max_size=n).filter(any))))
+@settings(max_examples=80, deadline=None)
+def test_save_predictions_matches_row_writer(tmp_path_factory, case):
+    p = _table(*case)
+    root = tmp_path_factory.mktemp("write")
+    save_predictions(p, root / "bulk.csv")
+    reference_save_predictions(p, root / "rows.csv")
+    assert (root / "bulk.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
 
 def test_masked_predictions_roundtrip_keeps_their_scores(tmp_path):

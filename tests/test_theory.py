@@ -387,6 +387,14 @@ def test_sweep_alpha_rows_and_skip(caplog):
             rows[0].closed_form + slope * row.alpha, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_alpha_refuses_a_non_finite_shift(caplog, bad):
+    with caplog.at_level(logging.WARNING), \
+            pytest.raises(ValueError, match=f"alpha_grid must hold finite shifts, got {bad!r}"):
+        sweep_alpha(_params(alpha_shift=0.0), [0.0, bad], trials=20, seed=3)
+    assert "skipping alpha" not in caplog.text
+
+
 def test_sweep_alpha_deterministic():
     p = _params(alpha_shift=0.0)
     a = sweep_alpha(p, [0.0, 0.1], trials=30, seed=5)
