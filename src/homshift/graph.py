@@ -1,4 +1,4 @@
-"""Immutable simple-graph containers, file IO, and dataset preprocessing ops."""
+"""Immutable simple-graph and node-table containers and their file IO."""
 
 from __future__ import annotations
 
@@ -142,7 +142,13 @@ class Graph:
         return self.edges
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbours of v, a read-only view into `indices`."""
+        """Sorted neighbours of v, a read-only view into `indices`.
+
+        Raises IndexError unless 0 <= v < node_count; a negative id does not
+        count from the end.
+        """
+        if not 0 <= v < self.node_count:
+            raise IndexError(f"node {v} outside 0..{self.node_count - 1}")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
 
@@ -234,11 +240,6 @@ class NodeTable:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-    def take(self, ids: np.ndarray) -> "NodeTable":
-        """Row subset in the given id order."""
-        feats = None if self.features is None else self.features[ids]
-        return NodeTable(self.labels[ids], self.sensitive[ids], feats)
 
 
 def load_edge_list(path, one_indexed: bool = False) -> Graph:
@@ -559,94 +560,3 @@ def save_node_table(t: NodeTable, path) -> None:
     rows = [",".join(cells) + "\n" for cells in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join([",".join(header) + "\n"] + rows))
-
-
-def induced_subgraph(g: Graph, t: NodeTable, keep: np.ndarray) -> tuple[Graph, NodeTable, np.ndarray]:
-    """Subgraph on `keep` (sorted original ids), compacted to 0..len(keep)-1.
-
-    Returns (graph, table, node_map) with node_map[new_id] == original_id.
-    """
-    keep = np.asarray(keep, dtype=np.int64)
-    new_of_old = np.full(g.node_count, -1, dtype=np.int64)
-    new_of_old[keep] = np.arange(keep.shape[0])
-    mapped = new_of_old[g.edges]
-    sub = Graph.from_edges(int(keep.shape[0]), mapped.compress((mapped >= 0).all(axis=1), axis=0))
-    return sub, t.take(keep), keep.copy()
-
-
-def connected_components(g: Graph) -> np.ndarray:
-    """Component id per node; ids are ordered by first (smallest) member."""
-    # imported here so that importing homshift does not pay for csgraph
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components as label_components
-
-    n = g.node_count
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    adjacency = csr_array((np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
-                          shape=(n, n))
-    count, comp = label_components(adjacency, directed=False)
-    # renumber the components in order of their smallest member
-    first = np.full(count, n, dtype=np.int64)
-    np.minimum.at(first, comp, np.arange(n))
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    return rank[comp]
-
-
-def largest_connected_component(g: Graph, t: NodeTable) -> tuple[Graph, NodeTable, np.ndarray]:
-    """Induced subgraph on the largest component, ids compacted.
-
-    Size ties break toward the component containing the smallest original
-    node id. Returns (graph, table, node_map), node_map[new] == old.
-    """
-    if g.node_count == 0:
-        raise ValueError("graph has no nodes")
-    comp = connected_components(g)
-    sizes = np.bincount(comp)
-    # component ids are assigned in order of smallest member, so argmax's
-    # first-maximum rule implements the smallest-min-id tie break
-    target = int(np.argmax(sizes))
-    keep = np.flatnonzero(comp == target)
-    return induced_subgraph(g, t, keep)
-
-
-def filter_top_classes(
-    g: Graph,
-    t: NodeTable,
-    k: int,
-    exclude: frozenset[int] | set[int] = frozenset(),
-) -> tuple[Graph, NodeTable, np.ndarray]:
-    """Keep the k most frequent classes (minus `exclude`), then take the LCC.
-
-    Nodes survive the filter only if their class ranks in the top k AND their
-    sensitive attribute is valid. Class ids are re-mapped densely by
-    descending frequency (frequency ties rank the lower original id first);
-    sensitive ids are compacted preserving ascending order. Returns
-    (graph, table, node_map) with node_map[new] == original id in `g`.
-    """
-    if len(t) != g.node_count:
-        raise ValueError("node table does not match graph size")
-    if k < 1:
-        raise ValueError("k must be positive")
-    valid_label = t.labels >= 0
-    candidate = valid_label & ~np.isin(t.labels, list(exclude))
-    classes, counts = np.unique(t.labels[candidate], return_counts=True)
-    if classes.shape[0] < k:
-        raise ValueError(f"only {classes.shape[0]} classes available after exclusion, need {k}")
-    # rank by descending count, ties toward the lower original class id
-    order = np.lexsort((classes, -counts))
-    top = order[:k]  # indices into the sorted `classes`, most frequent first
-    keep_mask = np.isin(t.labels, classes[top]) & (t.sensitive >= 0)
-    keep = np.flatnonzero(keep_mask)
-    if keep.shape[0] == 0:
-        raise ValueError("no nodes survive the class/sensitive filter")
-    sub_g, sub_t, node_map = induced_subgraph(g, t, keep)
-    sub_g, sub_t, lcc_map = largest_connected_component(sub_g, sub_t)
-    node_map = node_map[lcc_map]
-    rank = np.empty(classes.shape[0], dtype=np.int64)
-    rank[top] = np.arange(k)
-    # the LCC may have dropped a class entirely; re-compact preserving rank order
-    _, new_labels = np.unique(rank[np.searchsorted(classes, sub_t.labels)], return_inverse=True)
-    _, new_sens = np.unique(sub_t.sensitive, return_inverse=True)
-    return sub_g, NodeTable(new_labels, new_sens, sub_t.features), node_map

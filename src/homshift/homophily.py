@@ -47,9 +47,6 @@ class HomophilyHistogram:
     def edges(self) -> np.ndarray:
         return np.arange(self.bin_count + 1, dtype=np.float64) / self.bin_count
 
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.bin_count, dtype=np.float64) + 0.5) / self.bin_count
-
 
 @dataclass(frozen=True)
 class BetaGoal:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,9 @@ from .homophily import (
 )
 from .splits import largest_remainder
 
-# Tolerances: a node is on target when gap * degree <= _MOVE_TOL, the dust
-# _ceil_tol forgives, so its lower edge-move bound leaves no move; a gate
-# passes only if the edit shrinks the potential by more than _GATE_TOL.
-_EQ_TOL = 1e-12  # edge_move_bounds: a goal this close to 0 or 1 is at that end
+# Tolerances: a node is on target when gap * degree <= _MOVE_TOL, float dust
+# short of one whole edge move; a gate passes only if the edit shrinks the
+# potential by more than _GATE_TOL.
 _MOVE_TOL = 1e-9
 _GATE_TOL = 1e-12
 
@@ -131,36 +129,6 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
     directions = np.where(targets == bins, 0, np.where(h_goal > h_cur, 1, -1))
     return list(map(NodeGoal, ids.tolist(), h_cur.tolist(), h_goal.tolist(),
                     directions.tolist()))
-
-
-def _ceil_tol(x: float) -> int:
-    """Ceiling robust to float dust, up to _MOVE_TOL, just above an integer."""
-    return int(math.ceil(x - _MOVE_TOL))
-
-
-def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int, int]:
-    """(lower, upper) edge-move counts to take h_current to h_goal.
-
-    Lower bound: moves needed when each rewire shifts h by exactly 1/degree.
-    Upper bound: additions-only count, solving (s + e)/(d + e) = h_goal for
-    a raising goal and s/(d + e) = h_goal for a lowering one. Goals of
-    exactly 0 or 1 fall back to pure rewiring (upper == lower). A gap whose
-    lower bound leaves no move, the dust `_ceil_tol` forgives, gives (0, 0):
-    the node is on target, as `_EditState` marks it.
-    """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if not (0.0 <= h_current <= 1.0 and 0.0 <= h_goal <= 1.0):
-        raise ValueError("ratios must lie in [0, 1]")
-    gap = abs(h_goal - h_current)
-    lower = _ceil_tol(gap * degree)
-    if lower == 0:
-        return (0, 0)
-    if h_current < h_goal:
-        upper = lower if h_goal >= 1.0 - _EQ_TOL else _ceil_tol(gap * degree / (1.0 - h_goal))
-    else:
-        upper = lower if h_goal <= _EQ_TOL else _ceil_tol(gap * degree / h_goal)
-    return (lower, upper)
 
 
 def _adjacency_sets(g: Graph) -> list[set[int]]:

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: transport
-cost via a general LP solver, components via union-find, micro-F1 via a
-full confusion matrix, an edit-log checker that recounts neighborhoods
-from its own adjacency sets, the set-based graph builder and
+cost via a general LP solver, per-node edge-move bounds that the edit
+state's liveness rule must agree with, micro-F1 via a full confusion
+matrix, an edit-log checker that recounts neighborhoods from its own
+adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
 bulk edit-state construction that per-node refreshes replaced, the
@@ -94,28 +95,37 @@ def lp_transport_cost(p_mass, q_mass) -> float:
     return float(res.fun)
 
 
-def union_find_components(node_count: int, edges) -> np.ndarray:
-    """Component labels (renumbered by smallest member) via union-find."""
-    parent = list(range(node_count))
+_EQ_TOL = 1e-12  # edge_move_bounds: a goal this close to 0 or 1 is at that end
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = [find(x) for x in range(node_count)]
-    relabel = {}
-    out = np.empty(node_count, dtype=np.int64)
-    for x, r in enumerate(roots):
-        if r not in relabel:
-            relabel[r] = len(relabel)
-        out[x] = relabel[r]
-    return out
+def _ceil_tol(x: float) -> int:
+    """Ceiling robust to float dust, up to MOVE_TOL, just above an integer."""
+    return int(math.ceil(x - MOVE_TOL))
+
+
+def edge_move_bounds(h_current: float, h_goal: float, degree: int) -> tuple[int, int]:
+    """(lower, upper) edge-move counts to take h_current to h_goal.
+
+    Lower bound: moves needed when each rewire shifts h by exactly 1/degree.
+    Upper bound: additions-only count, solving (s + e)/(d + e) = h_goal for
+    a raising goal and s/(d + e) = h_goal for a lowering one. Goals of
+    exactly 0 or 1 fall back to pure rewiring (upper == lower). A gap whose
+    lower bound leaves no move, the dust `_ceil_tol` forgives, gives (0, 0):
+    the node is on target, as `_EditState` must mark it.
+    """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if not (0.0 <= h_current <= 1.0 and 0.0 <= h_goal <= 1.0):
+        raise ValueError("ratios must lie in [0, 1]")
+    gap = abs(h_goal - h_current)
+    lower = _ceil_tol(gap * degree)
+    if lower == 0:
+        return (0, 0)
+    if h_current < h_goal:
+        upper = lower if h_goal >= 1.0 - _EQ_TOL else _ceil_tol(gap * degree / (1.0 - h_goal))
+    else:
+        upper = lower if h_goal <= _EQ_TOL else _ceil_tol(gap * degree / h_goal)
+    return (lower, upper)
 
 
 def reference_from_edges(node_count: int, edges) -> tuple[tuple, tuple]:

@@ -21,10 +21,6 @@ from homshift import (
     INVALID,
     Graph,
     NodeTable,
-    connected_components,
-    filter_top_classes,
-    induced_subgraph,
-    largest_connected_component,
     load_edge_list,
     load_node_table,
     load_predictions,
@@ -43,7 +39,6 @@ from conftest import (
     reference_load_split,
     reference_read_id_table,
     reference_save_node_table,
-    union_find_components,
 )
 
 
@@ -54,6 +49,13 @@ def test_from_edges_canonicalizes_order_and_duplicates():
     assert g.degrees.tolist() == [1, 1, 1, 1]
     assert np.array_equal(g.neighbors(1), [2]) and np.array_equal(g.neighbors(2), [1])
     assert 1 not in g.neighbors(0)
+
+
+@pytest.mark.parametrize("node_count, v", [(4, -1), (4, -2), (4, 4), (0, 0)])
+def test_neighbors_refuses_an_id_outside_the_node_range(node_count, v):
+    g = Graph.from_edges(node_count, [(0, 1), (1, 2), (2, 3)] if node_count else [])
+    with pytest.raises(IndexError, match=rf"^node {v} outside 0\.\.{node_count - 1}$"):
+        g.neighbors(v)
 
 
 def test_graph_equality_is_on_node_count_and_edges():
@@ -431,8 +433,6 @@ def test_node_table_keeps_its_own_arrays():
     assert labels.flags.writeable and feats.flags.writeable and base.flags.writeable
     for arr in (t.labels, t.sensitive, t.features, u.labels, u.features):
         assert not arr.flags.writeable
-    sub = u.take(np.array([2, 0]))
-    assert sub.labels.tolist() == [1, 0] and not sub.labels.flags.writeable
 
 
 def test_load_node_table_errors(tmp_path):
@@ -778,91 +778,6 @@ def test_read_id_table_reads_cells_it_cannot_key_row_by_row(tmp_path, kind, row,
         else:
             assert read_id_table(path, columns, converters)[0].tolist() == [want]
     assert rows.called
-
-
-def test_induced_subgraph_maps_ids():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    t = NodeTable(np.arange(5), np.zeros(5, dtype=int))
-    sub, sub_t, node_map = induced_subgraph(g, t, np.array([1, 2, 4]))
-    assert sub.node_count == 3
-    assert np.array_equal(sub.edges, [[0, 1]])
-    assert node_map.tolist() == [1, 2, 4]
-    assert sub_t.labels.tolist() == [1, 2, 4]
-
-
-@given(st.sets(st.tuples(st.integers(0, 14), st.integers(0, 14)).filter(lambda e: e[0] != e[1]),
-               max_size=25))
-@settings(max_examples=80)
-def test_components_match_union_find(edge_set):
-    g = Graph.from_edges(15, edge_set)
-    assert connected_components(g).tolist() == union_find_components(15, g.edges).tolist()
-
-
-def test_largest_component_breaks_ties_toward_smallest_id():
-    # two components of size 2: {0,1} and {3,4}; node 2 isolated
-    g = Graph.from_edges(5, [(0, 1), (3, 4)])
-    t = NodeTable(np.arange(5), np.zeros(5, dtype=int))
-    sub, _, node_map = largest_connected_component(g, t)
-    assert node_map.tolist() == [0, 1]
-    assert np.array_equal(sub.edges, [[0, 1]])
-
-
-def test_largest_component_empty_graph():
-    t = NodeTable(np.array([], dtype=int), np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        largest_connected_component(Graph.from_edges(0, []), t)
-
-
-def test_filter_top_classes_ranks_relabels_and_takes_lcc():
-    # class frequencies: 0 -> 2 nodes, 1 -> 3 nodes, 2 -> 1 node
-    labels = np.array([0, 0, 1, 1, 1, 2])
-    sens = np.array([0, 1, 0, 1, 0, 1])
-    g = Graph.from_edges(6, [(0, 1), (0, 2), (2, 3), (4, 5)])
-    t = NodeTable(labels, sens)
-    sub, sub_t, node_map = filter_top_classes(g, t, 2)
-    # top-2 classes are 1 (count 3) then 0 (count 2); node 5 (class 2) dropped;
-    # LCC of the filtered graph is {0,1,2,3}, node 4 is disconnected
-    assert node_map.tolist() == [0, 1, 2, 3]
-    # class 1 ranks first -> new id 0; class 0 -> new id 1
-    assert sub_t.labels.tolist() == [1, 1, 0, 0]
-    assert np.array_equal(sub.edges, [[0, 1], [0, 2], [2, 3]])
-
-
-def test_filter_top_classes_drops_invalid_sensitive_and_excluded():
-    labels = np.array([0, 0, 0, 1, 1])
-    sens = np.array([0, 1, INVALID, 0, 1])
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (1, 3)])
-    t = NodeTable(labels, sens)
-    sub, sub_t, node_map = filter_top_classes(g, t, 1)
-    # class 0 is the majority; node 2 lacks a sensitive value and is dropped
-    assert node_map.tolist() == [0, 1]
-    assert sub_t.labels.tolist() == [0, 0]
-    with pytest.raises(ValueError):
-        filter_top_classes(g, t, 3, exclude={1})
-
-
-def test_filter_top_classes_frequency_tie_prefers_lower_class_id():
-    labels = np.array([5, 5, 3, 3])
-    sens = np.zeros(4, dtype=int)
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    sub, sub_t, _ = filter_top_classes(g, NodeTable(labels, sens), 2)
-    # counts tie at 2; class 3 ranks ahead of class 5
-    assert sub_t.labels.tolist() == [1, 1, 0, 0]
-
-
-def test_filter_top_classes_recompacts_when_the_lcc_drops_a_class():
-    # class 7: nodes 0-3, class 5: node 4, both in the 5-node component;
-    # class 9: nodes 5-7, alone in a 3-node component that the LCC drops
-    labels = np.array([7, 7, 7, 7, 5, 9, 9, 9])
-    sens = np.array([1, 3, 1, 3, 3, 0, 0, 0])
-    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
-    sub, sub_t, node_map = filter_top_classes(g, NodeTable(labels, sens), 3)
-    assert node_map.tolist() == [0, 1, 2, 3, 4]
-    # ranks 7 -> 0, 9 -> 1, 5 -> 2; with 9 gone, rank 2 compacts to 1
-    assert sub_t.labels.tolist() == [0, 0, 0, 0, 1]
-    # sensitive values 1 and 3 compact to 0 and 1 in ascending order
-    assert sub_t.sensitive.tolist() == [0, 1, 0, 1, 1]
-    assert np.array_equal(sub.edges, [[0, 1], [1, 2], [2, 3], [3, 4]])
 
 
 def test_graph_is_immutable():

@@ -25,7 +25,6 @@ from homshift import (
     assign_node_goals,
     beta_goal_histogram,
     bin_index,
-    edge_move_bounds,
     emd,
     generate,
     histogram,
@@ -43,6 +42,7 @@ from homshift.rewire import _EditState
 
 from conftest import (
     EditLogChecker,
+    edge_move_bounds,
     lp_transport_cost,
     reference_assign_node_goals,
     reference_best_partner,
