@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: transport
-cost via a general LP solver, per-node edge-move bounds that the edit
-state's liveness rule must agree with, micro-F1 via a full confusion
-matrix, an edit-log checker that recounts neighborhoods from its own
-adjacency sets, the set-based graph builder and
+cost via a general LP solver, components via union-find, per-node
+edge-move bounds that the edit state's liveness rule must agree with,
+micro-F1 via a full confusion matrix, an edit-log checker that recounts
+neighborhoods from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
 bulk edit-state construction that per-node refreshes replaced, the
@@ -93,6 +93,30 @@ def lp_transport_cost(p_mass, q_mass) -> float:
     res = linprog(cost, A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def union_find_components(node_count: int, edges) -> np.ndarray:
+    """Component labels (renumbered by smallest member) via union-find."""
+    parent = list(range(node_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = [find(x) for x in range(node_count)]
+    relabel = {}
+    out = np.empty(node_count, dtype=np.int64)
+    for x, r in enumerate(roots):
+        if r not in relabel:
+            relabel[r] = len(relabel)
+        out[x] = relabel[r]
+    return out
 
 
 _EQ_TOL = 1e-12  # edge_move_bounds: a goal this close to 0 or 1 is at that end

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import homshift.graph
 
@@ -39,6 +41,7 @@ from conftest import (
     reference_load_split,
     reference_read_id_table,
     reference_save_node_table,
+    union_find_components,
 )
 
 
@@ -56,6 +59,35 @@ def test_neighbors_refuses_an_id_outside_the_node_range(node_count, v):
     g = Graph.from_edges(node_count, [(0, 1), (1, 2), (2, 3)] if node_count else [])
     with pytest.raises(IndexError, match=rf"^node {v} outside 0\.\.{node_count - 1}$"):
         g.neighbors(v)
+
+
+def test_neighbors_accepts_both_ends_of_the_node_range():
+    # node 4 is isolated, so the last valid id reads an empty row
+    g = Graph.from_edges(5, [(0, 1), (0, 3), (2, 3)])
+    assert g.neighbors(0).tolist() == [1, 3]
+    assert g.neighbors(3).tolist() == [0, 2]
+    assert g.neighbors(4).tolist() == []
+
+
+def test_neighbors_checks_numpy_integer_ids():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    ids = np.array([-1, 4, 3], dtype=np.int64)
+    for v in ids[:2]:
+        with pytest.raises(IndexError, match=rf"^node {v} outside 0\.\.3$"):
+            g.neighbors(v)
+    assert g.neighbors(ids[2]).tolist() == [2]
+
+
+@given(st.sets(st.tuples(st.integers(0, 14), st.integers(0, 14)).filter(lambda e: e[0] != e[1]),
+               max_size=25))
+@settings(max_examples=80)
+def test_components_match_union_find(edge_set):
+    # the replacement README gives for the removed connected_components:
+    # scipy's components on the graph's own CSR arrays
+    g = Graph.from_edges(15, edge_set)
+    adj = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(15, 15))
+    _, labels = connected_components(adj, directed=False)
+    assert labels.tolist() == union_find_components(15, g.edges).tolist()
 
 
 def test_graph_equality_is_on_node_count_and_edges():
