@@ -248,7 +248,8 @@ class EditLog:
         touched[at[in_g]] = True
         ends_present = in_g[starts] ^ (np.diff(np.append(starts, m)) % 2 == 1)
         final = np.concatenate((edge_keys[~touched], keys[starts[ends_present]]))
-        return Graph.from_edges(n, np.column_stack(np.divmod(final, n)))
+        final.sort()  # the keys are distinct: an untouched edge of g is in no group
+        return Graph._from_keys(n, final)
 
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys.

@@ -31,9 +31,11 @@ class Graph:
     pairs with u < v, sorted ascending, read-only and C-contiguous, and
     `degrees` holds each node's neighbour count. The adjacency is CSR: the
     neighbours of v are `indices[indptr[v]:indptr[v+1]]`, sorted ascending
-    (`neighbors(v)`). The CSR pair is built on first access and kept, so a
-    caller that reads only `edges` and `degrees` never pays its sort. All
-    arrays are read-only; build graphs with `from_edges`.
+    (`neighbors(v)`). Only `neighbors` and README's scipy recipe read the
+    CSR pair; it is built on first access and kept, so a caller that reads
+    only `edges` and `degrees` never pays its sort. The generator reads the
+    adjacency once, from a pair the graph does not keep. All arrays are
+    read-only; build graphs with `from_edges`.
 
     Equality compares `node_count` and `edges`, so graphs built from equal
     edge sets (in any order, with any duplicates) compare equal and
@@ -91,6 +93,17 @@ class Graph:
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         keys = keys[first]
+        return Graph._from_keys(node_count, keys)
+
+    @staticmethod
+    def _from_keys(node_count: int, keys: np.ndarray) -> "Graph":
+        """The graph whose edges have the canonical keys lo * node_count + hi.
+
+        `keys` must be an int64 array of distinct keys of valid pairs
+        (0 <= lo < hi < node_count), ascending; this is not checked. Callers
+        that hold such keys build here instead of sending an (m, 2) copy
+        back through `from_edges`.
+        """
         canon = np.empty((keys.shape[0], 2), dtype=np.int64)
         np.divmod(keys, node_count, out=(canon[:, 0], canon[:, 1]))
         degrees = np.bincount(canon.ravel(), minlength=node_count)
@@ -123,15 +136,24 @@ class Graph:
     @functools.cached_property
     def indices(self) -> np.ndarray:
         """CSR neighbour ids, grouped by node and ascending within each group."""
+        return self._csr()[1]
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR pair (indptr, indices), with `indices` built afresh.
+
+        The graph keeps the small `indptr` but not this `indices` (2m ids),
+        so a caller that reads the adjacency once does not leave it cached
+        on a graph that outlives the read.
+        """
         n = self.node_count
         u, v = self.edges[:, 0], self.edges[:, 1]
         # Both directions of every edge, keyed by (source, target): sorting the
         # keys groups the targets by source, each group ascending.
         both = np.concatenate((u * n + v, v * n + u))
         both.sort()
-        indices = both % n
+        indices = np.remainder(both, n, out=both)
         indices.flags.writeable = False
-        return indices
+        return self.indptr, indices
 
     @property
     def edge_count(self) -> int:
@@ -360,10 +382,17 @@ def _first_bad_line(path, text: str, one_indexed: bool) -> str | None:
     return None
 
 
+# Edge lists are written this many edges at a time, which bounds the memory
+# the text takes beyond the graph.
+_EDGE_CHUNK = 8192
+
+
 def save_edge_list(g: Graph, path) -> None:
     """Write the canonical sorted edge list, `u v` with u < v, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist()))
+        for a in range(0, g.edge_count, _EDGE_CHUNK):
+            chunk = g.edges[a:a + _EDGE_CHUNK]
+            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def read_id_table(path, columns, converters=None):

@@ -131,20 +131,31 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
                     directions.tolist()))
 
 
-def _adjacency_sets(g: Graph) -> list[set[int]]:
-    """Mutable neighbour sets of g, one per node."""
-    ptr = g.indptr.tolist()
-    nbrs = g.indices.tolist()
+def _adjacency_sets(g: Graph, ids: np.ndarray) -> list[set[int]]:
+    """Mutable neighbour sets of g, one per node, holding the int objects of
+    `ids`, the object array whose entry v is node id v."""
+    ptr, indices = g._csr()
+    nbrs = ids[indices].tolist()
+    del indices
+    ptr = ptr.tolist()
     return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(g.node_count)]
 
 
 def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     """The graph whose node v has neighbour set adj[v]."""
+    n = len(adj)
     degrees = [len(nbrs) for nbrs in adj]
-    u = np.repeat(np.arange(len(adj), dtype=np.int64), degrees)
+    u = np.repeat(np.arange(n, dtype=np.int64), degrees)
     v = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=sum(degrees))
     keep = u < v
-    return Graph.from_edges(len(adj), np.column_stack((u[keep], v[keep])))
+    # Each edge's key lo * n + hi, from its u < v direction, built in u's buffer.
+    u *= n
+    u += v
+    del v
+    keys = u[keep]
+    del u, keep
+    keys.sort()
+    return Graph._from_keys(n, keys)
 
 
 class _PartnerPool:
@@ -254,8 +265,12 @@ class _EditState:
 
         # Per-node state lives in Python lists: edits read and write single
         # entries, which lists do several times faster than numpy scalars.
+        # Every node id the state holds (in the adjacency sets, the pools, the
+        # source orders and so the log) is taken from `ids`, so each id is one
+        # int object however many places hold it.
+        self.ids = np.arange(n, dtype=object)
         self.labels = t.labels.tolist()
-        self.adj = _adjacency_sets(g)
+        self.adj = _adjacency_sets(g, self.ids)
         self.deg = deg.tolist()
         self.same = same.tolist()
         self.goal = goal.tolist()
@@ -269,7 +284,7 @@ class _EditState:
                         [self._pools[o, sign] for o in pool_labels if o != c])
             for c in pool_labels for sign in (-1, 1)}
         self.log = log
-        for v in act.tolist():
+        for v in self.ids[act].tolist():
             self._refresh(v)
 
     def _refresh(self, v: int) -> None:
@@ -419,7 +434,7 @@ class _EditState:
         """The rewire phase's loop (see `rewire_phase`), logged as "rewire"."""
         rng = np.random.default_rng(seed)
         # The sources are the nodes with a goal and a direction, in id order.
-        for i in rng.permutation(np.flatnonzero(~np.isnan(self.goal))).tolist():
+        for i in self.ids[rng.permutation(np.flatnonzero(~np.isnan(self.goal)))].tolist():
             while self.live[i] and self.attempt_rewire(i):
                 pass
 
@@ -431,7 +446,7 @@ class _EditState:
             if off_target.size == 0:
                 break
             applied = False
-            for i in rng.permutation(off_target).tolist():
+            for i in self.ids[rng.permutation(off_target)].tolist():
                 while self.live[i] != 0 and self.attempt_refine(i):
                     applied = True
             if not applied:
@@ -522,6 +537,7 @@ def _generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     # One state serves both phases: the state the rewire phase ends in is
     # what refine_phase would build from the rewired graph, pools included.
     state = _EditState(g, t, goals, log)
+    del goals  # the state keeps what it reads of them
     state.run_rewire(seed_rewire)
     n_rewire = len(log)
     state.run_refine(seed_refine)

@@ -400,6 +400,22 @@ def reference_read_id_table(path, columns, converters=None):
     return ints, floats if f else None, lines
 
 
+def reference_save_edge_list(g: Graph, path) -> None:
+    """One-`%` edge-list writer, as homshift.save_edge_list was before it wrote in chunks."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist()))
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """`got` holds what `want` holds, array for array: values, dtypes and flags."""
+    assert got.node_count == want.node_count
+    for name in ("edges", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+        assert a.flags.c_contiguous and not a.flags.writeable, name
+    assert got == want
+
+
 def reference_save_split(assignment, path) -> None:
     """Row-by-row split writer, as homshift.save_split was."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from homshift import BetaGoal, EditLog, EditRecord, Graph, generate, two_class_sbm
 from homshift import editlog
 
-from conftest import reference_edit_log_load, reference_replay
+from conftest import assert_same_graph, reference_edit_log_load, reference_replay
 
 
 def test_edit_log_roundtrip(tmp_path):
@@ -561,6 +561,31 @@ def test_edit_log_replay_matches_the_set_reference(case):
     g, log = case
     assert (_replay_outcome(EditLog.replay, log, g)
             == _replay_outcome(reference_replay, log, g))
+
+
+@st.composite
+def _valid_replays(draw):
+    """A graph on 0-12 nodes, a log of valid toggles of its pairs in either
+    orientation, and the edges the log leaves."""
+    n = draw(st.integers(0, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    present = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph.from_edges(n, sorted(present))
+    log = EditLog()
+    for a, b in (draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []):
+        log.append("refine", "remove" if (a, b) in present else "add",
+                   *((b, a) if draw(st.booleans()) else (a, b)))
+        present ^= {(a, b)}
+    return g, log, present
+
+
+@given(_valid_replays())
+@settings(max_examples=300, deadline=None)
+def test_edit_log_replay_builds_what_from_edges_builds(case):
+    """The final graph built from the replay's sorted keys holds what
+    `Graph.from_edges` builds from the edges the log leaves."""
+    g, log, present = case
+    assert_same_graph(log.replay(g), Graph.from_edges(g.node_count, list(present)))
 
 
 def test_edit_log_replay_edge_cases():

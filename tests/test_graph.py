@@ -40,6 +40,7 @@ from conftest import (
     reference_load_predictions,
     reference_load_split,
     reference_read_id_table,
+    reference_save_edge_list,
     reference_save_node_table,
     union_find_components,
 )
@@ -200,6 +201,23 @@ def test_edge_list_round_trip(tmp_path_factory, edge_set):
     g2 = load_edge_list(path)
     # node count shrinks to max id + 1 on load; the edge set must survive
     assert np.array_equal(g2.edges, g.edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, None], ids=lambda c: f"chunk{c}")
+@pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 1), (1, 2), (3, 4), (0, 4)],
+                                   [(u, v) for u in range(9) for v in range(u + 1, 9)]],
+                         ids=["empty", "one", "four", "complete9"])
+def test_save_edge_list_matches_the_one_format_writer(tmp_path, monkeypatch, chunk, edges):
+    """Chunked writing gives the bytes of one `%` over all 2m ids, whether the
+    edge count is below, at or several times the chunk size, or zero."""
+    if chunk is not None:
+        monkeypatch.setattr(homshift.graph, "_EDGE_CHUNK", chunk)
+    g = Graph.from_edges(9, edges)
+    save_edge_list(g, tmp_path / "got.txt")
+    reference_save_edge_list(g, tmp_path / "want.txt")
+    got = (tmp_path / "got.txt").read_bytes()
+    assert got == (tmp_path / "want.txt").read_bytes()
+    assert got.count(b"\n") == g.edge_count
 
 
 def test_load_edge_list_parsing(tmp_path):

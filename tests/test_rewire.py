@@ -38,10 +38,11 @@ from homshift import (
 
 from homshift import rewire
 from homshift.homophily import defined_histogram
-from homshift.rewire import _EditState
+from homshift.rewire import _EditState, _adjacency_sets, _graph_from_adjacency
 
 from conftest import (
     EditLogChecker,
+    assert_same_graph,
     edge_move_bounds,
     lp_transport_cost,
     reference_assign_node_goals,
@@ -677,6 +678,47 @@ def test_pools_stay_bounded_after_generate(small_pair):
     state, = states
     assert (sum(len(ids) for pool in state._pools.values() for ids in pool.ids.values())
             == np.count_nonzero(state.live))
+
+
+def test_generate_state_holds_one_int_object_per_node_id(small_pair):
+    """Every node id in the adjacency sets, the pool classes and the edit log
+    is the one int object the state's `ids` holds for it."""
+    g, t = small_pair
+    with pytest.MonkeyPatch.context() as mp:
+        states = _capture_states(mp)
+        _, log, _ = generate(g, t, BetaGoal(10.0, 3.0), 10, seed=11)
+    state, = states
+    assert state.log is log and log.records
+    held = [*(k for nbrs in state.adj for k in nbrs),
+            *(k for pool in state._pools.values() for ids in pool.ids.values() for k in ids),
+            *log.us, *log.vs]
+    assert all(type(k) is int for k in held) and max(held) > 256  # beyond the cached ints
+    objects: dict[int, set[int]] = {}
+    for k in held:
+        objects.setdefault(k, set()).add(id(k))
+    assert [k for k, ids in objects.items() if len(ids) > 1] == []
+    assert state.ids.tolist() == list(range(g.node_count))
+    assert all(k is state.ids[k] for k in held)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+            .filter(lambda e: e[0] != e[1]), max_size=4 * n))))
+@settings(max_examples=200, deadline=None)
+def test_graph_from_adjacency_matches_from_edges(case):
+    """The keys built from neighbour sets give the graph `from_edges` builds
+    from the same edges, and the sets `_adjacency_sets` reads back from it."""
+    n, edges = case
+    want = Graph.from_edges(n, list(edges))
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    assert_same_graph(_graph_from_adjacency(adj), want)
+    ids = np.arange(n, dtype=object)
+    assert _adjacency_sets(want, ids) == adj
+    assert "indices" not in vars(want)  # read from a CSR the graph does not keep
 
 
 @st.composite
