@@ -10,7 +10,9 @@ of the checkout. Each workload's entry holds the run's provenance, its
 end-to-end `metrics` (from an untraced run) or `per_layer` metrics (from a
 traced one), its `named` values and, for an untraced run, the median and
 quartiles of its paced passes. Every value keeps its unit. All records must
-come from one commit.
+come from one commit, and none from a `--tiny` run: `pytest perfbench/tests`
+leaves such records in `.perfbench_work/`, so rerun the three workloads after
+it. A record without the `tiny` key counts as full size.
 
 `--compare` prints, for each metric both files hold, the ratio new/previous
 next to the bound and direction `BENCHMARK.json` gives it. It is a report:
@@ -52,6 +54,10 @@ def trajectory(work: Path) -> dict:
                for path in sorted(work.glob("*/record.json"))}
     if not records:
         raise SystemExit(f"bench_trajectory: no */record.json under {work}")
+    tiny = [name for name, r in records.items() if r["provenance"].get("tiny")]
+    if tiny:
+        raise SystemExit("bench_trajectory: records of --tiny runs, not of the benchmark: "
+                         + ", ".join(tiny) + "; rerun these workloads without --tiny")
     commits = {(r["provenance"]["git_sha"], r["provenance"]["src_sha256"])
                for r in records.values()}
     if len(commits) != 1:

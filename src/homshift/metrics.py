@@ -11,18 +11,19 @@ from .graph import int64_array, owned_readonly, read_id_table
 
 @dataclass(frozen=True)
 class PredictionTable:
-    """True labels, predicted labels, and a binary sensitive attribute.
+    """True labels, predicted labels, a binary sensitive attribute and node ids.
 
-    An optional boolean mask restricts every metric to a held-out subset;
-    without one, all rows are evaluated. The mask holds booleans or the
-    values 0 and 1. The table keeps read-only arrays of its own; it never
-    marks or shares the caller's.
+    Every metric scores all rows; to score a subset, build the table of
+    those rows. `node_ids` names each row's node, as a prediction file's
+    `node_id` column does: non-negative and distinct, in any order, and
+    0..n-1 when None. The table keeps read-only arrays of its own; it
+    never marks or shares the caller's.
     """
 
     y_true: np.ndarray
     y_pred: np.ndarray
     sensitive: np.ndarray
-    mask: np.ndarray | None = None
+    node_ids: np.ndarray | None = None
 
     def __post_init__(self):
         y_true = int64_array(self.y_true, "y_true")
@@ -36,35 +37,30 @@ class PredictionTable:
             raise ValueError("class ids must be non-negative")
         if not np.isin(sens, (0, 1)).all():
             raise ValueError("sensitive attribute must be 0 or 1")
-        mask = self.mask
-        if mask is not None:
-            mask = np.asarray(mask)
-            if mask.dtype != bool:
-                bad = ~((mask == 0) | (mask == 1))
-                if bad.any():
-                    shown = mask[bad].ravel()[0]
-                    shown = shown.item() if isinstance(shown, np.generic) else shown
-                    raise ValueError(f"mask must be boolean, got {shown!r}")
-                mask = mask.astype(bool)
-            if mask.shape != y_true.shape:
-                raise ValueError("mask must match the table length")
-            if not mask.any():
-                raise ValueError("mask selects no rows")
-            mask = owned_readonly(mask, self.mask)
+        if self.node_ids is None:
+            ids = np.arange(y_true.size, dtype=np.int64)
+        else:
+            ids = int64_array(self.node_ids, "node_ids")
+            if ids.shape != y_true.shape:
+                raise ValueError("node_ids must match the table length")
+            if ids.min() < 0:
+                raise ValueError(f"node_ids must be non-negative, got {ids.min()}")
+            ordered = np.sort(ids)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if repeated.size:
+                raise ValueError(f"node_ids must be distinct, got {repeated[0]} more than once")
         object.__setattr__(self, "y_true", owned_readonly(y_true, self.y_true))
         object.__setattr__(self, "y_pred", owned_readonly(y_pred, self.y_pred))
         object.__setattr__(self, "sensitive", owned_readonly(sens, self.sensitive))
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "node_ids", owned_readonly(ids, self.node_ids))
 
     def evaluated(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(y_true, y_pred, sensitive) restricted to the evaluated subset."""
-        if self.mask is None:
-            return self.y_true, self.y_pred, self.sensitive
-        return self.y_true[self.mask], self.y_pred[self.mask], self.sensitive[self.mask]
+        """(y_true, y_pred, sensitive): the rows every metric scores."""
+        return self.y_true, self.y_pred, self.sensitive
 
     @property
     def n_eval(self) -> int:
-        return int(self.y_true.size if self.mask is None else self.mask.sum())
+        return int(self.y_true.size)
 
     @property
     def class_count(self) -> int:
@@ -80,9 +76,10 @@ def load_predictions(path) -> PredictionTable:
 
     The file follows graph.read_id_table's rules: node ids are non-negative
     integers, each listed once. They need not cover 0..n-1 (a file may list
-    only the labeled nodes), and rows stay in file order. The file must
-    hold a row, class ids must be non-negative and the sensitive attribute
-    0 or 1; the error names the first line that breaks a rule.
+    only the labeled nodes); rows stay in file order and keep their ids as
+    the table's `node_ids`. The file must hold a row, class ids must be
+    non-negative and the sensitive attribute 0 or 1; the error names the
+    first line that breaks a rule.
     """
     rows, _, lines = read_id_table(path, _PREDICTION_COLUMNS)
     if rows.shape[0] == 0:
@@ -94,15 +91,14 @@ def load_predictions(path) -> PredictionTable:
         what = (f"class ids must be non-negative, got y_true {rows[r, 1]} and y_pred {rows[r, 2]}"
                 if negative[r] else f"sensitive attribute must be 0 or 1, got {rows[r, 3]}")
         raise ValueError(f"{path}: line {lines[r]}: {what}")
-    return PredictionTable(rows[:, 1], rows[:, 2], rows[:, 3])
+    return PredictionTable(rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 0])
 
 
 def save_predictions(p: PredictionTable, path) -> None:
-    """Write the rows `p` scores, each under its row index as node_id, so the
-    file loads back as a table with the same scores."""
-    nodes = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
-    columns = [col.tolist() for col in p.evaluated()]
-    rows = [f"{node},{y},{pred},{s}\n" for node, y, pred, s in zip(nodes, *columns)]
+    """Write `p`'s rows in table order, each under its node id, so that
+    `load_predictions` reads the same table back."""
+    columns = [col.tolist() for col in (p.node_ids, p.y_true, p.y_pred, p.sensitive)]
+    rows = [f"{node},{y},{pred},{s}\n" for node, y, pred, s in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join([",".join(_PREDICTION_COLUMNS) + "\n"] + rows))
 
@@ -116,7 +112,7 @@ def _sensitive_groups(sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def statistical_parity(p: PredictionTable, preferred: int) -> float:
-    """|P(pred = preferred | s=0) - P(pred = preferred | s=1)| on the subset."""
+    """|P(pred = preferred | s=0) - P(pred = preferred | s=1)| over the table's rows."""
     _, y_pred, sens = p.evaluated()
     g0, g1 = _sensitive_groups(sens)
     return abs(float((y_pred[g0] == preferred).mean())

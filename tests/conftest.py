@@ -311,11 +311,12 @@ def reference_load_split(path) -> np.ndarray:
 def reference_load_predictions(path) -> PredictionTable:
     """Bulk np.loadtxt then int() row rescan, as homshift.load_predictions was.
 
-    Rows stay in file order. Node ids must be non-negative integers, each
-    listed once; they need not cover 0..n-1 (a file may list only the
-    labeled nodes). The rows are parsed in bulk; when that fails, they are
-    parsed again one by one with int(), which names the bad line or, for
-    a value only int() reads (such as `1_000`), gives the table.
+    Rows stay in file order and keep their node ids. Node ids must be
+    non-negative integers, each listed once; they need not cover 0..n-1 (a
+    file may list only the labeled nodes). The rows are parsed in bulk;
+    when that fails, they are parsed again one by one with int(), which
+    names the bad line or, for a value only int() reads (such as `1_000`),
+    gives the table.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header, _, body = fh.read().partition("\n")
@@ -335,7 +336,7 @@ def reference_load_predictions(path) -> PredictionTable:
         rows = [(lineno, line.strip()) for lineno, line
                 in enumerate(body.split("\n"), start=2) if line.strip()]
         cols = [np.array(col) for col in _reference_prediction_columns(path, rows)]
-    return PredictionTable(cols[1], cols[2], cols[3])
+    return PredictionTable(cols[1], cols[2], cols[3], cols[0])
 
 
 def _reference_prediction_columns(path, rows: list[tuple[int, str]]) -> list[list[int]]:
@@ -440,12 +441,12 @@ def reference_save_node_table(t: NodeTable, path) -> None:
 
 
 def reference_save_predictions(p: PredictionTable, path) -> None:
-    """Row-by-row prediction writer, as homshift.save_predictions was."""
-    rows = range(p.y_true.size) if p.mask is None else np.flatnonzero(p.mask).tolist()
+    """Row-by-row prediction writer, each row under its node id, as
+    homshift.save_predictions was."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node_id,y_true,y_pred,sensitive\n")
-        for node in rows:
-            fh.write(f"{node},{p.y_true[node]},{p.y_pred[node]},{p.sensitive[node]}\n")
+        for k in range(p.y_true.size):
+            fh.write(f"{p.node_ids[k]},{p.y_true[k]},{p.y_pred[k]},{p.sensitive[k]}\n")
 
 
 def reference_local_homophily(g: Graph, t: NodeTable, node: int) -> float:

@@ -615,7 +615,7 @@ def test_id_table_loaders_match_references(tmp_path_factory, case):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
         return
     names = ("labels", "sensitive", "features") if kind == "node" else \
-        ("y_true", "y_pred", "sensitive")
+        ("y_true", "y_pred", "sensitive", "node_ids")
     for name in names:
         want, have = getattr(expected, name), getattr(got, name)
         assert (want is None) == (have is None)

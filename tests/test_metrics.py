@@ -23,9 +23,9 @@ from homshift import (
 from conftest import confusion_micro_f1, reference_save_predictions
 
 
-def _table(y_true, y_pred, sensitive, mask=None):
+def _table(y_true, y_pred, sensitive, node_ids=None):
     return PredictionTable(np.asarray(y_true), np.asarray(y_pred),
-                           np.asarray(sensitive), mask)
+                           np.asarray(sensitive), node_ids)
 
 
 # --------------------------------------------------------------- parity
@@ -78,11 +78,13 @@ def test_parity_of_independent_predictions_is_small():
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1),
                           st.booleans()), min_size=1, max_size=40),
        st.booleans())
-def test_per_class_parity_matches_statistical_parity(rows, masked):
+def test_per_class_parity_matches_statistical_parity(rows, sub_table):
     y_true, y_pred, sens, keep = (np.array(col) for col in zip(*rows))
-    if masked and not keep.any():
-        keep[0] = True
-    p = _table(y_true, y_pred, sens, keep if masked else None)
+    ids = None
+    if sub_table:
+        ids = np.flatnonzero(keep) if keep.any() else np.array([0])
+        y_true, y_pred, sens = y_true[ids], y_pred[ids], sens[ids]
+    p = _table(y_true, y_pred, sens, ids)
     try:
         expected = [statistical_parity(p, c) for c in range(p.class_count)]
     except ValueError as exc:
@@ -118,17 +120,19 @@ def test_micro_f1_matches_confusion_oracle(pairs):
     assert micro_f1(p) == pytest.approx(confusion_micro_f1(y_true, y_pred), abs=1e-12)
 
 
-# ----------------------------------------------------------------- mask
+# ------------------------------------------------------------ the table
 
 
-def test_mask_restricts_evaluation():
-    y_true = [0, 0, 1, 1, 5]
-    y_pred = [0, 1, 1, 0, 5]
-    sens = [0, 1, 0, 1, 1]
-    mask = np.array([True, True, True, True, False])
-    p = _table(y_true, y_pred, sens, mask)
+def test_a_sub_table_scores_only_its_rows():
+    y_true = np.array([0, 0, 1, 1, 5])
+    y_pred = np.array([0, 1, 1, 0, 5])
+    sens = np.array([0, 1, 0, 1, 1])
+    whole = _table(y_true, y_pred, sens)
+    assert (whole.n_eval, whole.class_count) == (5, 6)
+    rows = [0, 1, 2, 3]
+    p = _table(y_true[rows], y_pred[rows], sens[rows], rows)
     assert p.n_eval == 4
-    # the masked-out row holds the only class-5 labels
+    # the row left out holds the only class-5 labels
     assert p.class_count == 2
     assert micro_f1(p) == 0.5
 
@@ -142,16 +146,6 @@ def test_table_validation():
         _table([0, -1], [0, 0], [0, 1])
     with pytest.raises(ValueError, match="0 or 1"):
         _table([0, 1], [0, 1], [0, 2])
-    with pytest.raises(ValueError, match="mask"):
-        _table([0, 1], [0, 1], [0, 1], np.array([True]))
-    with pytest.raises(ValueError, match="no rows"):
-        _table([0, 1], [0, 1], [0, 1], np.array([False, False]))
-    for mask, shown in [([0, 2, 0, 3], "2"), (np.array([1.0, 0.5, 1.0, 1.0]), "0.5"),
-                        (np.array([True, None, True, True], dtype=object), "None"),
-                        (np.array(["1", "0", "1", "1"]), "'1'")]:
-        with pytest.raises(ValueError, match=f"mask must be boolean, got {shown}$"):
-            _table([0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 1], mask)
-    assert _table([0, 1], [0, 1], [0, 1], [1, 0.0]).mask.tolist() == [True, False]
     for columns, name, shown in [(([0, 1], [0, 1], [0.5, 1]), "sensitive", "0.5"),
                            (([0, 1.25], [0, 1], [0, 1]), "y_true", "1.25"),
                            (([0, 1], np.array([np.nan, 1.0]), [0, 1]), "y_pred", "nan")]:
@@ -159,18 +153,30 @@ def test_table_validation():
             PredictionTable(*columns)
 
 
+def test_table_checks_its_node_ids():
+    assert _table([0, 1, 1], [0, 1, 0], [0, 1, 1]).node_ids.tolist() == [0, 1, 2]
+    assert _table([0, 1, 1], [0, 1, 0], [0, 1, 1], [7, 3.0, 12]).node_ids.tolist() == [7, 3, 12]
+    for ids, message in [([4, 9, 4], "node_ids must be distinct, got 4 more than once"),
+                         ([0, -2, 1], "node_ids must be non-negative, got -2"),
+                         ([0, 0.5, 1], "node_ids must be int64 integers, got 0.5"),
+                         ([0, 1], "node_ids must match the table length"),
+                         ([[0, 1, 2]], "node_ids must match the table length")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _table([0, 1, 1], [0, 1, 0], [0, 1, 1], ids)
+
+
 def test_table_keeps_its_own_arrays():
     base = np.array([[0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]])
-    mask = np.array([True, True, False, True])
-    p = PredictionTable(base[:, 0], base[:, 1], base[:, 2], mask)
-    q = PredictionTable(base[:, 0].copy(), base[:, 0], base[:, 0])
+    ids = np.array([5, 2, 9, 0])
+    p = PredictionTable(base[:, 0], base[:, 1], base[:, 2], ids)
+    q = PredictionTable(base[:, 0].copy(), base[:, 0], base[:, 0], base[:, 0] + [0, 0, 2, 2])
     base[:, :] = 0
-    mask[0] = False
+    ids[0] = 1
     assert p.y_true.tolist() == [0, 1, 0, 1] and p.y_pred.tolist() == [1, 1, 0, 0]
-    assert p.sensitive.tolist() == [1, 0, 1, 0] and p.mask.tolist() == [True, True, False, True]
+    assert p.sensitive.tolist() == [1, 0, 1, 0] and p.node_ids.tolist() == [5, 2, 9, 0]
     assert q.y_pred.tolist() == q.sensitive.tolist() == [0, 1, 0, 1]
-    assert base.flags.writeable and mask.flags.writeable
-    for arr in (p.y_true, p.y_pred, p.sensitive, p.mask, q.y_true):
+    assert base.flags.writeable and ids.flags.writeable
+    for arr in (p.y_true, p.y_pred, p.sensitive, p.node_ids, q.y_true, q.node_ids):
         assert not arr.flags.writeable
 
 
@@ -233,7 +239,7 @@ def test_predictions_roundtrip(tmp_path):
     assert np.array_equal(q.y_true, p.y_true)
     assert np.array_equal(q.y_pred, p.y_pred)
     assert np.array_equal(q.sensitive, p.sensitive)
-    assert q.mask is None
+    assert q.node_ids.tolist() == p.node_ids.tolist() == list(range(30))
 
     assert path.read_text(encoding="utf-8").splitlines()[0] == \
         "node_id,y_true,y_pred,sensitive"
@@ -243,7 +249,7 @@ def test_predictions_roundtrip(tmp_path):
     st.lists(st.integers(0, 12), min_size=n, max_size=n),
     st.lists(st.integers(0, 12), min_size=n, max_size=n),
     st.lists(st.integers(0, 1), min_size=n, max_size=n),
-    st.none() | st.lists(st.booleans(), min_size=n, max_size=n).filter(any))))
+    st.none() | st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))))
 @settings(max_examples=80, deadline=None)
 def test_save_predictions_matches_row_writer(tmp_path_factory, case):
     p = _table(*case)
@@ -253,23 +259,36 @@ def test_save_predictions_matches_row_writer(tmp_path_factory, case):
     assert (root / "bulk.csv").read_bytes() == (root / "rows.csv").read_bytes()
 
 
-def test_masked_predictions_roundtrip_keeps_their_scores(tmp_path):
-    p = PredictionTable([0, 0, 1, 1, 5], [0, 1, 1, 0, 5], [0, 1, 0, 1, 1],
-                        mask=[True, True, True, True, False])
+def test_sub_table_roundtrip_keeps_its_scores(tmp_path):
+    y_true, y_pred, sens = np.array([[0, 0, 1, 1, 5], [0, 1, 1, 0, 5], [0, 1, 0, 1, 1]])
     path = tmp_path / "preds.csv"
+    rows = [0, 1, 2, 3]
+    p = PredictionTable(y_true[rows], y_pred[rows], sens[rows], rows)
     save_predictions(p, path)
     q = load_predictions(path)
-    assert (micro_f1(q), q.n_eval) == (micro_f1(p), p.n_eval) == (0.5, 4)
+    assert (micro_f1(q), q.n_eval, q.class_count) == (micro_f1(p), p.n_eval, p.class_count) \
+        == (0.5, 4, 2)
     assert per_class_statistical_parity(q).tolist() == per_class_statistical_parity(p).tolist()
-    # each scored row is written under its row index
-    p = PredictionTable([0, 0, 1, 1, 5], [0, 1, 1, 0, 5], [0, 1, 0, 1, 1],
-                        mask=[True, True, False, False, True])
+    # each row is written under its node id
+    rows = [0, 1, 4]
+    p = PredictionTable(y_true[rows], y_pred[rows], sens[rows], rows)
     save_predictions(p, path)
     assert path.read_text(encoding="utf-8").splitlines()[1:] == \
         ["0,0,0,0", "1,0,1,1", "4,5,5,1"]
     q = load_predictions(path)
-    assert (micro_f1(q), q.n_eval) == (micro_f1(p), p.n_eval)
+    assert (micro_f1(q), q.n_eval, q.class_count) == (micro_f1(p), p.n_eval, p.class_count)
     assert per_class_statistical_parity(q).tolist() == per_class_statistical_parity(p).tolist()
+    assert q.node_ids.tolist() == rows
+
+
+def test_predictions_roundtrip_keeps_unordered_gapped_ids(tmp_path):
+    text = "node_id,y_true,y_pred,sensitive\n7,1,0,1\n3,0,0,0\n12,2,2,1\n"
+    path, again = tmp_path / "preds.csv", tmp_path / "again.csv"
+    path.write_text(text, encoding="utf-8")
+    q = load_predictions(path)
+    assert q.node_ids.tolist() == [7, 3, 12]
+    save_predictions(q, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_predictions_rejects_bad_header(tmp_path):
@@ -307,6 +326,7 @@ def test_load_predictions_keeps_file_order_with_gapped_ids(tmp_path):
     assert q.y_true.tolist() == [2, 0, 1]
     assert q.y_pred.tolist() == [2, 1, 1]
     assert q.sensitive.tolist() == [1, 0, 1]
+    assert q.node_ids.tolist() == [9, 3, 41]
 
 
 def test_load_predictions_reads_what_int_reads(tmp_path):

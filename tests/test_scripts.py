@@ -157,3 +157,26 @@ def test_bench_trajectory_refuses_records_of_different_commits(tmp_path, monkeyp
     with pytest.raises(SystemExit, match="no git sha; name the file with --out"):
         _run_script("bench_trajectory", ["--work", str(work)], monkeypatch)
     assert not (tmp_path / "x").exists()
+
+
+def test_bench_trajectory_refuses_tiny_records(tmp_path, monkeypatch, capsys):
+    work, out = tmp_path / "work", tmp_path / "BENCH_x.json"
+    records = {name: _record("1" * 40, 0, {}, passes=[1.0])
+               for name in ("generate-sbm", "read-large", "theory-sweep")}
+    records["generate-sbm"]["provenance"]["tiny"] = True
+    records["read-large"]["provenance"]["tiny"] = False
+    records["theory-sweep"]["provenance"]["tiny"] = True
+    _write_records(work, records)
+    with pytest.raises(SystemExit, match="^bench_trajectory: records of --tiny runs, not of "
+                       "the benchmark: generate-sbm, theory-sweep; rerun these workloads "
+                       "without --tiny$"):
+        _run_script("bench_trajectory", ["--work", str(work), "--out", str(out)], monkeypatch)
+    assert not out.exists()
+    # full size, whether the record says so or, as older records do, holds no `tiny` key
+    del records["theory-sweep"]["provenance"]["tiny"]
+    records["generate-sbm"]["provenance"]["tiny"] = False
+    _write_records(work, records)
+    _run_script("bench_trajectory", ["--work", str(work), "--out", str(out)], monkeypatch)
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert sorted(json.loads(out.read_text(encoding="utf-8"))["workloads"]) == \
+        sorted(records)
