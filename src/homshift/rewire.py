@@ -18,9 +18,9 @@ Partner search never builds an O(n) candidate mask. The possible partners
 sit in pools, one per (label, move direction), kept up to date edit by
 edit (see `_EditState`). A pool groups its members into classes that share
 both the gap and the change an added edge would make, so the gate is
-decided once per class. A search walks the classes in ascending order and
-takes the lowest eligible id among the passing classes of the first gap
-that has one, which by the partner rule is the partner.
+decided once per class. One search, `_EditState._best_partner`, walks the
+classes of every pool an addition draws from in ascending order under one
+bound, the best (gap, id) found so far, and so applies the partner rule.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
 class _PartnerPool:
     """The nodes of one (label, live sign), grouped by filed (gap, add change) key.
 
-    Members that share both floats are interchangeable for a search, so they
-    form one class. `keys` holds the distinct class keys in ascending order,
-    and `ids[key]` the class's member ids in ascending order; a class that
+    Members that share both floats are interchangeable, so they form one
+    class. `keys` holds the distinct class keys in ascending order, and
+    `ids[key]` the class's member ids in ascending order; a class that
     empties is dropped. `_EditState._refresh` files and moves the members.
     """
 
@@ -172,27 +172,6 @@ class _PartnerPool:
     def __init__(self):
         self.ids: dict[tuple[float, float], list[int]] = {}
         self.keys: list[tuple[float, float]] = []
-
-    def first_passing(self, i: int, adj_i: set[int], d_i: float) -> tuple[float, int] | None:
-        """The (gap, id)-smallest member, other than i and i's neighbours,
-        whose add change passes the gate with d_i; None if there is none.
-
-        A class passes or fails the gate as a whole. The first eligible id of
-        a passing class is its lowest, and the classes of the first gap that
-        yields a partner are all looked at, so the lowest id at that gap wins.
-        """
-        below = -_GATE_TOL
-        found = None
-        for key in self.keys:
-            if found is not None and key[0] != found[0]:
-                break
-            if d_i + key[1] < below:
-                for k in self.ids[key]:
-                    if k != i and k not in adj_i:
-                        if found is None or k < found[1]:
-                            found = (key[0], k)
-                        break
-        return found
 
 
 class _EditState:
@@ -215,9 +194,8 @@ class _EditState:
     addition.
 
     Partner pools. The live nodes with sign s and label c form the pool
-    (c, s). An addition at source i with sign s draws its partner from pool
-    (label_i, s) when s > 0, and from every pool (c, s) with c != label_i
-    when s < 0. Each pool files a live member k under its class key
+    (c, s); `_candidate_pools` lists the pools an addition draws from (see
+    `_best_partner`). Each pool files a live member k under its class key
     filed[k] = (gap, add change), the add change being the change in gap if
     k gained one edge of the kind its own sign wants, in a sorted list of
     distinct keys and a dict from key to the class's ids in ascending
@@ -322,22 +300,34 @@ class _EditState:
             self.filed[v] = None
 
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
-        """Partner for one edge addition at source i; -1 if none passes.
+        """Partner for one edge addition at source i by the partner rule; -1
+        if none passes.
 
-        Candidates are the non-adjacent nodes with a goal that move in direction
-        s and share i's label (s > 0) or differ from it (s < 0). A candidate
-        k passes when d_i (i's change) plus k's own change is below
-        -_GATE_TOL, summed in that order. Of the passing candidates,
-        the one with the smallest gap wins, ties to the lower id. With
-        several pools (s < 0 and three or more labels) each pool's first
-        passing key is found, and the smallest of them wins.
+        The candidates are the live nodes of sign s, other than i and its
+        neighbours, that share i's label (s > 0) or differ from it (s < 0);
+        they sit in the pools `_candidate_pools[label_i, s]`. A candidate k
+        passes when d_i (i's change) plus k's add change is below -_GATE_TOL,
+        summed in that order, so a class passes or fails as a whole. The
+        pools are walked in order and each pool's keys ascending; a pool's
+        walk stops at the first key whose gap is greater than that of the
+        best (gap, id) found so far in any pool. A passing class offers its
+        first id that is neither i nor a neighbour of i, its lowest eligible
+        one, and that id becomes the best when its (gap, id) is smaller.
         """
-        best = None
+        adj_i = self.adj[i]
+        below = -_GATE_TOL
+        found = None
         for pool in self._candidate_pools[self.labels[i], s]:
-            key = pool.first_passing(i, self.adj[i], d_i)
-            if key is not None and (best is None or key < best):
-                best = key
-        return -1 if best is None else best[1]
+            for key in pool.keys:
+                if found is not None and key[0] > found[0]:
+                    break
+                if d_i + key[1] < below:
+                    for k in pool.ids[key]:
+                        if k != i and k not in adj_i:
+                            if found is None or (key[0], k) < found:
+                                found = (key[0], k)
+                            break
+        return -1 if found is None else found[1]
 
     def attempt_rewire(self, i: int) -> bool:
         """One paired remove+add on source i; returns False if none is valid.

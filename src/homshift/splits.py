@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import owned_readonly, read_id_table
-from .homophily import defined_bins, emd, histogram
+from .homophily import HomophilyHistogram, defined_bins, emd
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
 TAG_NAMES = ("train", "val", "test", "excluded")
@@ -43,9 +43,6 @@ class SplitAssignment:
         object.__setattr__(self, "per_bin_train_share",
                            owned_readonly(np.asarray(share, dtype=np.float64), share))
 
-    def mask(self, tag: int) -> np.ndarray:
-        return self.tags == tag
-
 
 def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
     """Round real quotas to nonnegative integers summing to `total`.
@@ -71,18 +68,13 @@ def largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
         step, limit = 1, caps
     else:
         step, limit, order = -1, np.zeros_like(caps), order[::-1]
-    moved = True
-    while rem != 0 and moved:
-        moved = False
-        for idx in order:
-            if rem == 0:
-                break
-            if floors[idx] != limit[idx]:
-                floors[idx] += step
-                rem -= step
-                moved = True
-    if rem != 0:
-        raise ValueError(f"cannot apportion {total} units within the caps")
+    while rem != 0:
+        # One pass: the first |rem| indices in order that can still move.
+        take = order[floors[order] != limit[order]][:abs(rem)]
+        if take.size == 0:
+            raise ValueError(f"cannot apportion {total} units within the caps")
+        floors[take] += step
+        rem -= step * take.size
     return floors
 
 
@@ -143,8 +135,8 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
     if n_val == pool.size:
         raise ValueError(f"val_frac {val_frac!r} moves all {pool.size} pool nodes to val, "
                          "leaving no training node")
-    pair_emd = emd(histogram(ratios[pool], bin_count),
-                   histogram(ratios[test_ids], bin_count))
+    pair_emd = emd(HomophilyHistogram(bin_count, pool_counts / pool.size),
+                   HomophilyHistogram(bin_count, (n_b - pool_counts) / test_ids.size))
     share = np.divide(pool_counts, n_b, out=np.zeros(bin_count), where=n_b > 0)
     return SplitAssignment(
         tags=tags,

@@ -16,8 +16,9 @@ replaced, the set-based edit-log replay that key arithmetic replaced, the
 line-by-line edit-log reader that block decoding replaced, the
 one-node local homophily that the all-nodes count replaced, the
 per-node training-representation sampler that the simulator's sufficient
-statistics replaced, and the batched LAPACK solve of those statistics that
-the closed-form 2 x 2 inverse replaced.
+statistics replaced, the batched LAPACK solve of those statistics that
+the closed-form 2 x 2 inverse replaced, and the index-by-index
+largest-remainder loop that one array step per pass replaced.
 """
 
 from __future__ import annotations
@@ -543,6 +544,38 @@ def reference_simulate_gaps(params: TheoryParams, trials: int,
     r_diff = -a_coef * np.column_stack((u_feats[:, 0] - v_feats[:, 0],
                                         u_feats[:, 1] + v_feats[:, 1]))
     return (r_diff * w_0).sum(axis=1)
+
+
+def reference_largest_remainder(quotas, total: int, caps=None) -> np.ndarray:
+    """splits.largest_remainder as it was before each pass became one array
+    step: every pass walks the order one index at a time, moving a unit at
+    each index not yet at its limit, until the remainder is gone or a pass
+    moves nothing."""
+    quotas = np.asarray(quotas, dtype=np.float64)
+    if caps is None:
+        caps = np.full(quotas.size, np.iinfo(np.int64).max)
+    caps = np.asarray(caps, dtype=np.int64)
+    floors = np.clip(np.floor(quotas + 1e-9).astype(np.int64), 0, caps)
+    rem = int(total - floors.sum())
+    fracs = quotas - floors
+    order = np.lexsort((np.arange(quotas.size), -fracs))
+    if rem > 0:
+        step, limit = 1, caps
+    else:
+        step, limit, order = -1, np.zeros_like(caps), order[::-1]
+    moved = True
+    while rem != 0 and moved:
+        moved = False
+        for idx in order:
+            if rem == 0:
+                break
+            if floors[idx] != limit[idx]:
+                floors[idx] += step
+                rem -= step
+                moved = True
+    if rem != 0:
+        raise ValueError(f"cannot apportion {total} units within the caps")
+    return floors
 
 
 def reference_assign_node_goals(plan, ratios, bin_count: int, seed) -> list:

@@ -598,13 +598,14 @@ def test_pool_search_sees_ties_and_both_outcomes():
 
 def _class_tie_state(partners):
     """Source 0 (label 0, two label-0 neighbours, goal 0.5) wants cross-label
-    partners. partners maps a label-1 id below 10 to (same, cross, adjacent,
-    goal): that many label-1 and label-0 neighbours of its own, whether it is
-    also a neighbour of 0, and its goal. Other nodes have no goal."""
+    partners. partners maps an id below 10 to (label, same, cross, adjacent,
+    goal): its label (1 or more), that many neighbours of its own label and
+    of label 0, whether it is also a neighbour of 0, and its goal. Other
+    nodes have no goal."""
     edges, labels = [(0, 10), (0, 11)], [0] * 10 + [0, 0]
-    for k, (same, cross, adjacent, _) in partners.items():
-        labels[k] = 1
-        for label in [1] * same + [0] * cross:
+    for k, (label_k, same, cross, adjacent, _) in partners.items():
+        labels[k] = label_k
+        for label in [label_k] * same + [0] * cross:
             edges.append((k, len(labels)))
             labels.append(label)
         if adjacent:
@@ -616,27 +617,42 @@ def _class_tie_state(partners):
     return _EditState(g, t, goals, EditLog())
 
 
-@pytest.mark.parametrize("partners, classes, expected", [
-    # Keys are (gap, add change), the add change computed as _EditState does.
+@pytest.mark.parametrize("partners, pools, expected", [
+    # Keys are (gap, add change), the add change computed as _EditState does;
+    # pools maps each partner label c to the classes of pool (c, -1).
     # Two classes at gap 0.5: (add -1/3) holds 5 and 7, (add -0.2) holds 3;
     # the lower id 3 sits in the class walked second. Node 1 (gap 0.75) is
     # walked last and loses despite its id.
-    ({1: (2, 0, False, 0.25), 3: (4, 0, False, 0.5), 5: (2, 0, False, 0.5),
-      7: (2, 0, False, 0.5)},
-     [((0.5, 2 / 3 - 0.5 - 0.5), [5, 7]), ((0.5, 4 / 5 - 0.5 - 0.5), [3]),
-      ((0.75, 2 / 3 - 0.25 - 0.75), [1])],
+    ({1: (1, 2, 0, False, 0.25), 3: (1, 4, 0, False, 0.5), 5: (1, 2, 0, False, 0.5),
+      7: (1, 2, 0, False, 0.5)},
+     {1: [((0.5, 2 / 3 - 0.5 - 0.5), [5, 7]), ((0.5, 4 / 5 - 0.5 - 0.5), [3]),
+          ((0.75, 2 / 3 - 0.25 - 0.75), [1])]},
      3),
     # at gap 0.5, class (add -1/3) holds 7 and class (add -0.15) holds 2 and
     # 4; 2 is a neighbour of 0, so the class offers 4, which beats 7
-    ({2: (3, 0, True, 0.25), 4: (3, 1, False, 0.25), 7: (2, 0, False, 0.5)},
-     [((0.5, 2 / 3 - 0.5 - 0.5), [7]), ((0.5, 3 / 5 - 0.25 - 0.5), [2, 4])],
+    ({2: (1, 3, 0, True, 0.25), 4: (1, 3, 1, False, 0.25), 7: (1, 2, 0, False, 0.5)},
+     {1: [((0.5, 2 / 3 - 0.5 - 0.5), [7]), ((0.5, 3 / 5 - 0.25 - 0.5), [2, 4])]},
      4),
+    # Pool (1, -1)'s best is 3 at gap 0.5; pool (2, -1), walked second,
+    # holds 8 at the smaller gap 0.25 and wins despite its id.
+    ({1: (1, 2, 0, False, 0.25), 3: (1, 2, 0, False, 0.5), 8: (2, 4, 0, False, 0.75)},
+     {1: [((0.5, 2 / 3 - 0.5 - 0.5), [3]), ((0.75, 2 / 3 - 0.25 - 0.75), [1])],
+      2: [((0.25, 4 / 5 - 0.75 - 0.25), [8])]},
+     8),
+    # Both pools' best sit at gap 0.5: 5 in the first, 2 in the second; the
+    # lower id 2 wins. Node 1 (gap 0.75) follows 2 in its pool and is not
+    # reached.
+    ({1: (2, 2, 0, False, 0.25), 2: (2, 2, 0, False, 0.5), 5: (1, 2, 0, False, 0.5)},
+     {1: [((0.5, 2 / 3 - 0.5 - 0.5), [5])],
+      2: [((0.5, 2 / 3 - 0.5 - 0.5), [2]), ((0.75, 2 / 3 - 0.25 - 0.75), [1])]},
+     2),
 ])
-def test_partner_search_takes_the_lowest_id_across_classes_of_one_gap(
-        partners, classes, expected):
+def test_partner_search_takes_the_smallest_gap_then_the_lowest_id(partners, pools, expected):
     state = _class_tie_state(partners)
-    pool = state._pools[1, -1]
-    assert [(key, pool.ids[key]) for key in pool.keys] == classes
+    assert state._candidate_pools[0, -1] == [state._pools[c, -1] for c in pools]
+    for c, classes in pools.items():
+        pool = state._pools[c, -1]
+        assert [(key, pool.ids[key]) for key in pool.keys] == classes
     eq = 0  # a lowering source gains a cross-label edge
     d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.filed[0][0]
     assert state._best_partner(0, -1, d_0) == reference_best_partner(state, 0, -1, d_0) == expected

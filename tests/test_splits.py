@@ -25,7 +25,7 @@ from homshift import (
 )
 from homshift.splits import largest_remainder
 
-from conftest import reference_save_split
+from conftest import reference_largest_remainder, reference_save_split
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,27 @@ def test_largest_remainder_capped_matches_oracle(bins, share):
     assert np.array_equal(largest_remainder(quotas, total, caps=caps), expected)
 
 
+def _outcome(apportion, *args):
+    """An apportioner's result as a list, or its ValueError's message."""
+    try:
+        return apportion(*args).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=30.0),
+                          st.integers(min_value=0, max_value=25)), min_size=1, max_size=10),
+       st.booleans(), st.integers(min_value=0, max_value=300))
+def test_largest_remainder_matches_the_index_loop(cells, capped, total):
+    """One array step per pass gives the loop's floors, or its error, with or
+    without caps and whether units are handed out or taken back."""
+    quotas = [q for q, _ in cells]
+    caps = [c for _, c in cells] if capped else None
+    assert (_outcome(largest_remainder, quotas, total, caps)
+            == _outcome(reference_largest_remainder, quotas, total, caps))
+
+
 def test_largest_remainder_hand_values():
     # fractions .6, .3, .6 -> the tie at .6 goes to the lower index
     assert largest_remainder([1.6, 2.3, 0.6], 5).tolist() == [2, 2, 1]
@@ -127,13 +148,13 @@ def test_split_partitions_and_sizes(beta_ratios):
 
     assert a.tags.shape == ratios.shape
     assert set(np.unique(a.tags)) <= {TRAIN, VAL, TEST, EXCLUDED}
-    assert np.array_equal(a.mask(EXCLUDED), np.isnan(ratios))
+    assert np.array_equal(a.tags == EXCLUDED, np.isnan(ratios))
 
     valid = int((~np.isnan(ratios)).sum())
-    pool = int(a.mask(TRAIN).sum() + a.mask(VAL).sum())
+    pool = int((a.tags == TRAIN).sum() + (a.tags == VAL).sum())
     assert pool == round(0.8 * valid)
-    assert int(a.mask(VAL).sum()) == round(0.2 * pool)
-    assert int(a.mask(TEST).sum()) == valid - pool
+    assert int((a.tags == VAL).sum()) == round(0.2 * pool)
+    assert int((a.tags == TEST).sum()) == valid - pool
 
 
 def test_split_gamma_zero_is_flat(beta_ratios):
@@ -206,7 +227,7 @@ def test_split_pool_moves_linearly_toward_the_extreme_pool(ratios, bin_count, tr
     emds = []
     for gamma in SHIFT_GAMMAS:
         a = stratified_split(ratios, gamma, bin_count, seed=1, train_frac=train_frac)
-        in_pool = a.mask(TRAIN) | a.mask(VAL)
+        in_pool = (a.tags == TRAIN) | (a.tags == VAL)
         counts = np.bincount(bin_index(ratios[in_pool], bin_count), minlength=bin_count)
         assert counts.sum() == pool
         assert np.all(counts <= n_b)
@@ -280,7 +301,7 @@ def test_split_sizes_do_not_depend_on_gamma(beta_ratios, train_frac, val_frac):
     for gamma in SHIFT_GAMMAS:
         a = stratified_split(beta_ratios, gamma, 10, seed=6,
                              train_frac=train_frac, val_frac=val_frac)
-        sizes.add(tuple(int(a.mask(tag).sum()) for tag in (TRAIN, VAL, TEST)))
+        sizes.add(tuple(int((a.tags == tag).sum()) for tag in (TRAIN, VAL, TEST)))
     pool = round(train_frac * beta_ratios.size)
     val = round(val_frac * pool)
     assert sizes == {(pool - val, val, beta_ratios.size - pool)}
