@@ -24,6 +24,7 @@ from .graph import load_edge_list, load_node_table, save_edge_list
 from .homophily import BetaGoal, defined_histogram, global_homophily, local_homophily_all
 from .metrics import (
     MetricRecord,
+    PredictionTable,
     baseline_adjust,
     delta_metrics,
     load_predictions,
@@ -159,7 +160,7 @@ def _cmd_split(args) -> dict:
     return artifacts
 
 
-def _score(path) -> tuple[dict, MetricRecord]:
+def _score(path) -> tuple[dict, MetricRecord, PredictionTable]:
     table = load_predictions(path)
     f1 = micro_f1(table)
     try:
@@ -169,17 +170,39 @@ def _score(path) -> tuple[dict, MetricRecord]:
     sp = max(per_class)  # the multiclass parity
     payload = {"f1": f1, "sp": sp, "n_eval": table.n_eval, "per_class_sp": per_class}
     # the runs compared are the files named on the command line, so all share one identity
-    return payload, MetricRecord(f1=f1, sp=sp, n_eval=table.n_eval, dataset="", model="")
+    record = MetricRecord(f1=f1, sp=sp, n_eval=table.n_eval, dataset="", model="")
+    return payload, record, table
+
+
+def _check_same_nodes(path_a, table_a: PredictionTable, path, table: PredictionTable) -> None:
+    """Refuse a run whose node ids, or whose y_true or sensitive on a shared
+    id, differ from run a's, naming the smallest such id. The two tables
+    hold as many rows."""
+    order_a, order = np.argsort(table_a.node_ids), np.argsort(table.node_ids)
+    ids_a, ids = table_a.node_ids[order_a], table.node_ids[order]
+    if not np.array_equal(ids_a, ids):
+        node = np.setxor1d(ids_a, ids)[0]
+        has, lacks = (path_a, path) if node in ids_a else (path, path_a)
+        raise ValueError(f"runs must score the same nodes: node {node} is in {has} "
+                         f"but not in {lacks}")
+    differs = ((table_a.y_true[order_a] != table.y_true[order])
+               | (table_a.sensitive[order_a] != table.sensitive[order]))
+    if differs.any():
+        raise ValueError(f"runs must share y_true and sensitive: node {ids[differs.argmax()]} "
+                         f"differs between {path_a} and {path}")
 
 
 def _cmd_metrics(args) -> dict:
-    payload_a, rec_a = _score(args.run_a)
+    payload_a, rec_a, table_a = _score(args.run_a)
     artifacts = {"metrics_a.json": payload_a}
+    compared = []  # (file, table) of --run-b and --baseline, checked against run a
     rec_b = None
     if args.run_b:
-        artifacts["metrics_b.json"], rec_b = _score(args.run_b)
+        artifacts["metrics_b.json"], rec_b, table_b = _score(args.run_b)
+        compared.append((args.run_b, table_b))
     if args.baseline:
-        _, rec_base = _score(args.baseline)
+        _, rec_base, table_base = _score(args.baseline)
+        compared.append((args.baseline, table_base))
         for run, rec, name in ((args.run_a, rec_a, "adjusted_a.json"),
                                (args.run_b, rec_b, "adjusted_b.json")):
             if rec is None:
@@ -197,6 +220,9 @@ def _cmd_metrics(args) -> dict:
             raise ValueError(f"{exc}: {args.run_a} has {rec_a.n_eval} rows, "
                              f"{args.run_b} has {rec_b.n_eval}") from None
         artifacts["delta.json"] = {"delta_f1": d_f1, "delta_sp": d_sp}
+    # Every row count now equals run a's.
+    for path, table in compared:
+        _check_same_nodes(args.run_a, table_a, path, table)
     return {name: partial(_dump_json, payload) for name, payload in artifacts.items()}
 
 

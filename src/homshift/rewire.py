@@ -158,22 +158,6 @@ def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
     return Graph._from_keys(n, keys)
 
 
-class _PartnerPool:
-    """The nodes of one (label, live sign), grouped by filed (gap, add change) key.
-
-    Members that share both floats are interchangeable, so they form one
-    class. `keys` holds the distinct class keys in ascending order, and
-    `ids[key]` the class's member ids in ascending order; a class that
-    empties is dropped. `_EditState._refresh` files and moves the members.
-    """
-
-    __slots__ = ("keys", "ids")
-
-    def __init__(self):
-        self.ids: dict[tuple[float, float], list[int]] = {}
-        self.keys: list[tuple[float, float]] = []
-
-
 class _EditState:
     """Mutable working state of the two edit phases, one loop method each.
 
@@ -195,20 +179,21 @@ class _EditState:
 
     Partner pools. The live nodes with sign s and label c form the pool
     (c, s); `_candidate_pools` lists the pools an addition draws from (see
-    `_best_partner`). Each pool files a live member k under its class key
+    `_best_partner`). A live member k is filed under its class key
     filed[k] = (gap, add change), the add change being the change in gap if
-    k gained one edge of the kind its own sign wants, in a sorted list of
-    distinct keys and a dict from key to the class's ids in ascending
-    order. The key is the state's only copy of either float; filed[k] is
-    None while k is in no pool. `_refresh` finds v's old class by its
-    stored key, without rebuilding it, takes v out, and puts v into its new
-    class; this is all of the pool bookkeeping, and only a class that
-    appears or empties touches the key list.
+    k gained one edge of the kind its own sign wants; members that share
+    both floats are interchangeable and form one class. A pool is the pair
+    (keys, ids): keys lists its distinct class keys in ascending order and
+    ids[key] the class's member ids in ascending order; a class that
+    empties is dropped. The key is the state's only copy of either float;
+    filed[k] is None while k is in no pool. `_refresh` finds v's old class
+    by its stored key, without rebuilding it, takes v out, and puts v into
+    its new class; this is all of the pool bookkeeping, and only a class
+    that appears or empties touches the key list.
 
-    A rewire pair is applied as one update (`attempt_rewire`): i's
-    neighbour set swaps j for k, i's degree stays while j's drops and k's
-    grows by one, `same` changes for i and for whichever of j and k shares
-    i's label, and then the log gains the removal and the addition.
+    Every log record is one `_edit` call, the only code after `__init__`
+    that changes adj, deg or same. A rewire pair is a removal (i, j), then
+    an addition (i, k): i's degree drops by one and comes back.
 
     `generate` builds and runs the state with the cyclic garbage collector
     paused (`_collector_paused`). The state's sets and lists, the goals and
@@ -255,7 +240,7 @@ class _EditState:
         self.live = [0] * n
         self.filed: list[tuple[float, float] | None] = [None] * n
         pool_labels = np.unique(t.labels[act]).tolist()
-        self._pools = {(c, sign): _PartnerPool() for c in pool_labels for sign in (-1, 1)}
+        self._pools = {(c, sign): ([], {}) for c in pool_labels for sign in (-1, 1)}
         # The pools an addition at a source of label c and sign s draws from.
         self._candidate_pools = {
             (c, sign): ([self._pools[c, sign]] if sign > 0 else
@@ -275,25 +260,25 @@ class _EditState:
         c = self.labels[v]
         old = self.filed[v]
         if old is not None:
-            pool = self._pools[c, self.live[v]]
-            members = pool.ids.get(old, [])
+            keys, ids = self._pools[c, self.live[v]]
+            members = ids.get(old, [])
             idx = bisect.bisect_left(members, v)
             if idx == len(members) or members[idx] != v:
                 raise RuntimeError("internal: node missing from its partner pool")
             if len(members) > 1:
                 del members[idx]
             else:
-                del pool.ids[old]
-                del pool.keys[bisect.bisect_left(pool.keys, old)]
+                del ids[old]
+                del keys[bisect.bisect_left(keys, old)]
         self.live[v] = s
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
             key = self.filed[v] = (gap, d)
-            pool = self._pools[c, s]
-            members = pool.ids.get(key)
+            keys, ids = self._pools[c, s]
+            members = ids.get(key)
             if members is None:
-                pool.ids[key] = [v]
-                bisect.insort(pool.keys, key)
+                ids[key] = [v]
+                bisect.insort(keys, key)
             else:
                 bisect.insort(members, v)
         else:
@@ -317,17 +302,46 @@ class _EditState:
         adj_i = self.adj[i]
         below = -_GATE_TOL
         found = None
-        for pool in self._candidate_pools[self.labels[i], s]:
-            for key in pool.keys:
+        for keys, ids in self._candidate_pools[self.labels[i], s]:
+            for key in keys:
                 if found is not None and key[0] > found[0]:
                     break
                 if d_i + key[1] < below:
-                    for k in pool.ids[key]:
+                    for k in ids[key]:
                         if k != i and k not in adj_i:
                             if found is None or (key[0], k) < found:
                                 found = (key[0], k)
                             break
         return -1 if found is None else found[1]
+
+    def _edit(self, phase: str, op: str, i: int, v: int, agree: bool) -> None:
+        """Remove or add edge (i, v) and append its record, with the
+        arguments of `EditLog.append` plus `agree`.
+
+        Both endpoints' neighbour sets and degrees change, and their `same`
+        counts too when `agree` (i and v share a label). The edge is checked
+        before anything changes: a removal needs it present, an addition
+        needs it absent and i != v.
+        """
+        adj_i, adj_v = self.adj[i], self.adj[v]
+        if op == "remove":
+            if v not in adj_i:
+                raise RuntimeError("internal: removing missing edge")
+            adj_i.remove(v)
+            adj_v.remove(i)
+            step = -1
+        else:
+            if v in adj_i or v == i:
+                raise RuntimeError("internal: adding duplicate or self edge")
+            adj_i.add(v)
+            adj_v.add(i)
+            step = 1
+        self.deg[i] += step
+        self.deg[v] += step
+        if agree:
+            self.same[i] += step
+            self.same[v] += step
+        self.log.append(phase, op, i, v)
 
     def attempt_rewire(self, i: int) -> bool:
         """One paired remove+add on source i; returns False if none is valid.
@@ -338,10 +352,10 @@ class _EditState:
         is not found. The removed neighbour j is the best gate-passing one
         by the partner rule.
 
-        Both are picked from the state before the edit, so the pair is
-        applied as one update of adj, deg and same, then logged; i, j and
-        k are refreshed once each. j != k, since j is a neighbour of i and
-        k is not.
+        Both are picked from the state before the edit. The pair is then two
+        `_edit` calls on i, the removal of j and then the addition of k, and
+        i, j and k are refreshed once each. j != k, since j is a neighbour of
+        i and k is not.
         """
         s = self.live[i]
         if s == 0 or self.deg[i] <= 1:
@@ -371,27 +385,8 @@ class _EditState:
         if best is None:
             return False
         j = best[1]
-        adj, deg, same, log = self.adj, self.deg, self.same, self.log
-        adj_i = adj[i]
-        if j not in adj_i:
-            raise RuntimeError("internal: removing missing edge")
-        if k in adj_i or k == i:
-            raise RuntimeError("internal: adding duplicate or self edge")
-        adj_i.remove(j)
-        adj[j].remove(i)
-        adj_i.add(k)
-        adj[k].add(i)
-        deg[j] -= 1
-        deg[k] += 1
-        # i's degree is unchanged. Raising h, k shares i's label and j does
-        # not; lowering it, j does and k does not.
-        if want_diff:
-            same[k] += 1
-        else:
-            same[j] -= 1
-        same[i] = same_i2 + eq_add
-        log.append("rewire", "remove", i, j)
-        log.append("rewire", "add", i, k)
+        self._edit("rewire", "remove", i, j, not want_diff)
+        self._edit("rewire", "add", i, k, want_diff)
         self._refresh(i)
         self._refresh(j)
         self._refresh(k)
@@ -405,17 +400,7 @@ class _EditState:
         k = self._best_partner(i, s, self.filed[i][1])
         if k < 0:
             return False
-        adj_i = self.adj[i]
-        if k in adj_i or k == i:
-            raise RuntimeError("internal: adding duplicate or self edge")
-        adj_i.add(k)
-        self.adj[k].add(i)
-        self.deg[i] += 1
-        self.deg[k] += 1
-        if s > 0:  # k shares i's label
-            self.same[i] += 1
-            self.same[k] += 1
-        self.log.append("refine", "add", i, k)
+        self._edit("refine", "add", i, k, s > 0)
         self._refresh(i)
         self._refresh(k)
         return True

@@ -34,10 +34,10 @@ def sbm_files(tmp_path_factory):
     return root, g, t
 
 
-def _write_predictions(path, y_true, y_pred, sensitive):
+def _write_predictions(path, y_true, y_pred, sensitive, node_ids=None):
+    ids = range(len(y_true)) if node_ids is None else node_ids
     lines = ["node_id,y_true,y_pred,sensitive"]
-    lines += [f"{i},{a},{b},{s}" for i, (a, b, s)
-              in enumerate(zip(y_true, y_pred, sensitive))]
+    lines += [f"{i},{a},{b},{s}" for i, a, b, s in zip(ids, y_true, y_pred, sensitive)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -310,6 +310,46 @@ def test_metrics_delta_refuses_runs_of_different_row_counts(tmp_path, capsys):
     assert ("delta requires runs scored on the same evaluation subset: "
             f"{run_a} has 3 rows, {run_b} has 2") in capsys.readouterr().err
     assert not (out / "delta.json").exists()
+    assert not (out / "metrics.config.json").exists()
+
+
+def test_metrics_refuses_runs_on_different_nodes(tmp_path, capsys):
+    """Four rows each, ids 0-3 against 10-13: as many rows, but other nodes."""
+    run_a, run_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_predictions(run_a, [1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 1, 0])
+    _write_predictions(run_b, [1, 0, 1, 0], [1, 0, 0, 0], [0, 1, 1, 0], [10, 11, 12, 13])
+    out = tmp_path / "out"
+    assert main(["metrics", "--run-a", str(run_a), "--run-b", str(run_b),
+                 "--baseline", str(run_b), "--out", str(out)]) == 1
+    assert (f"runs must score the same nodes: node 0 is in {run_a} but not in {run_b}"
+            in capsys.readouterr().err)
+    assert not (out / "delta.json").exists()
+    assert not (out / "metrics.config.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--run-b", "--baseline"])
+@pytest.mark.parametrize("column", [1, 3], ids=["y_true", "sensitive"])
+def test_metrics_refuses_a_shared_node_with_other_truth(tmp_path, capsys, flag, column):
+    """b lists a's nodes in another order, which is accepted; once node 2's
+    y_true or sensitive differs (and node 3's too), the error names node 2."""
+    def write(path, rows):
+        path.write_text("node_id,y_true,y_pred,sensitive\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in rows),
+                        encoding="utf-8")
+
+    run_a, run_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    rows = [[0, 1, 1, 0], [1, 0, 0, 1], [2, 1, 0, 1], [3, 0, 0, 0]]
+    write(run_a, rows)
+    write(run_b, rows[::-1])
+    argv = ["metrics", "--run-a", str(run_a), flag, str(run_b)]
+    assert main(argv + ["--out", str(tmp_path / "same")]) == 0
+    for node in (3, 2):
+        rows[node][column] = 1 - rows[node][column]
+    write(run_b, rows[::-1])
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert (f"runs must share y_true and sensitive: node 2 differs between {run_a} and {run_b}"
+            in capsys.readouterr().err)
     assert not (out / "metrics.config.json").exists()
 
 

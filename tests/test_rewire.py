@@ -426,6 +426,25 @@ def test_phases_reject_a_moving_goal_outside_unit_interval(phase, h_goal):
         phase(g, t, goals, seed=0)
 
 
+@pytest.mark.parametrize("op, v, message", [
+    ("remove", 2, "internal: removing missing edge"),
+    ("add", 1, "internal: adding duplicate or self edge"),
+    ("add", 0, "internal: adding duplicate or self edge"),
+])
+def test_edit_refuses_a_missing_removal_a_present_addition_and_a_self_edge(op, v, message):
+    """_edit checks the edge before it touches the state: on path 0-1-2,
+    removing (0, 2), adding (0, 1) and adding (0, 0) each raise and leave the
+    neighbour sets, degrees, same-label counts and log as they were."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    t = NodeTable(np.array([0, 0, 0]), np.zeros(3, dtype=int))
+    state = _EditState(g, t, [NodeGoal(0, 1.0, 0.5, -1)], EditLog())
+    before = ([set(nbrs) for nbrs in state.adj], list(state.deg), list(state.same))
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        state._edit("refine", op, 0, v, True)
+    assert (state.adj, state.deg, state.same) == before
+    assert len(state.log) == 0
+
+
 # -------------------------------------------------------- partner choice
 
 
@@ -497,18 +516,19 @@ def _check_pools(state):
     for v, key in enumerate(state.filed):
         if live[v]:
             assert key == _current_key(state, v)
-            assert v in state._pools[labels[v], live[v]].ids[key]
+            _, ids = state._pools[labels[v], live[v]]
+            assert v in ids[key]
         else:
             assert key is None
-    for (c, s), pool in state._pools.items():
+    for (c, s), (keys, ids) in state._pools.items():
         classes = {}
         for v in np.flatnonzero((labels == c) & (live == s)).tolist():
             classes.setdefault(state.filed[v], []).append(v)
-        assert pool.ids == classes
-        assert pool.keys == sorted(classes)
-        assert all(a < b for a, b in zip(pool.keys, pool.keys[1:]))
-        assert all(ids and all(a < b for a, b in zip(ids, ids[1:]))
-                   for ids in pool.ids.values())
+        assert ids == classes
+        assert keys == sorted(classes)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(members and all(a < b for a, b in zip(members, members[1:]))
+                   for members in ids.values())
 
 
 def _capture_states(mp):
@@ -649,10 +669,10 @@ def _class_tie_state(partners):
 ])
 def test_partner_search_takes_the_smallest_gap_then_the_lowest_id(partners, pools, expected):
     state = _class_tie_state(partners)
-    assert state._candidate_pools[0, -1] == [state._pools[c, -1] for c in pools]
+    assert list(map(id, state._candidate_pools[0, -1])) == [id(state._pools[c, -1]) for c in pools]
     for c, classes in pools.items():
-        pool = state._pools[c, -1]
-        assert [(key, pool.ids[key]) for key in pool.keys] == classes
+        keys, ids = state._pools[c, -1]
+        assert [(key, ids[key]) for key in keys] == classes
     eq = 0  # a lowering source gains a cross-label edge
     d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.filed[0][0]
     assert state._best_partner(0, -1, d_0) == reference_best_partner(state, 0, -1, d_0) == expected
@@ -675,7 +695,7 @@ def test_pool_search_on_many_classes_and_three_pools():
              for v in range(n) if g.degrees[v] > 0]
     assert g.degrees[0] >= 40
     state = _EditState(g, t, goals, EditLog())
-    assert max(len(pool.keys) for pool in state._pools.values()) >= 20
+    assert max(len(keys) for keys, _ in state._pools.values()) >= 20
     assert all(len(pools) == 3 for (_, s), pools in state._candidate_pools.items() if s < 0)
     g_fin, log, seen = _checked_replay(g, t, goals, seed=9)
     assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
@@ -692,7 +712,7 @@ def test_pools_stay_bounded_after_generate(small_pair):
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
     assert len(states) == 1 and log.records
     state, = states
-    assert (sum(len(ids) for pool in state._pools.values() for ids in pool.ids.values())
+    assert (sum(len(members) for _, ids in state._pools.values() for members in ids.values())
             == np.count_nonzero(state.live))
 
 
@@ -706,7 +726,7 @@ def test_generate_state_holds_one_int_object_per_node_id(small_pair):
     state, = states
     assert state.log is log and log.records
     held = [*(k for nbrs in state.adj for k in nbrs),
-            *(k for pool in state._pools.values() for ids in pool.ids.values() for k in ids),
+            *(k for _, ids in state._pools.values() for members in ids.values() for k in members),
             *log.us, *log.vs]
     assert all(type(k) is int for k in held) and max(held) > 256  # beyond the cached ints
     objects: dict[int, set[int]] = {}
@@ -777,7 +797,7 @@ def test_fresh_state_matches_the_bulk_reference(problem):
     filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live
     assert state.filed == filed
-    assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
+    assert state._pools == pools
 
 
 def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
@@ -791,7 +811,7 @@ def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
     filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live == [0, 0, 1, 0, 0, 0]
     assert state.filed == filed == [None, None, (1.0, abs(1 / 3 - 1.0) - 1.0), None, None, None]
-    assert {c_s: (pool.keys, pool.ids) for c_s, pool in state._pools.items()} == pools
+    assert state._pools == pools
     # node 2 (h 0, goal 1) would reach h 1/3 with one more same-label edge
     assert [(c_s, ids) for c_s, (_, ids) in pools.items() if ids] == \
         [((1, 1), {(1.0, abs(1 / 3 - 1.0) - 1.0): [2]})]
@@ -815,7 +835,7 @@ def test_a_goal_within_move_tolerance_takes_part_in_no_edit(offset, live, record
     state = _EditState(g, t, goals, EditLog())
     assert state.live[:3] == [1, live, 1]
     assert (state.filed[1] is not None) == any(
-        1 in ids for pool in state._pools.values() for ids in pool.ids.values()) == bool(live)
+        1 in members for _, ids in state._pools.values() for members in ids.values()) == bool(live)
     g_rw, log = rewire_phase(g, t, goals, seed=3)
     g_fin, log = refine_phase(g_rw, t, goals, seed=4, log=log)
     assert [(r.op, r.u, r.v) for r in log.records] == records
@@ -831,9 +851,7 @@ def _check_matches_fresh_state(state, t, goals):
     assert state.live == fresh.live
     assert (state.same, state.deg) == (fresh.same, fresh.deg)
     assert state.filed == fresh.filed
-    assert state._pools.keys() == fresh._pools.keys()
-    for c_s, pool in state._pools.items():
-        assert (pool.keys, pool.ids) == (fresh._pools[c_s].keys, fresh._pools[c_s].ids)
+    assert state._pools == fresh._pools
 
 
 def _phase_states(g, t, goals, seed):
