@@ -3,8 +3,9 @@
 Builds a two-class SBM, runs the full generation pipeline, and prints the
 edit budget alongside the before/after distance to the goal. Pass --out to
 keep the artifacts (edge list, node table, edit log); the written edit log
-is read back and replayed onto the source graph, as `homshift generate`
-does, and the script exits 1 if that does not give the generated graph.
+is checked as `homshift generate` checks it (`EditLog.save_checked`), and
+the script exits 1 if it does not replay the source graph to the generated
+one.
 """
 
 import argparse
@@ -13,7 +14,6 @@ from pathlib import Path
 
 from homshift import (
     BetaGoal,
-    EditLog,
     generate,
     global_homophily,
     save_edge_list,
@@ -53,12 +53,12 @@ def main() -> None:
         args.out.mkdir(parents=True, exist_ok=True)
         save_edge_list(rewired, args.out / "generated_edges.txt")
         save_node_table(table, args.out / "nodes.csv")
-        log.save(args.out / "edit_log.jsonl")
-        print(f"wrote generated_edges.txt, nodes.csv, edit_log.jsonl to {args.out}")
-        if EditLog.load(args.out / "edit_log.jsonl").replay(graph) != rewired:
-            print("error: edit log replay does not reproduce the generated graph",
-                  file=sys.stderr)
+        try:
+            log.save_checked(args.out / "edit_log.jsonl", graph, rewired)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(1)
+        print(f"wrote generated_edges.txt, nodes.csv, edit_log.jsonl to {args.out}")
         print("edit log replays onto the source graph")
 
 

@@ -2,7 +2,10 @@
 
 A log is saved as JSON Lines: a header object, then one object per record
 with sorted keys. `EditLog.save` writes that form, `EditLog.load` reads it
-back, and `EditLog.replay` applies a log to a graph.
+back, and `EditLog.replay` applies a log to a graph. `EditLog.replay_file`
+replays a saved file without building an EditLog. All three readers go
+through one decoder (`_decoded_blocks`), and both replays through one core
+over int64 columns (`_replay_columns`).
 """
 
 from __future__ import annotations
@@ -37,12 +40,20 @@ class EditRecord:
     v: int       # neighbor (remove) or candidate (add)
 
 
-def _int64_ids(ids: list) -> np.ndarray:
+def _int64_ids(ids) -> np.ndarray:
     """ids as an int64 array; an id beyond int64 becomes -1, out of range as it was."""
     try:
         return np.asarray(ids, dtype=np.int64)
     except OverflowError:
         return np.asarray([x if -2**63 <= x < 2**63 else -1 for x in ids], dtype=np.int64)
+
+
+def _op_masks(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the "remove" and of the "add" records; an op that is
+    neither, or no string, is in neither."""
+    m = len(ops)
+    return (np.fromiter(map(operator.eq, ops, itertools.repeat("remove")), bool, m),
+            np.fromiter(map(operator.eq, ops, itertools.repeat("add")), bool, m))
 
 
 @contextlib.contextmanager
@@ -83,9 +94,10 @@ _SKELETONS = {(_RECORD_FORMAT % (_record_prefix(op, phase), 0, 0, 0)).encode()
 
 
 def _block_columns(block: list[str], index: int):
-    """(phases, ops, us, vs) of a block of record lines whose first seq is
-    `index`, or None unless every line is in `save`'s exact form for the
-    generator's words, with seq equal to its index.
+    """The columns (phases, ops, u, v, beyond) of a block of record lines
+    whose first seq is `index`, as `_decoded_blocks` yields them, or None
+    unless every line is in `save`'s exact form for the generator's words,
+    with seq equal to its index.
 
     With its digits deleted, each line must be one of the `_SKELETONS`.
     Only a skeleton's three number slots sit right after ": " and right
@@ -122,13 +134,13 @@ def _block_columns(block: list[str], index: int):
         values = values * 10 + np.where(at >= starts, digits[at], 0)
     if not np.array_equal(values[0::3], np.arange(index, index + len(lines))):
         return None
-    return phases, ops, values[1::3].tolist(), values[2::3].tolist()
+    return phases, ops, values[1::3].copy(), values[2::3].copy(), {}
 
 
 def _line_chunk(path, block: list[str], start: int, header_open: bool, index: int):
-    """(header or None, column values) of a chunk's lines, decoded one at a
-    time from line number `start` and seq `index`; raises naming the first
-    bad line."""
+    """(header or None, columns) of a chunk's lines, decoded one at a time
+    from line number `start` and seq `index`, the columns as
+    `_decoded_blocks` yields them; raises naming the first bad line."""
     header, objs = None, []
     for lineno, line in enumerate(map(str.strip, block), start=start):
         if not line:
@@ -157,7 +169,98 @@ def _line_chunk(path, block: list[str], start: int, header_open: bool, index: in
         if obj["seq"] != index + len(objs):
             raise ValueError(f"{where}: 'seq' must be {index + len(objs)}, got {obj['seq']!r}")
         objs.append(obj)
-    return header, [[o[key] for o in objs] for key in _RECORD_KEYS[1:]]
+    phases, ops, us, vs = ([o[key] for o in objs] for key in _RECORD_KEYS[1:])
+    u, v = _int64_ids(us), _int64_ids(vs)
+    beyond = {}
+    if (u == -1).any() or (v == -1).any():  # -1 is read as it is, or stands for such an id
+        beyond = {k: (a, b) for k, (a, b) in enumerate(zip(us, vs))
+                  if not (-2**63 <= a < 2**63 and -2**63 <= b < 2**63)}
+    return header, (phases, ops, u, v, beyond)
+
+
+def _decoded_blocks(fh, path):
+    """Decode the open log `fh`, read from `path`, block by block.
+
+    Yields (header or None, phases, ops, u, v, beyond) per block: the
+    header if the block held it; the phase and op strings; the ids as
+    int64 columns u and v; and `beyond`, {index in the block: (u, v)} of
+    the records holding an id beyond int64, which reads -1 in its column.
+
+    The first line is a block of its own; until a non-blank line has been
+    read, blocks are decoded line by line (`_line_chunk`), which settles
+    the header. After that, each block of `_LOG_CHUNK` lines in `save`'s
+    exact form for the generator's words is decoded in numpy
+    (`_block_columns`), and any other block line by line, with the same
+    result; the line reader raises for its first bad line.
+    """
+    header_open, start, count = True, 1, 0  # no non-blank line read yet; the block's first line
+    chunks = iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), [])
+    for block in itertools.chain([list(itertools.islice(fh, 1))], chunks):
+        header = None
+        columns = None if header_open else _block_columns(block, count)
+        if columns is None:
+            header, columns = _line_chunk(path, block, start, header_open, count)
+            header_open = header_open and not any(map(str.strip, block))
+        yield (header, *columns)
+        count += len(columns[0])
+        start += len(block)
+
+
+def _replay_columns(g: Graph, u: np.ndarray, v: np.ndarray, remove: np.ndarray,
+                    add: np.ndarray, record) -> Graph:
+    """The graph that records (u[r], v[r]), each a removal where `remove`
+    and an addition where `add`, give `g`; raises naming the first record
+    that does not fit. `record(r)` gives record r's (seq, op, u, v) as its
+    log holds them, for the message.
+
+    A record is checked for valid endpoints, then for removing a missing
+    or adding a present edge, then for an unknown op. Every valid record
+    toggles its edge, so with the records grouped by canonical edge key
+    lo * n + hi, a record sees its edge present when g holds it XOR an
+    odd number of the group's records come before it, and the edge ends
+    present when g holds it XOR the group is odd. Up to the first bad
+    record every record is valid, so the first bad record found this way
+    is the first one a record-by-record replay meets.
+    """
+    m = u.size
+    if m == 0:
+        return g
+    n = g.node_count
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad_ends = (lo == hi) | (lo < 0) | (hi >= n)
+    keys = lo * n + hi
+    del lo, hi
+    keys[bad_ends] = -1 - np.flatnonzero(bad_ends)  # one group each, in no edge of g
+    # The groups in key order, each in log order; rank is the place in its group.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    starts = np.flatnonzero(new)
+    rank = np.arange(m) - starts[np.cumsum(new) - 1]
+    edge_keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending, as g.edges is
+    at = np.searchsorted(edge_keys, keys)
+    in_g = np.zeros(m, dtype=bool)
+    if edge_keys.size:
+        in_g = edge_keys[np.minimum(at, edge_keys.size - 1)] == keys
+    present = in_g ^ (rank % 2 == 1)
+    rm, ad = remove[order], add[order]
+    bad = bad_ends[order] | (rm & ~present) | (ad & present) | ~(rm | ad)
+    if bad.any():
+        r = int(order[bad].min())
+        seq, op, a, b = record(r)
+        if bad_ends[r]:
+            raise ValueError(f"record {seq}: invalid endpoints ({a}, {b})")
+        if remove[r]:
+            raise ValueError(f"record {seq}: removing missing edge ({a}, {b})")
+        if add[r]:
+            raise ValueError(f"record {seq}: adding duplicate edge ({a}, {b})")
+        raise ValueError(f"record {seq}: unknown op {op!r}")
+    touched = np.zeros(edge_keys.size, dtype=bool)
+    touched[at[in_g]] = True
+    ends_present = in_g[starts] ^ (np.diff(np.append(starts, m)) % 2 == 1)
+    final = np.concatenate((edge_keys[~touched], keys[starts[ends_present]]))
+    final.sort()  # the keys are distinct: an untouched edge of g is in no group
+    return Graph._from_keys(n, final)
 
 
 @dataclass
@@ -197,59 +300,53 @@ class EditLog:
         self.us.append(u)
         self.vs.append(v)
 
-    def replay(self, g: Graph) -> Graph:
-        """Apply the log to `g`; raises naming the first record that does not fit.
+    def replay(self, g: Graph, start: int = 0) -> Graph:
+        """Apply the log's records from seq `start` on to `g`; raises naming
+        the first record that does not fit (`_replay_columns`)."""
+        len(self)  # refuses columns of different lengths
+        ops, us, vs = ((c[start:] if start else c) for c in (self.ops, self.us, self.vs))
+        return _replay_columns(g, _int64_ids(us), _int64_ids(vs), *_op_masks(ops),
+                               lambda r: (start + r, ops[r], us[r], vs[r]))
 
-        A record is checked for valid endpoints, then for removing a missing
-        or adding a present edge, then for an unknown op. Every valid record
-        toggles its edge, so with the records grouped by canonical edge key
-        lo * n + hi, a record sees its edge present when g holds it XOR an
-        odd number of the group's records come before it, and the edge ends
-        present when g holds it XOR the group is odd. Up to the first bad
-        record every record is valid, so the first bad record found this
-        way is the first one a record-by-record replay meets.
+    @staticmethod
+    def replay_file(path, g: Graph) -> Graph:
+        """What `EditLog.load(path).replay(g)` gives, the same graph or the
+        same ValueError, with no EditLog built: the file is decoded block
+        by block (`_decoded_blocks`) into int64 id columns and op masks,
+        which `_replay_columns` replays.
+
+        Any record with an unknown op or an id beyond int64 is bad, so the
+        first bad record is at or before the first such record; that one's
+        op and ids are kept as read, and every other record's message reads
+        its columns.
         """
-        m = len(self)
-        if m == 0:
-            return g
-        n = g.node_count
-        u, v = _int64_ids(self.us), _int64_ids(self.vs)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad_ends = (lo == hi) | (lo < 0) | (hi >= n)
-        keys = lo * n + hi
-        keys[bad_ends] = -1 - np.flatnonzero(bad_ends)  # one group each, in no edge of g
-        remove = np.fromiter(map(operator.eq, self.ops, itertools.repeat("remove")), bool, m)
-        add = np.fromiter(map(operator.eq, self.ops, itertools.repeat("add")), bool, m)
-        # The groups in key order, each in log order; rank is the place in its group.
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = np.concatenate(([True], keys[1:] != keys[:-1]))
-        starts = np.flatnonzero(new)
-        rank = np.arange(m) - starts[np.cumsum(new) - 1]
-        edge_keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending, as g.edges is
-        at = np.searchsorted(edge_keys, keys)
-        in_g = np.zeros(m, dtype=bool)
-        if edge_keys.size:
-            in_g = edge_keys[np.minimum(at, edge_keys.size - 1)] == keys
-        present = in_g ^ (rank % 2 == 1)
-        rm, ad = remove[order], add[order]
-        bad = bad_ends[order] | (rm & ~present) | (ad & present) | ~(rm | ad)
-        if bad.any():
-            r = int(order[bad].min())
-            op, a, b = self.ops[r], self.us[r], self.vs[r]
-            if bad_ends[r]:
-                raise ValueError(f"record {r}: invalid endpoints ({a}, {b})")
-            if remove[r]:
-                raise ValueError(f"record {r}: removing missing edge ({a}, {b})")
-            if add[r]:
-                raise ValueError(f"record {r}: adding duplicate edge ({a}, {b})")
-            raise ValueError(f"record {r}: unknown op {op!r}")
-        touched = np.zeros(edge_keys.size, dtype=bool)
-        touched[at[in_g]] = True
-        ends_present = in_g[starts] ^ (np.diff(np.append(starts, m)) % 2 == 1)
-        final = np.concatenate((edge_keys[~touched], keys[starts[ends_present]]))
-        final.sort()  # the keys are distinct: an untouched edge of g is in no group
-        return Graph._from_keys(n, final)
+        parts, odd, m = [], None, 0  # odd: (seq, op, u, v) of that first record
+        with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
+            for _, _, ops, u, v, beyond in _decoded_blocks(fh, path):
+                remove, add = _op_masks(ops)
+                if odd is None:
+                    k = min([*beyond, *np.flatnonzero(~(remove | add))[:1].tolist()],
+                            default=None)
+                    if k is not None:
+                        odd = (m + k, ops[k], *beyond.get(k, (int(u[k]), int(v[k]))))
+                parts.append((u, v, remove, add))
+                m += len(ops)
+        u, v, remove, add = map(np.concatenate, zip(*parts))
+        del parts
+
+        def record(r):
+            if odd is not None and r == odd[0]:
+                return odd
+            return r, "remove" if remove[r] else "add", int(u[r]), int(v[r])
+
+        return _replay_columns(g, u, v, remove, add, record)
+
+    def save_checked(self, path, original: Graph, generated: Graph) -> None:
+        """Save the log, then check that the saved file replays `original`
+        to `generated` (`replay_file`); raises RuntimeError if it does not."""
+        self.save(path)
+        if EditLog.replay_file(path, original) != generated:
+            raise RuntimeError("edit log replay does not reproduce the generated graph")
 
     def save(self, path) -> None:
         """Write the header, then one JSON object per record with sorted keys.
@@ -306,27 +403,18 @@ class EditLog:
         unless it has an "op" key. A record needs string "phase" and "op",
         integer "u" and "v", and an integer "seq" equal to its index.
 
-        The file is read once, in blocks. The first line is a block of its
-        own; until a non-blank line has been read, blocks are decoded line
-        by line (`_line_chunk`), which settles the header. After that, each
-        block of `_LOG_CHUNK` lines in `save`'s exact form for the
-        generator's words is decoded in numpy (`_block_columns`), and any
-        other block line by line, with the same result; the line reader
-        raises for its first bad line.
+        The file is read once, in blocks (`_decoded_blocks`), and the
+        columns are built from the decoded ones.
         """
         log = EditLog()
-        columns = (log.phases, log.ops, log.us, log.vs)
-        header_open, start = True, 1  # no non-blank line read yet; the block's first line
         with _collector_paused(), open(path, "r", encoding="utf-8") as fh:
-            chunks = iter(lambda: list(itertools.islice(fh, _LOG_CHUNK)), [])
-            for block in itertools.chain([list(itertools.islice(fh, 1))], chunks):
-                values = None if header_open else _block_columns(block, len(log))
-                if values is None:
-                    header, values = _line_chunk(path, block, start, header_open, len(log))
-                    if header is not None:
-                        log.header = header
-                    header_open = header_open and not any(map(str.strip, block))
-                for column, chunk in zip(columns, values):
-                    column.extend(chunk)
-                start += len(block)
+            for header, phases, ops, u, v, beyond in _decoded_blocks(fh, path):
+                if header is not None:
+                    log.header = header
+                us, vs = u.tolist(), v.tolist()
+                for k, (a, b) in beyond.items():
+                    us[k], vs[k] = a, b
+                for column, values in zip((log.phases, log.ops, log.us, log.vs),
+                                          (phases, ops, us, vs)):
+                    column.extend(values)
         return log

@@ -26,7 +26,6 @@ bound, the best (gap, id) found so far, and so applies the partner rule.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,23 +140,6 @@ def _adjacency_sets(g: Graph, ids: np.ndarray) -> list[set[int]]:
     return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(g.node_count)]
 
 
-def _graph_from_adjacency(adj: list[set[int]]) -> Graph:
-    """The graph whose node v has neighbour set adj[v]."""
-    n = len(adj)
-    degrees = [len(nbrs) for nbrs in adj]
-    u = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    v = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64, count=sum(degrees))
-    keep = u < v
-    # Each edge's key lo * n + hi, from its u < v direction, built in u's buffer.
-    u *= n
-    u += v
-    del v
-    keys = u[keep]
-    del u, keep
-    keys.sort()
-    return Graph._from_keys(n, keys)
-
-
 class _EditState:
     """Mutable working state of the two edit phases, one loop method each.
 
@@ -193,7 +175,9 @@ class _EditState:
 
     Every log record is one `_edit` call, the only code after `__init__`
     that changes adj, deg or same. A rewire pair is a removal (i, j), then
-    an addition (i, k): i's degree drops by one and comes back.
+    an addition (i, k): i's degree drops by one and comes back. So the
+    records a state appended, replayed onto its input graph, give the graph
+    its sets hold; that replay builds each phase's result (`_replayed`).
 
     `generate` builds and runs the state with the cyclic garbage collector
     paused (`_collector_paused`). The state's sets and lists, the goals and
@@ -427,8 +411,32 @@ class _EditState:
             if not applied:
                 break
 
-    def finish(self) -> Graph:
-        return _graph_from_adjacency(self.adj)
+
+def _replayed(g: Graph, t: NodeTable, log: EditLog, start: int, deg: list[int],
+              same: list[int]) -> Graph:
+    """The graph the edit state that appended `log`'s records from seq
+    `start` on ends with: `g` with those records replayed onto it. The
+    caller drops the state first, so its adjacency sets are gone by then.
+    The state's own degree and same-label counts `deg` and `same`, kept
+    edit by edit, must equal the result's.
+    """
+    result = log.replay(g, start)
+    if not np.array_equal(result.degrees, deg):
+        raise RuntimeError("internal: the replayed degrees differ from the edit state's")
+    if not np.array_equal(same_label_counts(result, t), same):
+        raise RuntimeError("internal: the replayed same-label counts differ from the edit state's")
+    return result
+
+
+def _one_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog, run,
+               seed) -> Graph:
+    """The graph one phase's loop `run` (an `_EditState` method) leaves."""
+    start = len(log)
+    state = _EditState(g, t, goals, log)
+    run(state, seed)
+    deg, same = state.deg, state.same
+    del state
+    return _replayed(g, t, log, start, deg, same)
 
 
 def _phase_log(log: EditLog | None, seed) -> EditLog:
@@ -451,9 +459,8 @@ def rewire_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     strictly shrink the summed goal distance of their endpoints, so every
     log record lowers the potential.
     """
-    state = _EditState(g, t, goals, _phase_log(log, seed))
-    state.run_rewire(seed)
-    return state.finish(), state.log
+    log = _phase_log(log, seed)
+    return _one_phase(g, t, goals, log, _EditState.run_rewire, seed), log
 
 
 def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
@@ -465,9 +472,8 @@ def refine_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], seed,
     beneficial pair remains. Each addition is within the additions-only
     upper bound at the node's current state, which is never below the lower.
     """
-    state = _EditState(g, t, goals, _phase_log(log, seed))
-    state.run_refine(seed)
-    return state.finish(), state.log
+    log = _phase_log(log, seed)
+    return _one_phase(g, t, goals, log, _EditState.run_refine, seed), log
 
 
 @dataclass(frozen=True)
@@ -516,7 +522,9 @@ def _generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     state.run_rewire(seed_rewire)
     n_rewire = len(log)
     state.run_refine(seed_refine)
-    g_final = state.finish()
+    deg, same = state.deg, state.same
+    del state
+    g_final = _replayed(g, t, log, 0, deg, same)
     final_hist = defined_histogram(local_homophily_all(g_final, t), bin_count)
     values, counts = np.unique(g_final.degrees - g.degrees, return_counts=True)
     report = GenerationReport(

@@ -151,7 +151,8 @@ def test_generate_outputs_and_determinism(sbm_files, tmp_path):
 def test_generate_writes_no_sidecar_when_the_replay_check_fails(
         sbm_files, tmp_path, monkeypatch, capsys):
     root, g, _ = sbm_files
-    monkeypatch.setattr(EditLog, "replay", lambda self, graph: graph)
+    # the saved file's check replays the source graph to itself
+    monkeypatch.setattr(EditLog, "replay_file", staticmethod(lambda path, graph: graph))
     out = tmp_path / "out"
     rc = main(["generate", "--graph", str(root / "edges.txt"),
                "--nodes", str(root / "nodes.csv"),
@@ -159,6 +160,21 @@ def test_generate_writes_no_sidecar_when_the_replay_check_fails(
     assert rc == 1
     assert "replay does not reproduce" in capsys.readouterr().err
     assert sorted(out.iterdir()) == []  # no artifact, temporary file or sidecar
+
+
+def test_generate_checks_its_saved_log_without_loading_it(sbm_files, tmp_path, monkeypatch):
+    """The saved log is checked from its decoded columns; no EditLog is read back."""
+    root, g, _ = sbm_files
+
+    def no_load(path):
+        raise AssertionError(f"EditLog.load({path})")
+
+    monkeypatch.setattr(EditLog, "load", staticmethod(no_load))
+    out = tmp_path / "out"
+    assert main(["generate", "--graph", str(root / "edges.txt"),
+                 "--nodes", str(root / "nodes.csv"),
+                 "--alpha", "3.0", "--beta", "10.0", "--seed", "5", "--out", str(out)]) == 0
+    assert (out / "generate.config.json").exists()
 
 
 # ---------------------------------------------------------------- split

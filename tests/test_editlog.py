@@ -628,6 +628,107 @@ def test_edit_log_replay_edge_cases():
         odd.replay(g)
 
 
+@st.composite
+def _saved_replays(draw):
+    """A graph on 0-8 nodes and a log of valid toggles of its pairs, as
+    `save` writes it, maybe tampered with in one way: one record's v
+    swapped with another's, one record dropped (renumbered, or its line cut
+    out), two adjacent records reordered, or one to three records given an
+    id beyond int64 or an unknown op."""
+    n = draw(st.integers(0, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    present = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph.from_edges(n, sorted(present))
+    log = EditLog(header={"seed": 1})
+    for a, b in (draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []):
+        log.append(draw(st.sampled_from(["rewire", "refine"])),
+                   "remove" if (a, b) in present else "add",
+                   *((b, a) if draw(st.booleans()) else (a, b)))
+        present ^= {(a, b)}
+    kind = draw(st.sampled_from(["none", "swap-v", "drop", "drop-line", "reorder",
+                                 "beyond", "unknown-op"]))
+    m = len(log)
+    columns = (log.phases, log.ops, log.us, log.vs)
+    k = draw(st.integers(0, max(m - 1, 0)))
+    if m and kind == "swap-v":
+        j = draw(st.integers(0, m - 1))
+        log.vs[k], log.vs[j] = log.vs[j], log.vs[k]
+    elif m and kind == "drop":
+        for column in columns:
+            del column[k]
+    elif m > 1 and kind == "reorder":
+        k = min(k, m - 2)
+        for column in columns:
+            column[k], column[k + 1] = column[k + 1], column[k]
+    elif m and kind in ("beyond", "unknown-op"):
+        for r in draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=3)):
+            if kind == "beyond":
+                log.us[r] = draw(st.sampled_from([2**63, -2**63 - 1, 2**70]))
+            else:
+                log.ops[r] = draw(st.sampled_from(["move", "Add"]))
+    return g, log, (k + 1 if m and kind == "drop-line" else None)
+
+
+@given(_saved_replays(), st.sampled_from([1, 2, 3, None]))
+@settings(max_examples=300, deadline=None)
+def test_replay_file_matches_load_then_replay(tmp_path_factory, case, chunk):
+    """Replaying a saved file from its decoded columns gives what loading
+    it and replaying the log gives: the same graph or the same message."""
+    g, log, cut = case
+    path = tmp_path_factory.mktemp("log") / "edits.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(editlog, "_LOG_CHUNK", chunk)
+        log.save(path)
+        if cut is not None:
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:cut] + lines[cut + 1:]), encoding="utf-8")
+        got = _load_outcome(lambda p: EditLog.replay_file(p, g), path)
+        want = _load_outcome(lambda p: EditLog.load(p).replay(g), path)
+    assert got == want
+    if isinstance(want, Graph):
+        assert_same_graph(got, want)
+
+
+@given(_edit_log_texts())
+@settings(max_examples=200, deadline=None)
+def test_replay_file_matches_load_then_replay_on_broken_texts(tmp_path_factory, text):
+    """Also on files with broken lines, headers or no header, unknown ops
+    and ids beyond int64, the two agree, decoding errors included."""
+    path = tmp_path_factory.mktemp("log") / "edits.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    g = Graph.from_edges(41, [(k, k + 1) for k in range(40)])
+    assert (_load_outcome(lambda p: EditLog.replay_file(p, g), path)
+            == _load_outcome(lambda p: EditLog.load(p).replay(g), path))
+
+
+def test_save_checked_refuses_a_log_that_replays_to_another_graph(tmp_path):
+    g = Graph.from_edges(3, [(0, 1)])
+    log = EditLog(header={"seed": 1})
+    log.append("refine", "add", 2, 1)
+    path = tmp_path / "edits.jsonl"
+    log.save_checked(path, g, Graph.from_edges(3, [(0, 1), (1, 2)]))
+    with pytest.raises(RuntimeError, match="^edit log replay does not reproduce the generated "
+                                           "graph$"):
+        log.save_checked(path, g, g)
+    log.append("refine", "add", 1, 2)
+    with pytest.raises(ValueError, match=re.escape("record 1: adding duplicate edge (1, 2)")):
+        log.save_checked(path, g, g)
+
+
+def test_replay_from_a_start_replays_only_the_later_records():
+    g = Graph.from_edges(4, [(0, 1)])
+    log = EditLog()
+    log.append("rewire", "add", 2, 3)  # already applied to the graph below
+    log.append("refine", "remove", 3, 2)
+    log.append("refine", "add", 0, 3)
+    applied = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert log.replay(applied, 1) == Graph.from_edges(4, [(0, 1), (0, 3)])
+    assert log.replay(applied, 3) is applied
+    with pytest.raises(ValueError, match=r"^record 1: removing missing edge \(3, 2\)$"):
+        log.replay(g, 1)
+
+
 def _sample_log():
     log = EditLog(header={"seed": 2, "alpha": 3.0, "beta": 10.0, "bins": 10})
     for k in range(7):

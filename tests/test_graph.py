@@ -5,6 +5,7 @@ import io
 import os
 import re
 import socket
+import tracemalloc
 import urllib.request
 from decimal import Decimal
 from fractions import Fraction
@@ -152,6 +153,30 @@ def test_from_edges_and_load_edge_list_leave_the_csr_unbuilt(tmp_path):
         assert g.neighbors(1).tolist() == [0, 2]
         assert "indptr" in vars(g) and "indices" in vars(g)
         assert g.indices is g.indices and g.indptr is g.indptr
+
+
+def test_from_edges_leaves_the_callers_array_as_it_was():
+    pairs = np.array([[3, 1], [1, 3], [0, 2]], dtype=np.int64)
+    before = pairs.copy()
+    assert Graph.from_edges(4, pairs) == Graph.from_edges(4, [(1, 3), (0, 2)])
+    assert np.array_equal(pairs, before)
+
+
+def test_load_edge_list_keeps_one_m_row_buffer_through_the_build(tmp_path):
+    """The parsed (m, 2) array is dropped before the key sort, so the traced
+    peak stays under twice the graph it builds (it was 3.4 times, with the
+    parsed array alive through the build)."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "edges.txt"
+    np.savetxt(path, rng.integers(0, 4000, size=(20000, 2)), fmt="%d")
+    load_edge_list(path)  # numpy's first parse allocates what it keeps
+    tracemalloc.start()
+    try:
+        g = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (g.edges.nbytes + g.degrees.nbytes)
 
 
 def test_from_edges_rejects_self_loops_and_range():

@@ -38,7 +38,7 @@ from homshift import (
 
 from homshift import rewire
 from homshift.homophily import defined_histogram
-from homshift.rewire import _EditState, _adjacency_sets, _graph_from_adjacency
+from homshift.rewire import _EditState, _adjacency_sets
 
 from conftest import (
     EditLogChecker,
@@ -532,17 +532,27 @@ def _check_pools(state):
 
 
 def _capture_states(mp):
-    """Collect every _EditState as its phase finishes, pools checked."""
+    """Collect every _EditState once, as its first loop ends, and check its
+    pools as each of its loops ends. A state that runs both loops (as
+    `generate`'s does) is collected once and ends as its last loop leaves it."""
     states = []
-    finish = _EditState.finish
 
-    def capturing_finish(self):
-        _check_pools(self)
-        states.append(self)
-        return finish(self)
+    def capturing(run):
+        def run_and_capture(self, seed):
+            run(self, seed)
+            _check_pools(self)
+            if not any(state is self for state in states):
+                states.append(self)
+        return run_and_capture
 
-    mp.setattr(_EditState, "finish", capturing_finish)
+    for name in ("run_rewire", "run_refine"):
+        mp.setattr(_EditState, name, capturing(getattr(_EditState, name)))
     return states
+
+
+def _graph_of_sets(adj: list[set[int]]) -> Graph:
+    """Reference: the graph whose node v has neighbour set adj[v]."""
+    return Graph.from_edges(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs])
 
 
 @st.composite
@@ -703,6 +713,72 @@ def test_pool_search_on_many_classes_and_three_pools():
     assert checker.edges() == tuple(map(tuple, g_fin.edge_array().tolist()))
 
 
+def _lose_last_record(replay):
+    """EditLog.replay with the log's last record dropped."""
+    def lossy(log, g, start=0):
+        return replay(EditLog(phases=log.phases[:-1], ops=log.ops[:-1], us=log.us[:-1],
+                              vs=log.vs[:-1]), g, start)
+    return lossy
+
+
+def _swap_two_edges(replay, t):
+    """EditLog.replay followed by a double edge swap that keeps every degree
+    but changes same-label counts: same-label edges (a, b) and (c, d) of
+    two different labels become the cross edges (a, d) and (c, b)."""
+    def swapped(log, g, start=0):
+        result = replay(log, g, start)
+        edges = set(map(tuple, result.edge_array().tolist()))
+        labels = t.labels
+        for a, b in sorted(edges):
+            for c, d in sorted(edges):
+                if (labels[a] == labels[b] != labels[c] == labels[d]
+                        and (min(a, d), max(a, d)) not in edges
+                        and (min(c, b), max(c, b)) not in edges):
+                    edges -= {(a, b), (c, d)}
+                    return Graph.from_edges(g.node_count, sorted(edges | {(a, d), (c, b)}))
+        raise AssertionError("no swap found")
+    return swapped
+
+
+def _goals_toward(g, t, alpha, beta):
+    ratios = local_homophily_all(g, t)
+    plan = transport_plan(defined_histogram(ratios, 10),
+                          beta_goal_histogram(BetaGoal(alpha, beta), 10))
+    return assign_node_goals(plan, ratios, 10, seed=5)
+
+
+@pytest.mark.parametrize("lossy, message", [
+    (lambda replay, t: _lose_last_record(replay), "degrees"),
+    (_swap_two_edges, "same-label counts"),
+])
+def test_a_wrong_replay_trips_the_edit_state_cross_check(small_pair, lossy, message):
+    """The result is the replay of the state's records, checked against the
+    degrees and same-label counts the state kept edit by edit."""
+    g, t = small_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EditLog, "replay", lossy(EditLog.replay, t))
+        for run in (lambda: generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11),
+                    lambda: rewire_phase(g, t, _goals_toward(g, t, 10.0, 3.0), seed=2)):
+            with pytest.raises(RuntimeError, match=f"^internal: the replayed {message} differ"):
+                run()
+
+
+def test_generate_drops_its_edit_state_before_the_replay(small_pair):
+    """No edit state is alive when `generate` replays its log."""
+    g, t = small_pair
+    alive = []
+    replay = EditLog.replay
+
+    def counting(log, graph, start=0):
+        alive.append(sum(isinstance(obj, _EditState) for obj in gc.get_objects()))
+        return replay(log, graph, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EditLog, "replay", counting)
+        generate(g, t, BetaGoal(10.0, 3.0), 10, seed=11)
+    assert alive == [0]
+
+
 def test_pools_stay_bounded_after_generate(small_pair):
     """After a full generate() on the 600-node SBM, the one state both
     phases ran on has pools that hold exactly the live nodes."""
@@ -742,18 +818,19 @@ def test_generate_state_holds_one_int_object_per_node_id(small_pair):
     st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
             .filter(lambda e: e[0] != e[1]), max_size=4 * n))))
 @settings(max_examples=200, deadline=None)
-def test_graph_from_adjacency_matches_from_edges(case):
-    """The keys built from neighbour sets give the graph `from_edges` builds
-    from the same edges, and the sets `_adjacency_sets` reads back from it."""
+def test_adjacency_sets_round_trip_through_a_graph(case):
+    """The sets `_adjacency_sets` reads from the graph `from_edges` builds
+    are the neighbour sets of the edges, and give that graph back."""
     n, edges = case
     want = Graph.from_edges(n, list(edges))
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    assert_same_graph(_graph_from_adjacency(adj), want)
     ids = np.arange(n, dtype=object)
-    assert _adjacency_sets(want, ids) == adj
+    got = _adjacency_sets(want, ids)
+    assert got == adj
+    assert_same_graph(_graph_of_sets(got), want)
     assert "indices" not in vars(want)  # read from a CSR the graph does not keep
 
 
@@ -847,7 +924,7 @@ def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
     final graph holds: live signs, same-label counts, degrees, the (gap,
     add change) key of every live node, and pool members."""
-    fresh = _EditState(state.finish(), t, goals, EditLog())
+    fresh = _EditState(_graph_of_sets(state.adj), t, goals, EditLog())
     assert state.live == fresh.live
     assert (state.same, state.deg) == (fresh.same, fresh.deg)
     assert state.filed == fresh.filed
@@ -858,8 +935,10 @@ def _phase_states(g, t, goals, seed):
     with pytest.MonkeyPatch.context() as mp:
         states = _capture_states(mp)
         g_rw, log = rewire_phase(g, t, goals, seed=seed)
-        refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
+        g_fin, _ = refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
     assert len(states) == 2
+    # each phase returns the graph its state's sets hold
+    assert [_graph_of_sets(state.adj) for state in states] == [g_rw, g_fin]
     return states
 
 

@@ -30,7 +30,8 @@ def test_generate_demo_checks_the_written_edit_log(tmp_path, monkeypatch, capsys
                                               "edit_log.jsonl"}
 
     # a log that replays to another graph fails the run
-    monkeypatch.setattr(EditLog, "replay", lambda self, g: Graph.from_edges(g.node_count, []))
+    monkeypatch.setattr(EditLog, "replay_file",
+                        staticmethod(lambda path, g: Graph.from_edges(g.node_count, [])))
     with pytest.raises(SystemExit) as info:
         _run_script("generate_demo", ["--nodes", "200", "--out", str(out)], monkeypatch)
     assert info.value.code == 1
