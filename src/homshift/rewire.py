@@ -130,14 +130,15 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
                     directions.tolist()))
 
 
-def _adjacency_sets(g: Graph, ids: np.ndarray) -> list[set[int]]:
-    """Mutable neighbour sets of g, one per node, holding the int objects of
-    `ids`, the object array whose entry v is node id v."""
+def _adjacency_lists(g: Graph, ids: np.ndarray) -> list[list[int]]:
+    """Mutable ascending neighbour lists of g, one per node, holding the int
+    objects of `ids`, the object array whose entry v is node id v. They are
+    slices of the CSR's rows, which are sorted already."""
     ptr, indices = g._csr()
     nbrs = ids[indices].tolist()
     del indices
     ptr = ptr.tolist()
-    return [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(g.node_count)]
+    return [nbrs[ptr[v]:ptr[v + 1]] for v in range(g.node_count)]
 
 
 class _EditState:
@@ -177,13 +178,15 @@ class _EditState:
     that changes adj, deg or same. A rewire pair is a removal (i, j), then
     an addition (i, k): i's degree drops by one and comes back. So the
     records a state appended, replayed onto its input graph, give the graph
-    its sets hold; that replay builds each phase's result (`_replayed`).
+    its neighbour lists hold; that replay builds each phase's result
+    (`_replayed`). adj[v] lists v's neighbours in ascending order, so an
+    edit finds an edge's slot, and a search tests a neighbour, by bisection.
 
     `generate` builds and runs the state with the cyclic garbage collector
-    paused (`_collector_paused`). The state's sets and lists, the goals and
-    the keys and tuples the loops make hold no reference cycle, so
-    reference counting frees all they drop; a collection there would walk
-    every live adjacency set and class list and free nothing.
+    paused (`_collector_paused`). The state's lists, the goals and the keys
+    and tuples the loops make hold no reference cycle, so reference
+    counting frees all they drop; a collection there would walk every live
+    neighbour list and class list and free nothing.
     """
 
     def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
@@ -212,12 +215,12 @@ class _EditState:
 
         # Per-node state lives in Python lists: edits read and write single
         # entries, which lists do several times faster than numpy scalars.
-        # Every node id the state holds (in the adjacency sets, the pools, the
-        # source orders and so the log) is taken from `ids`, so each id is one
-        # int object however many places hold it.
+        # Every node id the state holds (in the neighbour lists, the pools,
+        # the source orders and so the log) is taken from `ids`, so each id is
+        # one int object however many places hold it.
         self.ids = np.arange(n, dtype=object)
         self.labels = t.labels.tolist()
-        self.adj = _adjacency_sets(g, self.ids)
+        self.adj = _adjacency_lists(g, self.ids)
         self.deg = deg.tolist()
         self.same = same.tolist()
         self.goal = goal.tolist()
@@ -284,6 +287,7 @@ class _EditState:
         one, and that id becomes the best when its (gap, id) is smaller.
         """
         adj_i = self.adj[i]
+        n_adj = len(adj_i)
         below = -_GATE_TOL
         found = None
         for keys, ids in self._candidate_pools[self.labels[i], s]:
@@ -292,7 +296,10 @@ class _EditState:
                     break
                 if d_i + key[1] < below:
                     for k in ids[key]:
-                        if k != i and k not in adj_i:
+                        if k == i:
+                            continue
+                        at = bisect.bisect_left(adj_i, k)
+                        if at == n_adj or adj_i[at] != k:
                             if found is None or (key[0], k) < found:
                                 found = (key[0], k)
                             break
@@ -302,23 +309,26 @@ class _EditState:
         """Remove or add edge (i, v) and append its record, with the
         arguments of `EditLog.append` plus `agree`.
 
-        Both endpoints' neighbour sets and degrees change, and their `same`
+        Both endpoints' neighbour lists and degrees change, and their `same`
         counts too when `agree` (i and v share a label). The edge is checked
         before anything changes: a removal needs it present, an addition
-        needs it absent and i != v.
+        needs it absent and i != v. v's slot in adj[i] is found once, by
+        bisection, for the check and the change.
         """
         adj_i, adj_v = self.adj[i], self.adj[v]
+        at = bisect.bisect_left(adj_i, v)
+        present = at < len(adj_i) and adj_i[at] == v
         if op == "remove":
-            if v not in adj_i:
+            if not present:
                 raise RuntimeError("internal: removing missing edge")
-            adj_i.remove(v)
-            adj_v.remove(i)
+            del adj_i[at]
+            del adj_v[bisect.bisect_left(adj_v, i)]
             step = -1
         else:
-            if v in adj_i or v == i:
+            if present or v == i:
                 raise RuntimeError("internal: adding duplicate or self edge")
-            adj_i.add(v)
-            adj_v.add(i)
+            adj_i.insert(at, v)
+            bisect.insort(adj_v, i)
             step = 1
         self.deg[i] += step
         self.deg[v] += step
@@ -327,14 +337,43 @@ class _EditState:
             self.same[v] += step
         self.log.append(phase, op, i, v)
 
-    def attempt_rewire(self, i: int) -> bool:
+    def _removals(self, i: int) -> list[tuple[float, int, float]]:
+        """The neighbours a rewire at source i, under its sign s, may remove,
+        as (gap_j, j, d_j) in ascending order; d_j is the change in j's gap
+        that losing the edge makes.
+
+        They are i's live neighbours j of sign s with degree above 1 whose
+        edge to i has the kind i sheds: cross-label when s > 0, same-label
+        when s < 0. Inside one source's rewire loop only i, the removed j and
+        the added k change, so the list stays exact while i keeps sign s once
+        each removed j is deleted from it. An added k never belongs on it:
+        its edge to i has the kind i gains under s.
+        """
+        s = self.live[i]
+        want_diff = s > 0  # raising h removes heterophilous edges
+        eq_rm = 0 if want_diff else 1
+        label_i = self.labels[i]
+        removals = []
+        for j in self.adj[i]:
+            if (self.live[j] != s or self.deg[j] <= 1
+                    or (self.labels[j] != label_i) != want_diff):
+                continue
+            gap_j = self.filed[j][0]
+            d_j = abs((self.same[j] - eq_rm) / (self.deg[j] - 1) - self.goal[j]) - gap_j
+            removals.append((gap_j, j, d_j))
+        removals.sort()
+        return removals
+
+    def attempt_rewire(self, i: int, removals: list[tuple[float, int, float]]) -> bool:
         """One paired remove+add on source i; returns False if none is valid.
 
-        The addition gate depends on i's counts after the removal, not on
-        which neighbour j is removed, so the partner k is searched for
-        before any neighbour is looked at, and no j could succeed where k
-        is not found. The removed neighbour j is the best gate-passing one
-        by the partner rule.
+        `removals` is `_removals(i)` for i's current sign, less the
+        neighbours earlier pairs under that sign removed. The removed
+        neighbour j is its first entry that passes the removal gate, the
+        best gate-passing one by the partner rule; it is deleted from
+        `removals` when the pair fires. The addition gate depends on i's
+        counts after the removal, not on which neighbour j is removed, so
+        the partner k is searched for once, after some j passes.
 
         Both are picked from the state before the edit. The pair is then two
         `_edit` calls on i, the removal of j and then the addition of k, and
@@ -349,26 +388,20 @@ class _EditState:
         same_i2 = self.same[i] - eq_rm
         deg_i2 = self.deg[i] - 1
         goal_i = self.goal[i]
-        eq_add = 1 if s > 0 else 0
         gap_i2 = abs(same_i2 / deg_i2 - goal_i)
+        d_rm_i = gap_i2 - self.filed[i][0]
+        below = -_GATE_TOL
+        for at, (_, j, d_j) in enumerate(removals):
+            if d_rm_i + d_j < below:
+                break
+        else:
+            return False
+        eq_add = 1 if s > 0 else 0
         d_add_i = abs((same_i2 + eq_add) / (deg_i2 + 1) - goal_i) - gap_i2
         k = self._best_partner(i, s, d_add_i)
         if k < 0:
             return False
-        d_rm_i = gap_i2 - self.filed[i][0]
-        label_i = self.labels[i]
-        best = None
-        for j in self.adj[i]:
-            if (self.live[j] != s or self.deg[j] <= 1
-                    or (self.labels[j] != label_i) != want_diff):
-                continue
-            gap_j = self.filed[j][0]
-            d_j = abs((self.same[j] - eq_rm) / (self.deg[j] - 1) - self.goal[j]) - gap_j
-            if d_rm_i + d_j < -_GATE_TOL and (best is None or (gap_j, j) < best):
-                best = (gap_j, j)
-        if best is None:
-            return False
-        j = best[1]
+        del removals[at]
         self._edit("rewire", "remove", i, j, not want_diff)
         self._edit("rewire", "add", i, k, want_diff)
         self._refresh(i)
@@ -394,8 +427,13 @@ class _EditState:
         rng = np.random.default_rng(seed)
         # The sources are the nodes with a goal and a direction, in id order.
         for i in self.ids[rng.permutation(np.flatnonzero(~np.isnan(self.goal)))].tolist():
-            while self.live[i] and self.attempt_rewire(i):
-                pass
+            sign = 0
+            while self.live[i]:
+                if self.live[i] != sign:  # a new sign sheds another kind of edge
+                    sign = self.live[i]
+                    removals = self._removals(i)
+                if not self.attempt_rewire(i, removals):
+                    break
 
     def run_refine(self, seed) -> None:
         """The refine phase's loop (see `refine_phase`), logged as "refine"."""
@@ -416,7 +454,7 @@ def _replayed(g: Graph, t: NodeTable, log: EditLog, start: int, deg: list[int],
               same: list[int]) -> Graph:
     """The graph the edit state that appended `log`'s records from seq
     `start` on ends with: `g` with those records replayed onto it. The
-    caller drops the state first, so its adjacency sets are gone by then.
+    caller drops the state first, so its neighbour lists are gone by then.
     The state's own degree and same-label counts `deg` and `same`, kept
     edit by edit, must equal the result's.
     """
@@ -496,7 +534,7 @@ def generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
              seed) -> tuple[Graph, EditLog, GenerationReport]:
     """Rewire `g` so its local-homophily histogram approaches the Beta goal."""
     # The collector resumes once _generate has returned, when the edit
-    # state's sets and lists are freed and no longer count as new objects.
+    # state's lists are freed and no longer count as new objects.
     with _collector_paused():
         return _generate(g, t, goal, bin_count, seed)
 

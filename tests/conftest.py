@@ -7,7 +7,8 @@ micro-F1 via a full confusion matrix, an edit-log checker that recounts
 neighborhoods from its own adjacency sets, the set-based graph builder and
 line-by-line edge-list parser that the array-native ones replaced, the
 mask-based partner search that the generator's partner pools replaced, the
-bulk edit-state construction that per-node refreshes replaced, the
+full neighbour scan for a rewire's removal that sorted per-source removal
+lists replaced, the bulk edit-state construction that per-node refreshes replaced, the
 node-by-node goal assignment that per-bin array writes replaced, the
 three CSV loaders (node table, split, predictions) that one bulk id-keyed
 reader replaced, that reader as it was when it filtered every line for
@@ -652,6 +653,36 @@ def reference_best_partner(state, i: int, s: int, d_i: float) -> int:
     if ks.size == 0:
         return -1
     return int(ks[np.argmin(gap[ks])])
+
+
+def reference_removal(state, i: int) -> int:
+    """Removed neighbour of a rewire at source i by a full scan of its
+    neighbours; -1 if none passes, or if i is not live or has degree 1.
+
+    The generator's pick before per-source removal lists: every neighbour j
+    of i's live sign s, with degree above 1 and an edge to i of the kind i
+    sheds (cross-label for s > 0, same-label for s < 0), is gated with i's
+    change in gap for losing one such edge, and the smallest (gap, id) among
+    those that pass is taken. Reads the state's per-node values and each
+    live node's gap from its filed key; touches no pool.
+    """
+    s = state.live[i]
+    if s == 0 or state.deg[i] <= 1:
+        return -1
+    want_diff = s > 0
+    eq_rm = 0 if want_diff else 1
+    gap_i2 = abs((state.same[i] - eq_rm) / (state.deg[i] - 1) - state.goal[i])
+    d_rm_i = gap_i2 - state.filed[i][0]
+    best = None
+    for j in state.adj[i]:
+        if (state.live[j] != s or state.deg[j] <= 1
+                or (state.labels[j] != state.labels[i]) != want_diff):
+            continue
+        gap_j = state.filed[j][0]
+        d_j = abs((state.same[j] - eq_rm) / (state.deg[j] - 1) - state.goal[j]) - gap_j
+        if d_rm_i + d_j < -GATE_TOL and (best is None or (gap_j, j) < best):
+            best = (gap_j, j)
+    return -1 if best is None else best[1]
 
 
 def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, dict]:

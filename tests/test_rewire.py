@@ -38,7 +38,7 @@ from homshift import (
 
 from homshift import rewire
 from homshift.homophily import defined_histogram
-from homshift.rewire import _EditState, _adjacency_sets
+from homshift.rewire import _EditState, _adjacency_lists
 
 from conftest import (
     EditLogChecker,
@@ -49,6 +49,7 @@ from conftest import (
     reference_best_partner,
     reference_edit_log_load,
     reference_edit_state,
+    reference_removal,
     reference_replay,
 )
 
@@ -434,11 +435,11 @@ def test_phases_reject_a_moving_goal_outside_unit_interval(phase, h_goal):
 def test_edit_refuses_a_missing_removal_a_present_addition_and_a_self_edge(op, v, message):
     """_edit checks the edge before it touches the state: on path 0-1-2,
     removing (0, 2), adding (0, 1) and adding (0, 0) each raise and leave the
-    neighbour sets, degrees, same-label counts and log as they were."""
+    neighbour lists, degrees, same-label counts and log as they were."""
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     t = NodeTable(np.array([0, 0, 0]), np.zeros(3, dtype=int))
     state = _EditState(g, t, [NodeGoal(0, 1.0, 0.5, -1)], EditLog())
-    before = ([set(nbrs) for nbrs in state.adj], list(state.deg), list(state.same))
+    before = ([list(nbrs) for nbrs in state.adj], list(state.deg), list(state.same))
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         state._edit("refine", op, 0, v, True)
     assert (state.adj, state.deg, state.same) == before
@@ -487,13 +488,17 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
     # edge. Neighbour 1 has the smallest gap (h=1/2, goal 0.55): losing
     # its cross edge takes it to h=1, which the removal gate rejects.
     # Neighbour 2 (goal 1.0) passes and is removed; node 7 takes the add.
+    # Neighbour 3 has no goal and 4 shares 0's label, so neither is listed.
     g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (7, 8)])
     t = NodeTable(np.array([0, 1, 1, 1, 0, 1, 1, 0, 1]), np.zeros(9, dtype=int))
     goals = [NodeGoal(0, 0.25, 0.75, 1), NodeGoal(1, 0.5, 0.55, 1),
              NodeGoal(2, 0.5, 1.0, 1), NodeGoal(7, 0.0, 0.5, 1)]
     state = _EditState(g, t, goals, EditLog())
-    assert state.attempt_rewire(0)
+    removals = state._removals(0)
+    assert [j for _, j, _ in removals] == [1, 2]
+    assert state.attempt_rewire(0, removals)
     assert _trace(state) == [("remove", 0, 2), ("add", 0, 7)]
+    assert [j for _, j, _ in removals] == [1]  # the removed neighbour leaves the list
 
 
 # --------------------------------------------------------- partner pools
@@ -506,11 +511,16 @@ def _current_key(state, v):
     return gap, abs((same + (state.live[v] > 0)) / (deg + 1) - goal) - gap
 
 
-def _check_pools(state):
+def _check_pools(state, replayed):
     """Every pool holds exactly its (label, live sign) members, each under its
     current (gap, add change) key, which is the key the node stores; its
     keys are sorted and distinct, and each key's id list is ascending and
-    non-empty. A node off every pool stores no key."""
+    non-empty. A node off every pool stores no key. Every neighbour list is
+    strictly ascending and holds v's neighbours in `replayed`, the graph the
+    state's records give."""
+    for v, nbrs in enumerate(state.adj):
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert nbrs == replayed.neighbors(v).tolist()
     live = np.asarray(state.live)
     labels = np.asarray(state.labels)
     for v, key in enumerate(state.filed):
@@ -533,25 +543,33 @@ def _check_pools(state):
 
 def _capture_states(mp):
     """Collect every _EditState once, as its first loop ends, and check its
-    pools as each of its loops ends. A state that runs both loops (as
+    pools and neighbour lists as each of its loops ends, against its input
+    graph with its records replayed. A state that runs both loops (as
     `generate`'s does) is collected once and ends as its last loop leaves it."""
     states = []
+    origins = {}  # id(state) -> (input graph, log length when it was built)
+    init = _EditState.__init__
+
+    def recording_init(self, g, t, goals, log):
+        origins[id(self)] = (g, len(log))
+        init(self, g, t, goals, log)
 
     def capturing(run):
         def run_and_capture(self, seed):
             run(self, seed)
-            _check_pools(self)
+            _check_pools(self, self.log.replay(*origins[id(self)]))
             if not any(state is self for state in states):
                 states.append(self)
         return run_and_capture
 
+    mp.setattr(_EditState, "__init__", recording_init)
     for name in ("run_rewire", "run_refine"):
         mp.setattr(_EditState, name, capturing(getattr(_EditState, name)))
     return states
 
 
-def _graph_of_sets(adj: list[set[int]]) -> Graph:
-    """Reference: the graph whose node v has neighbour set adj[v]."""
+def _graph_of_lists(adj: list[list[int]]) -> Graph:
+    """Reference: the graph whose node v has the neighbours adj[v]."""
     return Graph.from_edges(len(adj), [(u, v) for u, nbrs in enumerate(adj) for v in nbrs])
 
 
@@ -624,6 +642,88 @@ def test_pool_search_sees_ties_and_both_outcomes():
              for v in range(n) if g.degrees[v] > 0]
     _, _, seen = _checked_replay(g, t, goals, seed=4)
     assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
+
+
+def _checked_rewire(g, t, goals, seed):
+    """Run the rewire phase with every attempt checked against the full scans.
+
+    The removal list an attempt walks must equal a fresh `_removals(i)`. A
+    pair that fires must remove `reference_removal`'s neighbour. One that
+    does not may fail only where that reference finds none, without a
+    partner search, or where the partner search, itself checked against
+    `reference_best_partner`, found none. Pools and neighbour lists are
+    checked as the phase ends. Returns the log and the outcome counts:
+    fired, no removal, no partner, passed over (a fired pair whose removal
+    is not its list's first entry) and rebuilt (a source whose sign changed
+    inside its loop, so that it walked a second list)."""
+    attempt, search = _EditState.attempt_rewire, _EditState._best_partner
+    found = []
+    lists = {}  # source -> the removal lists it walked
+    seen = dict.fromkeys(("fired", "no removal", "no partner", "passed over", "rebuilt"), 0)
+
+    def checked_search(self, i, s, d_i):
+        got = search(self, i, s, d_i)
+        assert got == reference_best_partner(self, i, s, d_i)
+        found.append(got)
+        return got
+
+    def checked_attempt(self, i, removals):
+        assert removals == self._removals(i)
+        walked = lists.setdefault(i, [])
+        if not any(r is removals for r in walked):
+            walked.append(removals)
+            seen["rebuilt"] += len(walked) == 2
+        j = reference_removal(self, i)
+        first = removals[0][1] if removals else -1
+        searches, at = len(found), len(self.log)
+        fired = attempt(self, i, removals)
+        if fired:
+            assert (self.log.ops[at], self.log.us[at], self.log.vs[at]) == ("remove", i, j)
+            seen["fired"] += 1
+            seen["passed over"] += j != first
+        elif j < 0:
+            assert found[searches:] == []
+            seen["no removal"] += 1
+        else:
+            assert found[searches:] == [-1]
+            seen["no partner"] += 1
+        return fired
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_EditState, "_best_partner", checked_search)
+        mp.setattr(_EditState, "attempt_rewire", checked_attempt)
+        states = _capture_states(mp)
+        _, log = rewire_phase(g, t, goals, seed=seed)
+    assert len(states) == 1
+    return log, seen
+
+
+@given(_edit_problems())
+@settings(max_examples=150, deadline=None)
+def test_removal_walk_matches_the_full_scan(problem):
+    """Through a whole rewire phase on small random graphs, every removal
+    the sorted walk picks is the full neighbour scan's pick, and the log
+    passes an independent audit."""
+    g, t, goals, seed = problem
+    log, _ = _checked_rewire(g, t, goals, seed)
+    checker = EditLogChecker(g, t, goals).apply(log.records)
+    assert checker.edges() == tuple(map(tuple, log.replay(g).edge_array().tolist()))
+
+
+def test_removal_walk_sees_every_outcome():
+    """On the 3-label random graph with grid goals, the checked rewire phase
+    fires pairs, passes over a list's first entry that fails the gate, fails
+    both for want of a removal and for want of a partner, and rebuilds a
+    list when a source's sign changes."""
+    rng = np.random.default_rng(2)
+    n = 120
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.06]
+    g = Graph.from_edges(n, edges)
+    t = NodeTable(np.arange(n) % 3, np.zeros(n, dtype=int))
+    goals = [NodeGoal(v, 0.5, (0.25, 0.5, 0.75)[v % 3], 1)
+             for v in range(n) if g.degrees[v] > 0]
+    _, seen = _checked_rewire(g, t, goals, seed=4)
+    assert all(seen.values()), seen
 
 
 def _class_tie_state(partners):
@@ -818,9 +918,10 @@ def test_generate_state_holds_one_int_object_per_node_id(small_pair):
     st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
             .filter(lambda e: e[0] != e[1]), max_size=4 * n))))
 @settings(max_examples=200, deadline=None)
-def test_adjacency_sets_round_trip_through_a_graph(case):
-    """The sets `_adjacency_sets` reads from the graph `from_edges` builds
-    are the neighbour sets of the edges, and give that graph back."""
+def test_adjacency_lists_round_trip_through_a_graph(case):
+    """The lists `_adjacency_lists` reads from the graph `from_edges` builds
+    are the edges' neighbour sets in ascending order, and give that graph
+    back."""
     n, edges = case
     want = Graph.from_edges(n, list(edges))
     adj = [set() for _ in range(n)]
@@ -828,9 +929,9 @@ def test_adjacency_sets_round_trip_through_a_graph(case):
         adj[u].add(v)
         adj[v].add(u)
     ids = np.arange(n, dtype=object)
-    got = _adjacency_sets(want, ids)
-    assert got == adj
-    assert_same_graph(_graph_of_sets(got), want)
+    got = _adjacency_lists(want, ids)
+    assert got == [sorted(nbrs) for nbrs in adj]
+    assert_same_graph(_graph_of_lists(got), want)
     assert "indices" not in vars(want)  # read from a CSR the graph does not keep
 
 
@@ -924,7 +1025,7 @@ def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
     final graph holds: live signs, same-label counts, degrees, the (gap,
     add change) key of every live node, and pool members."""
-    fresh = _EditState(_graph_of_sets(state.adj), t, goals, EditLog())
+    fresh = _EditState(_graph_of_lists(state.adj), t, goals, EditLog())
     assert state.live == fresh.live
     assert (state.same, state.deg) == (fresh.same, fresh.deg)
     assert state.filed == fresh.filed
@@ -937,8 +1038,8 @@ def _phase_states(g, t, goals, seed):
         g_rw, log = rewire_phase(g, t, goals, seed=seed)
         g_fin, _ = refine_phase(g_rw, t, goals, seed=seed + 1, log=log)
     assert len(states) == 2
-    # each phase returns the graph its state's sets hold
-    assert [_graph_of_sets(state.adj) for state in states] == [g_rw, g_fin]
+    # each phase returns the graph its state's neighbour lists hold
+    assert [_graph_of_lists(state.adj) for state in states] == [g_rw, g_fin]
     return states
 
 
