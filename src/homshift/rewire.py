@@ -18,15 +18,21 @@ Partner search never builds an O(n) candidate mask. The possible partners
 sit in pools, one per (label, move direction), kept up to date edit by
 edit (see `_EditState`). A pool groups its members into classes that share
 both the gap and the change an added edge would make, so the gate is
-decided once per class. One search, `_EditState._best_partner`, walks the
-classes of every pool an addition draws from in ascending order under one
-bound, the best (gap, id) found so far, and so applies the partner rule.
+decided once per class, and it keeps a lower bound on its classes' add
+changes, so a pool where no class can pass is skipped whole. One search,
+`_EditState._best_partner`, walks the classes of every pool an addition
+draws from in ascending order under one bound, the best (gap, id) found so
+far, and so applies the partner rule. The state reaches a node's class
+through a handle it stores per node, and a label's pools through a tuple
+indexed by sign, so no edit builds a (label, sign) key.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,6 +112,14 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
     as closely as integers allow. Nodes kept in their own bin get direction
     0 and are never edited. Returns goals sorted by node id.
     """
+    ids, h_cur, h_goal, directions = _assign_goals(plan, ratios, bin_count, seed)
+    return list(map(NodeGoal, ids.tolist(), h_cur.tolist(), h_goal.tolist(),
+                    directions.tolist()))
+
+
+def _assign_goals(plan: TransportPlan, ratios, bin_count: int, seed):
+    """`assign_node_goals` as arrays: the node ids, their current ratios,
+    their goals and their directions, by ascending node id."""
     if plan.bin_count != bin_count:
         raise ValueError("plan bin count does not match b")
     ids, bins, bin_sizes = defined_bins(ratios, bin_count)
@@ -126,8 +140,14 @@ def assign_node_goals(plan: TransportPlan, ratios, bin_count: int, seed) -> list
     h_cur = np.asarray(ratios, dtype=np.float64)[ids]
     h_goal = (targets + 0.5) / bin_count
     directions = np.where(targets == bins, 0, np.where(h_goal > h_cur, 1, -1))
-    return list(map(NodeGoal, ids.tolist(), h_cur.tolist(), h_goal.tolist(),
-                    directions.tolist()))
+    return ids, h_cur, h_goal, directions
+
+
+def _goal_arrays(goals: list[NodeGoal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node ids, goals and directions of `goals`, as arrays in list order."""
+    return (np.array([ng.node for ng in goals], dtype=np.int64),
+            np.array([ng.h_goal for ng in goals], dtype=np.float64),
+            np.array([ng.direction for ng in goals], dtype=np.int64))
 
 
 def _adjacency_lists(g: Graph, ids: np.ndarray) -> list[list[int]]:
@@ -141,11 +161,45 @@ def _adjacency_lists(g: Graph, ids: np.ndarray) -> list[list[int]]:
     return [nbrs[ptr[v]:ptr[v + 1]] for v in range(g.node_count)]
 
 
+def _check_goals(nodes: np.ndarray, h_goal: np.ndarray, direction: np.ndarray,
+                 deg: np.ndarray, labels: np.ndarray) -> None:
+    """Refuse goals an edit state cannot take, naming the first bad goal in
+    list order and, for that goal, the first of its checks that fails.
+
+    Every goal needs a node in range and not named before; a goal with a
+    move target also needs its node to have an edge and a label, and its
+    goal ratio to lie in [0, 1] (NaN fails).
+    """
+    in_range = (nodes >= 0) & (nodes < deg.size)
+    inside = nodes[in_range]
+    first = np.zeros(nodes.size, dtype=bool)
+    first[np.unique(nodes, return_index=True)[1]] = True
+    isolated = np.zeros(nodes.size, dtype=bool)
+    isolated[in_range] = deg[inside] == 0
+    unlabeled = np.zeros(nodes.size, dtype=bool)
+    unlabeled[in_range] = labels[inside] < 0
+    moving = direction != 0
+    bad = np.stack((~in_range, ~first, moving & isolated, moving & unlabeled,
+                    moving & ~((h_goal >= 0.0) & (h_goal <= 1.0))))
+    if not bad.any():
+        return
+    k = int(np.flatnonzero(bad.any(axis=0))[0])
+    node = int(nodes[k])
+    raise ValueError((
+        f"goal for out-of-range node {node}",
+        f"duplicate goal for node {node}",
+        f"node {node} has a move target but is isolated",
+        f"node {node} has a move target but no label",
+        f"node {node} has goal {float(h_goal[k])!r} outside [0, 1]",
+    )[int(np.argmax(bad[:, k]))])
+
+
 class _EditState:
     """Mutable working state of the two edit phases, one loop method each.
 
     `generate` runs both loops on one state; `rewire_phase` and
-    `refine_phase` each build a state for their one loop.
+    `refine_phase` each build a state for their one loop. The goals come as
+    three arrays in list order: node ids, goal ratios and directions.
 
     `_refresh` alone decides whether a node is live, by one rule: a node is
     on target when its lower edge-move bound leaves no move (gap * degree
@@ -161,18 +215,24 @@ class _EditState:
     addition.
 
     Partner pools. The live nodes with sign s and label c form the pool
-    (c, s); `_candidate_pools` lists the pools an addition draws from (see
+    _pools[c][s]: each label's entry is a tuple indexed by sign, whose
+    entry 0 is None since a node of sign 0 is in no pool. The pools an
+    addition draws from sit the same way in _candidate_pools[c][s] (see
     `_best_partner`). A live member k is filed under its class key
     filed[k] = (gap, add change), the add change being the change in gap if
     k gained one edge of the kind its own sign wants; members that share
-    both floats are interchangeable and form one class. A pool is the pair
-    (keys, ids): keys lists its distinct class keys in ascending order and
-    ids[key] the class's member ids in ascending order; a class that
-    empties is dropped. The key is the state's only copy of either float;
-    filed[k] is None while k is in no pool. `_refresh` finds v's old class
-    by its stored key, without rebuilding it, takes v out, and puts v into
-    its new class; this is all of the pool bookkeeping, and only a class
-    that appears or empties touches the key list.
+    both floats are interchangeable and form one class. A pool is the list
+    [keys, ids, bound]: keys lists its distinct class keys in ascending
+    order, ids[key] the class's member ids in ascending order, and bound is
+    at most the least add change among its classes (inf while it never had
+    one); a class that empties is dropped. The key is the state's only copy
+    of either float; filed[k] is None while k is in no pool, and
+    class_of[k] is then None too and otherwise the very list ids[filed[k]].
+    `_refresh` takes v out of its old class through class_of[v], and puts v
+    into its new class; this is all of the pool bookkeeping. Only a class
+    that appears or empties touches the key list, and only one that appears
+    can lower the bound; `_best_partner` raises it back to the exact least
+    add change when it walks a whole pool and finds no partner there.
 
     Every log record is one `_edit` call, the only code after `__init__`
     that changes adj, deg or same. A rewire pair is a removal (i, j), then
@@ -189,28 +249,17 @@ class _EditState:
     neighbour list and class list and free nothing.
     """
 
-    def __init__(self, g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog):
+    def __init__(self, g: Graph, t: NodeTable, nodes: np.ndarray, h_goal: np.ndarray,
+                 direction: np.ndarray, log: EditLog):
         n = g.node_count
         if len(t) != n:
             raise ValueError("node table does not match graph size")
         deg = g.degrees.astype(np.int64)
         same = same_label_counts(g, t)
+        _check_goals(nodes, h_goal, direction, deg, t.labels)
+        moving = direction != 0
         goal = np.full(n, np.nan)
-        seen = set()
-        for ng in goals:
-            if not (0 <= ng.node < n):
-                raise ValueError(f"goal for out-of-range node {ng.node}")
-            if ng.node in seen:
-                raise ValueError(f"duplicate goal for node {ng.node}")
-            seen.add(ng.node)
-            if ng.direction != 0:
-                if deg[ng.node] == 0:
-                    raise ValueError(f"node {ng.node} has a move target but is isolated")
-                if t.labels[ng.node] < 0:
-                    raise ValueError(f"node {ng.node} has a move target but no label")
-                if not 0.0 <= ng.h_goal <= 1.0:  # NaN fails too
-                    raise ValueError(f"node {ng.node} has goal {ng.h_goal!r} outside [0, 1]")
-                goal[ng.node] = ng.h_goal
+        goal[nodes[moving]] = h_goal[moving]
         act = np.flatnonzero(~np.isnan(goal))
 
         # Per-node state lives in Python lists: edits read and write single
@@ -226,50 +275,57 @@ class _EditState:
         self.goal = goal.tolist()
         self.live = [0] * n
         self.filed: list[tuple[float, float] | None] = [None] * n
+        self.class_of: list[list[int] | None] = [None] * n
         pool_labels = np.unique(t.labels[act]).tolist()
-        self._pools = {(c, sign): ([], {}) for c in pool_labels for sign in (-1, 1)}
-        # The pools an addition at a source of label c and sign s draws from.
+        self._pools = {c: (None, [[], {}, math.inf], [[], {}, math.inf]) for c in pool_labels}
         self._candidate_pools = {
-            (c, sign): ([self._pools[c, sign]] if sign > 0 else
-                        [self._pools[o, sign] for o in pool_labels if o != c])
-            for c in pool_labels for sign in (-1, 1)}
+            c: (None, [self._pools[c][1]], [self._pools[o][-1] for o in pool_labels if o != c])
+            for c in pool_labels}
         self.log = log
         for v in self.ids[act].tolist():
             self._refresh(v)
 
     def _refresh(self, v: int) -> None:
         """Recompute v's sign and, while it is live, its key; move it between
-        pools. v has a goal, so degree >= 1."""
+        classes. v has a goal, so degree >= 1.
+
+        v leaves its old class through class_of[v]; the class's pool is
+        looked up only when v was its last member. A new class lowers its
+        pool's bound to its add change when that is lower.
+        """
         same, deg, goal = self.same[v], self.deg[v], self.goal[v]
         diff = goal - same / deg
         gap = abs(diff)
         s = (1 if diff > 0 else -1) if gap * deg > _MOVE_TOL else 0
-        c = self.labels[v]
-        old = self.filed[v]
-        if old is not None:
-            keys, ids = self._pools[c, self.live[v]]
-            members = ids.get(old, [])
+        members = self.class_of[v]
+        if members is not None:
             idx = bisect.bisect_left(members, v)
             if idx == len(members) or members[idx] != v:
                 raise RuntimeError("internal: node missing from its partner pool")
             if len(members) > 1:
                 del members[idx]
             else:
+                keys, ids, _ = self._pools[self.labels[v]][self.live[v]]
+                old = self.filed[v]
                 del ids[old]
                 del keys[bisect.bisect_left(keys, old)]
         self.live[v] = s
         if s:
             d = abs((same + (s > 0)) / (deg + 1) - goal) - gap
             key = self.filed[v] = (gap, d)
-            keys, ids = self._pools[c, s]
+            pool = self._pools[self.labels[v]][s]
+            ids = pool[1]
             members = ids.get(key)
             if members is None:
-                ids[key] = [v]
-                bisect.insort(keys, key)
+                members = ids[key] = [v]
+                bisect.insort(pool[0], key)
+                if d < pool[2]:
+                    pool[2] = d
             else:
                 bisect.insort(members, v)
+            self.class_of[v] = members
         else:
-            self.filed[v] = None
+            self.filed[v] = self.class_of[v] = None
 
     def _best_partner(self, i: int, s: int, d_i: float) -> int:
         """Partner for one edge addition at source i by the partner rule; -1
@@ -277,20 +333,27 @@ class _EditState:
 
         The candidates are the live nodes of sign s, other than i and its
         neighbours, that share i's label (s > 0) or differ from it (s < 0);
-        they sit in the pools `_candidate_pools[label_i, s]`. A candidate k
+        they sit in the pools `_candidate_pools[label_i][s]`. A candidate k
         passes when d_i (i's change) plus k's add change is below -_GATE_TOL,
-        summed in that order, so a class passes or fails as a whole. The
-        pools are walked in order and each pool's keys ascending; a pool's
-        walk stops at the first key whose gap is greater than that of the
-        best (gap, id) found so far in any pool. A passing class offers its
-        first id that is neither i nor a neighbour of i, its lowest eligible
-        one, and that id becomes the best when its (gap, id) is smaller.
+        summed in that order, so a class passes or fails as a whole. A pool
+        whose bound fails that test is skipped: float addition is monotone,
+        so no class of it can pass. The other pools are walked in order and
+        each pool's keys ascending; a pool's walk stops at the first key
+        whose gap is greater than that of the best (gap, id) found so far in
+        any pool. A passing class offers its first id that is neither i nor
+        a neighbour of i, its lowest eligible one, and that id becomes the
+        best when its (gap, id) is smaller. A pool walked to its end without
+        a new best gets its exact least add change as its bound.
         """
         adj_i = self.adj[i]
         n_adj = len(adj_i)
         below = -_GATE_TOL
         found = None
-        for keys, ids in self._candidate_pools[self.labels[i], s]:
+        for pool in self._candidate_pools[self.labels[i]][s]:
+            keys, ids, bound = pool
+            if not d_i + bound < below:
+                continue
+            before = found
             for key in keys:
                 if found is not None and key[0] > found[0]:
                     break
@@ -303,6 +366,9 @@ class _EditState:
                             if found is None or (key[0], k) < found:
                                 found = (key[0], k)
                             break
+            else:
+                if found is before:
+                    pool[2] = min(map(itemgetter(1), keys), default=math.inf)
         return -1 if found is None else found[1]
 
     def _edit(self, phase: str, op: str, i: int, v: int, agree: bool) -> None:
@@ -470,7 +536,7 @@ def _one_phase(g: Graph, t: NodeTable, goals: list[NodeGoal], log: EditLog, run,
                seed) -> Graph:
     """The graph one phase's loop `run` (an `_EditState` method) leaves."""
     start = len(log)
-    state = _EditState(g, t, goals, log)
+    state = _EditState(g, t, *_goal_arrays(goals), log)
     run(state, seed)
     deg, same = state.deg, state.same
     del state
@@ -546,7 +612,7 @@ def _generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     goal_hist = beta_goal_histogram(goal, bin_count)
     plan = transport_plan(source_hist, goal_hist)
     seed_assign, seed_rewire, seed_refine = np.random.SeedSequence(seed).spawn(3)
-    goals = assign_node_goals(plan, ratios, bin_count, seed_assign)
+    nodes, _, h_goal, direction = _assign_goals(plan, ratios, bin_count, seed_assign)
     log = EditLog(header={
         "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
         "alpha": goal.alpha,
@@ -555,8 +621,7 @@ def _generate(g: Graph, t: NodeTable, goal: BetaGoal, bin_count: int,
     })
     # One state serves both phases: the state the rewire phase ends in is
     # what refine_phase would build from the rewired graph, pools included.
-    state = _EditState(g, t, goals, log)
-    del goals  # the state keeps what it reads of them
+    state = _EditState(g, t, nodes, h_goal, direction, log)
     state.run_rewire(seed_rewire)
     n_rewire = len(log)
     state.run_refine(seed_refine)

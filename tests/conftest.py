@@ -694,8 +694,10 @@ def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, dic
     its members, grouped by (gap, add change) class. A node is live when
     gap * deg > MOVE_TOL. Same-label counts come from the edge array, not
     from the library. Returns each node's (gap, add change) key (None off
-    the live nodes) and live sign as lists, and {(label, sign): (keys,
-    ids)} with keys ascending and each class's ids ascending.
+    the live nodes) and live sign as lists, and {label: (None, raising
+    pool, lowering pool)}, each pool [keys, ids, bound] with keys ascending,
+    each class's ids ascending and bound the least add change (inf if the
+    pool is empty).
     """
     n = g.node_count
     labels = t.labels
@@ -717,12 +719,14 @@ def reference_edit_state(g: Graph, t: NodeTable, goals) -> tuple[list, list, dic
     add = np.where(live != 0, add, np.inf)
     pools = {}
     for c in np.unique(labels[act]).tolist():
+        by_sign = [None, None, None]
         for sign in (-1, 1):
             ks = np.flatnonzero((labels == c) & (live == sign))
             ids = {}
             for key, k in zip(zip(gap[ks].tolist(), add[ks].tolist()), ks.tolist()):
                 ids.setdefault(key, []).append(k)
-            pools[c, sign] = (sorted(ids), ids)
+            by_sign[sign] = [sorted(ids), ids, float(add[ks].min(initial=np.inf))]
+        pools[c] = tuple(by_sign)
     filed = [(a, b) if s else None for a, b, s in zip(gap.tolist(), add.tolist(), live.tolist())]
     return filed, live.tolist(), pools
 

@@ -43,6 +43,7 @@ from homshift.rewire import _EditState, _adjacency_lists
 from conftest import (
     EditLogChecker,
     assert_same_graph,
+    GATE_TOL,
     edge_move_bounds,
     lp_transport_cost,
     reference_assign_node_goals,
@@ -313,6 +314,11 @@ def test_edge_move_bounds_brute_force_oracle():
             assert upper >= lower or adds is not None
 
 
+def _new_state(g, t, goals):
+    """A new _EditState with an empty log, built from a NodeGoal list."""
+    return _EditState(g, t, *rewire._goal_arrays(goals), EditLog())
+
+
 def test_a_fresh_state_is_live_exactly_when_the_lower_bound_leaves_a_move():
     """On every (same, degree, goal), goals within float dust of the ratio
     and at or near 0 and 1 included, a new _EditState marks the node live,
@@ -336,7 +342,7 @@ def test_a_fresh_state_is_live_exactly_when_the_lower_bound_leaves_a_move():
                       np.zeros(degree + 1, dtype=int))
         h = same / degree
         for goal in sorted(x for x in goals if 0.0 <= x <= 1.0):
-            state = _EditState(g, t, [NodeGoal(0, h, goal, 1)], EditLog())
+            state = _new_state(g, t, [NodeGoal(0, h, goal, 1)])
             lower, upper = edge_move_bounds(h, goal, degree)
             assert (state.live[0] != 0) == (lower >= 1) == (state.filed[0] is not None)
             if state.live[0]:
@@ -427,6 +433,47 @@ def test_phases_reject_a_moving_goal_outside_unit_interval(phase, h_goal):
         phase(g, t, goals, seed=0)
 
 
+def _goal_check_pair():
+    """Nodes 0-5 as in the refine hand trace; node 6 is isolated and node 7,
+    a neighbour of 2, has no label."""
+    g = Graph.from_edges(8, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 7)])
+    t = NodeTable(np.array([0, 1, 0, 0, 1, 1, 0, -1]), np.zeros(8, dtype=int))
+    return g, t
+
+
+_GOOD = NodeGoal(0, 1.0, 0.5, -1)
+
+
+@pytest.mark.parametrize("phase", [rewire_phase, refine_phase])
+@pytest.mark.parametrize("goals, message", [
+    ([_GOOD, NodeGoal(8, 0.5, 0.5, 0)], "goal for out-of-range node 8"),
+    ([NodeGoal(-1, 0.5, 0.5, 0), _GOOD], "goal for out-of-range node -1"),
+    ([_GOOD, NodeGoal(3, 1.0, 1.0, 0), NodeGoal(3, 1.0, 0.5, -1)], "duplicate goal for node 3"),
+    ([_GOOD, NodeGoal(6, 0.0, 0.5, 1)], "node 6 has a move target but is isolated"),
+    ([_GOOD, NodeGoal(7, 0.0, 0.5, 1)], "node 7 has a move target but no label"),
+    # the first bad goal in list order is named, whatever its check
+    ([_GOOD, NodeGoal(7, 0.0, 0.5, 1), NodeGoal(9, 0.5, 0.5, 0)],
+     "node 7 has a move target but no label"),
+    ([_GOOD, NodeGoal(9, 0.5, 0.5, 0), NodeGoal(7, 0.0, 0.5, 1)],
+     "goal for out-of-range node 9"),
+    ([NodeGoal(6, 0.0, 2.0, 1), _GOOD, _GOOD], "node 6 has a move target but is isolated"),
+    ([_GOOD, NodeGoal(1, 1.0, 2.0, 1), _GOOD], "node 1 has goal 2.0 outside [0, 1]"),
+])
+def test_phases_name_the_first_bad_goal(phase, goals, message):
+    g, t = _goal_check_pair()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        phase(g, t, goals, seed=0)
+
+
+@pytest.mark.parametrize("phase", [rewire_phase, refine_phase])
+def test_phases_accept_isolated_and_unlabeled_nodes_that_stay(phase):
+    """Direction 0 exempts a goal from the move-target checks."""
+    g, t = _goal_check_pair()
+    goals = [_GOOD, NodeGoal(6, 0.0, 7.0, 0), NodeGoal(7, 0.0, 0.5, 0)]
+    g2, _ = phase(g, t, goals, seed=0)
+    assert g2.degrees[6] == 0 and g2.degrees[7] == 1
+
+
 @pytest.mark.parametrize("op, v, message", [
     ("remove", 2, "internal: removing missing edge"),
     ("add", 1, "internal: adding duplicate or self edge"),
@@ -438,12 +485,39 @@ def test_edit_refuses_a_missing_removal_a_present_addition_and_a_self_edge(op, v
     neighbour lists, degrees, same-label counts and log as they were."""
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     t = NodeTable(np.array([0, 0, 0]), np.zeros(3, dtype=int))
-    state = _EditState(g, t, [NodeGoal(0, 1.0, 0.5, -1)], EditLog())
+    state = _new_state(g, t, [NodeGoal(0, 1.0, 0.5, -1)])
     before = ([list(nbrs) for nbrs in state.adj], list(state.deg), list(state.same))
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         state._edit("refine", op, 0, v, True)
     assert (state.adj, state.deg, state.same) == before
     assert len(state.log) == 0
+
+
+def _pool(state, c, s):
+    """The partner pool of label c and sign s."""
+    return state._pools[c][s]
+
+
+def _pools_by_key(pools):
+    """{(label, sign): pool} over an edit state's `_pools`, which holds each
+    label's pools in a tuple indexed by sign."""
+    return {(c, s): by_sign[s] for c, by_sign in pools.items() for s in (-1, 1)}
+
+
+@pytest.mark.parametrize("v", [4, 5, 1])
+def test_refresh_refuses_a_node_missing_from_its_partner_pool(v):
+    """Nodes 4 and 5 share a class and node 1 is alone in its own. Taken out
+    of its class's member list behind the state's back, a live node makes
+    its next refresh raise."""
+    g = Graph.from_edges(10, [(0, 2), (0, 3), (1, 6), (1, 7), (1, 8), (4, 9), (5, 9)])
+    t = NodeTable(np.array([0, 1, 0, 0, 1, 1, 1, 1, 1, 1]), np.zeros(10, dtype=int))
+    goals = [NodeGoal(k, 1.0, 0.5, -1) for k in (0, 1, 4, 5)]
+    state = _new_state(g, t, goals)
+    members = _pool(state, 1, -1)[1][state.filed[v]]
+    assert len(members) == (1 if v == 1 else 2)
+    members.remove(v)
+    with pytest.raises(RuntimeError, match="^internal: node missing from its partner pool$"):
+        state._refresh(v)
 
 
 # -------------------------------------------------------- partner choice
@@ -460,7 +534,7 @@ def _addition_state(partner_goals):
     t = NodeTable(np.array([0, 1, 0, 0, 1, 1, 1, 1, 1, 1]), np.zeros(10, dtype=int))
     goals = [NodeGoal(0, 1.0, 0.5, -1), NodeGoal(1, 1.0, 0.0, -1)]
     goals += [NodeGoal(v, 1.0, h, -1) for v, h in zip((4, 5), partner_goals)]
-    return _EditState(g, t, goals, EditLog())
+    return _new_state(g, t, goals)
 
 
 def _trace(state):
@@ -493,7 +567,7 @@ def test_rewire_skips_neighbour_that_fails_removal_gate():
     t = NodeTable(np.array([0, 1, 1, 1, 0, 1, 1, 0, 1]), np.zeros(9, dtype=int))
     goals = [NodeGoal(0, 0.25, 0.75, 1), NodeGoal(1, 0.5, 0.55, 1),
              NodeGoal(2, 0.5, 1.0, 1), NodeGoal(7, 0.0, 0.5, 1)]
-    state = _EditState(g, t, goals, EditLog())
+    state = _new_state(g, t, goals)
     removals = state._removals(0)
     assert [j for _, j, _ in removals] == [1, 2]
     assert state.attempt_rewire(0, removals)
@@ -513,11 +587,13 @@ def _current_key(state, v):
 
 def _check_pools(state, replayed):
     """Every pool holds exactly its (label, live sign) members, each under its
-    current (gap, add change) key, which is the key the node stores; its
-    keys are sorted and distinct, and each key's id list is ascending and
-    non-empty. A node off every pool stores no key. Every neighbour list is
-    strictly ascending and holds v's neighbours in `replayed`, the graph the
-    state's records give."""
+    current (gap, add change) key, which is the key the node stores, and
+    each node's class handle is that very id list; its keys are sorted and
+    distinct, each key's id list is ascending and non-empty, and its bound
+    is at most the least add change among its keys (inf for an empty pool).
+    A node off every pool stores no key and no handle. Every neighbour list
+    is strictly ascending and holds v's neighbours in `replayed`, the graph
+    the state's records give."""
     for v, nbrs in enumerate(state.adj):
         assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
         assert nbrs == replayed.neighbors(v).tolist()
@@ -526,11 +602,12 @@ def _check_pools(state, replayed):
     for v, key in enumerate(state.filed):
         if live[v]:
             assert key == _current_key(state, v)
-            _, ids = state._pools[labels[v], live[v]]
-            assert v in ids[key]
+            _, ids, _ = _pool(state, labels[v], live[v])
+            assert v in ids[key] and state.class_of[v] is ids[key]
         else:
-            assert key is None
-    for (c, s), (keys, ids) in state._pools.items():
+            assert key is None and state.class_of[v] is None
+    assert all(by_sign[0] is None for by_sign in state._pools.values())
+    for (c, s), (keys, ids, bound) in _pools_by_key(state._pools).items():
         classes = {}
         for v in np.flatnonzero((labels == c) & (live == s)).tolist():
             classes.setdefault(state.filed[v], []).append(v)
@@ -539,6 +616,7 @@ def _check_pools(state, replayed):
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert all(members and all(a < b for a, b in zip(members, members[1:]))
                    for members in ids.values())
+        assert bound <= min((key[1] for key in keys), default=math.inf)
 
 
 def _capture_states(mp):
@@ -550,9 +628,9 @@ def _capture_states(mp):
     origins = {}  # id(state) -> (input graph, log length when it was built)
     init = _EditState.__init__
 
-    def recording_init(self, g, t, goals, log):
+    def recording_init(self, g, t, nodes, h_goal, direction, log):
         origins[id(self)] = (g, len(log))
-        init(self, g, t, goals, log)
+        init(self, g, t, nodes, h_goal, direction, log)
 
     def capturing(run):
         def run_and_capture(self, seed):
@@ -597,11 +675,17 @@ def _checked_replay(g, t, goals, seed):
     reference: each search must return the reference's partner, or -1 when
     the reference finds none. Pools are checked as each phase ends. Returns
     the final graph, the log and the outcome counts (found, none, tied: a
-    found partner whose gap another node of its sign shares)."""
+    found partner whose gap another node of its sign shares, and skipped: a
+    non-empty candidate pool whose bound fails the gate, which must hold no
+    class that passes)."""
     search = _EditState._best_partner
-    seen = {"found": 0, "none": 0, "tied": 0}
+    seen = {"found": 0, "none": 0, "tied": 0, "skipped": 0}
 
     def checked_search(self, i, s, d_i):
+        for keys, _, bound in self._candidate_pools[self.labels[i]][s]:
+            if keys and not d_i + bound < -GATE_TOL:
+                assert not any(d_i + key[1] < -GATE_TOL for key in keys)
+                seen["skipped"] += 1
         got = search(self, i, s, d_i)
         assert got == reference_best_partner(self, i, s, d_i)
         seen["found" if got >= 0 else "none"] += 1
@@ -642,6 +726,14 @@ def test_pool_search_sees_ties_and_both_outcomes():
              for v in range(n) if g.degrees[v] > 0]
     _, _, seen = _checked_replay(g, t, goals, seed=4)
     assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
+
+
+def test_pool_bounds_skip_pools_on_the_sbm(sbm_pair):
+    """On the 2000-node SBM toward Beta(3, 10), searches skip pools by their
+    bound, and every search still returns the mask reference's partner."""
+    g, t = sbm_pair
+    _, _, seen = _checked_replay(g, t, _goals_toward(g, t, 3.0, 10.0), seed=5)
+    assert seen["skipped"] > 0 and seen["found"] > 0 and seen["none"] > 0, seen
 
 
 def _checked_rewire(g, t, goals, seed):
@@ -744,7 +836,7 @@ def _class_tie_state(partners):
     t = NodeTable(np.array(labels), np.zeros(len(labels), dtype=int))
     goals = [NodeGoal(0, 1.0, 0.5, -1)]
     goals += [NodeGoal(k, 1.0, goal, -1) for k, (*_, goal) in sorted(partners.items())]
-    return _EditState(g, t, goals, EditLog())
+    return _new_state(g, t, goals)
 
 
 @pytest.mark.parametrize("partners, pools, expected", [
@@ -779,9 +871,9 @@ def _class_tie_state(partners):
 ])
 def test_partner_search_takes_the_smallest_gap_then_the_lowest_id(partners, pools, expected):
     state = _class_tie_state(partners)
-    assert list(map(id, state._candidate_pools[0, -1])) == [id(state._pools[c, -1]) for c in pools]
+    assert list(map(id, state._candidate_pools[0][-1])) == [id(_pool(state, c, -1)) for c in pools]
     for c, classes in pools.items():
-        keys, ids = state._pools[c, -1]
+        keys, ids, _ = _pool(state, c, -1)
         assert [(key, ids[key]) for key in keys] == classes
     eq = 0  # a lowering source gains a cross-label edge
     d_0 = abs((state.same[0] + eq) / (state.deg[0] + 1) - state.goal[0]) - state.filed[0][0]
@@ -804,9 +896,9 @@ def test_pool_search_on_many_classes_and_three_pools():
     goals = [NodeGoal(v, 0.5, float(rng.choice(grid)), 1)
              for v in range(n) if g.degrees[v] > 0]
     assert g.degrees[0] >= 40
-    state = _EditState(g, t, goals, EditLog())
-    assert max(len(keys) for keys, _ in state._pools.values()) >= 20
-    assert all(len(pools) == 3 for (_, s), pools in state._candidate_pools.items() if s < 0)
+    state = _new_state(g, t, goals)
+    assert max(len(keys) for keys, _, _ in _pools_by_key(state._pools).values()) >= 20
+    assert all(len(by_sign[-1]) == 3 for by_sign in state._candidate_pools.values())
     g_fin, log, seen = _checked_replay(g, t, goals, seed=9)
     assert seen["found"] > 0 and seen["none"] > 0 and seen["tied"] > 0
     checker = EditLogChecker(g, t, goals).apply(log.records)
@@ -888,7 +980,8 @@ def test_pools_stay_bounded_after_generate(small_pair):
         _, log, _ = generate(g, t, BetaGoal(3.0, 10.0), 10, seed=11)
     assert len(states) == 1 and log.records
     state, = states
-    assert (sum(len(members) for _, ids in state._pools.values() for members in ids.values())
+    assert (sum(len(members) for _, ids, _ in _pools_by_key(state._pools).values()
+                for members in ids.values())
             == np.count_nonzero(state.live))
 
 
@@ -902,7 +995,8 @@ def test_generate_state_holds_one_int_object_per_node_id(small_pair):
     state, = states
     assert state.log is log and log.records
     held = [*(k for nbrs in state.adj for k in nbrs),
-            *(k for _, ids in state._pools.values() for members in ids.values() for k in members),
+            *(k for _, ids, _ in _pools_by_key(state._pools).values()
+              for members in ids.values() for k in members),
             *log.us, *log.vs]
     assert all(type(k) is int for k in held) and max(held) > 256  # beyond the cached ints
     objects: dict[int, set[int]] = {}
@@ -969,13 +1063,16 @@ def _state_problems(draw):
 def test_fresh_state_matches_the_bulk_reference(problem):
     """A new _EditState, filled node by node by `_refresh`, holds what the
     bulk construction computes: live signs, the (gap, add change) key of
-    every live node, and each pool's class keys and ids."""
+    every live node, and each pool's class keys and ids, and as its bound
+    the least add change among them. Each live node's class handle is its
+    class's id list."""
     g, t, goals = problem
-    state = _EditState(g, t, goals, EditLog())
+    state = _new_state(g, t, goals)
     filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live
     assert state.filed == filed
     assert state._pools == pools
+    _check_pools(state, g)
 
 
 def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
@@ -985,13 +1082,13 @@ def test_fresh_state_leaves_goals_met_within_tolerance_out_of_the_pools():
     t = NodeTable(np.array([0, 0, 1, 1, -1, 2]), np.zeros(6, dtype=int))
     goals = [NodeGoal(0, 0.5, 0.5 + 5e-13, 1), NodeGoal(1, 0.5, 0.5, -1),
              NodeGoal(2, 0.0, 1.0, 1), NodeGoal(3, 0.0, 0.0, 1), NodeGoal(5, 0.0, 0.2, 0)]
-    state = _EditState(g, t, goals, EditLog())
+    state = _new_state(g, t, goals)
     filed, live, pools = reference_edit_state(g, t, goals)
     assert state.live == live == [0, 0, 1, 0, 0, 0]
     assert state.filed == filed == [None, None, (1.0, abs(1 / 3 - 1.0) - 1.0), None, None, None]
     assert state._pools == pools
     # node 2 (h 0, goal 1) would reach h 1/3 with one more same-label edge
-    assert [(c_s, ids) for c_s, (_, ids) in pools.items() if ids] == \
+    assert [(c_s, ids) for c_s, (_, ids, _) in _pools_by_key(pools).items() if ids] == \
         [((1, 1), {(1.0, abs(1 / 3 - 1.0) - 1.0): [2]})]
 
 
@@ -1010,10 +1107,11 @@ def test_a_goal_within_move_tolerance_takes_part_in_no_edit(offset, live, record
     t = NodeTable(np.array(labels), np.zeros(11, dtype=int))
     goals = [NodeGoal(0, 0.0, 1.0, 1), NodeGoal(1, 0.5, 0.5 + offset, 1),
              NodeGoal(2, 0.5, 0.75, 1)]
-    state = _EditState(g, t, goals, EditLog())
+    state = _new_state(g, t, goals)
     assert state.live[:3] == [1, live, 1]
     assert (state.filed[1] is not None) == any(
-        1 in members for _, ids in state._pools.values() for members in ids.values()) == bool(live)
+        1 in members for _, ids, _ in _pools_by_key(state._pools).values()
+        for members in ids.values()) == bool(live)
     g_rw, log = rewire_phase(g, t, goals, seed=3)
     g_fin, log = refine_phase(g_rw, t, goals, seed=4, log=log)
     assert [(r.op, r.u, r.v) for r in log.records] == records
@@ -1024,12 +1122,18 @@ def test_a_goal_within_move_tolerance_takes_part_in_no_edit(offset, live, record
 def _check_matches_fresh_state(state, t, goals):
     """The state a phase ends in holds what a new _EditState built from its
     final graph holds: live signs, same-label counts, degrees, the (gap,
-    add change) key of every live node, and pool members."""
-    fresh = _EditState(_graph_of_lists(state.adj), t, goals, EditLog())
+    add change) key of every live node, and pool members. Only the pools'
+    bounds may differ: a phase leaves a bound anywhere at or below the least
+    add change, which a fresh state's bound equals."""
+    fresh = _new_state(_graph_of_lists(state.adj), t, goals)
     assert state.live == fresh.live
     assert (state.same, state.deg) == (fresh.same, fresh.deg)
     assert state.filed == fresh.filed
-    assert state._pools == fresh._pools
+
+    def classes(pools):
+        return {c_s: (keys, ids) for c_s, (keys, ids, _) in _pools_by_key(pools).items()}
+
+    assert classes(state._pools) == classes(fresh._pools)
 
 
 def _phase_states(g, t, goals, seed):
