@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import load_edge_list, load_node_table, save_edge_list
+from .graph import _id_cell_rows, load_edge_list, load_node_table, save_edge_list
 from .homophily import BetaGoal, defined_histogram, global_homophily, local_homophily_all
 from .metrics import (
     MetricRecord,
@@ -80,9 +80,9 @@ def _ratios_csv(ratios: np.ndarray) -> str:
     patterns, so -0.0 keeps its own cell apart from 0.0.
     """
     bits, which = np.unique(ratios.view(np.int64), return_inverse=True)
-    cells = [",\n" if x != x else f",{x!r}\n" for x in bits.view(np.float64).tolist()]
-    return "node_id,ratio\n" + "".join([f"{node}{cells[i]}"
-                                        for node, i in enumerate(which.tolist())])
+    cells = np.array(["" if x != x else repr(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return "node_id,ratio\n" + _id_cell_rows(cells[which].tolist())
 
 
 def _cmd_analyze(args) -> dict:

@@ -423,6 +423,18 @@ def save_edge_list(g: Graph, path) -> None:
             fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
+def _id_cell_rows(cells: list) -> str:
+    """`node,cell` lines for the nodes 0, 1, ..., one per str in `cells`.
+
+    The text is one `%` over the flat (node, cell) tuple, as save_edge_list
+    formats its chunks.
+    """
+    flat = [None] * (2 * len(cells))
+    flat[::2] = range(len(cells))
+    flat[1::2] = cells
+    return ("%d,%s\n" * len(cells)) % tuple(flat)
+
+
 def read_id_table(path, columns, converters=None):
     """Rows of a CSV keyed by node id, in file order; errors name the file and line.
 
@@ -440,30 +452,36 @@ def read_id_table(path, columns, converters=None):
 
     Returns (ints, floats, lines): the (r, k) int64 array of the k named
     columns, the (r, f) float64 array of the further ones (None if there are
-    none), and each row's line number. A file with no blank line keeps its
-    split lines as they are, numbered 2..r+1; only a file with one is
-    filtered line by line. Rows are parsed in bulk; if that fails, they are
+    none), and each row's line number. The file is read once as text, for
+    the header and for two tests in C over the whole text: whether a line
+    after the header is blank (`_has_blank_line`), and whether the text
+    holds a `"`. When neither holds and `_plain_file_name` gives the
+    file's name, np.loadtxt parses the file again from that name, past its
+    first line, and the rows are numbered 2..r+1, r being the lines after
+    the header. Both reads decode UTF-8 with universal newlines, so they
+    see the same lines; the rows numpy returns must number r, or the
+    row-by-row pass below reads the file. Otherwise np.loadtxt parses the
+    text's lines, blank ones dropped. If the bulk parse fails, the rows are
     parsed again one by one with the same converters, which names the first
     bad line or, for a value only int() or float() reads (such as `1_000`),
     gives the table.
     """
     names = [c for c in columns if c is not ...]
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
-    text = content.split("\n")
-    header = [cell.strip() for cell in _cells(text[0])] if text[0].strip() else []
+    content = _read_text(path)
+    first, _, rest = content.partition("\n")
+    header = [cell.strip() for cell in _cells(first)] if first.strip() else []
     if header[:len(names)] != names or (columns[-1] is not ... and len(header) != len(names)):
         raise ValueError(f"{path}: line 1: header must start with '{','.join(names)}'"
-                         f"{'' if columns[-1] is ... else ' and end there'}; got {text[0]!r}")
-    body = text[1:-1] if text[-1] == "" else text[1:]  # the final newline leaves an ""
-    # A line is blank when `not line.strip()`, that is when it is "" or all
-    # whitespace; both tests run in C over the whole list.
-    if "" in body or any(map(str.isspace, body)):
-        lines = np.array([i for i, line in enumerate(body, start=2) if line.strip()],
-                         dtype=np.int64)
-        body = [line for line in body if line.strip()]
-    else:
-        lines = np.arange(2, len(body) + 2, dtype=np.int64)
+                         f"{'' if columns[-1] is ... else ' and end there'}; got {first!r}")
+    # the r lines after the header; a final newline ends the last one
+    r = rest.count("\n") + (not rest.endswith("\n")) if rest else 0
+    blank = bool(rest) and _has_blank_line(rest)
+    name = None if blank or '"' in content else _plain_file_name(path)
+    lines = np.arange(2, r + 2, dtype=np.int64)
+    body = None if name else rest.split("\n")[:r]  # split only for a parse of the lines
+    if blank:
+        keep = [i for i, line in enumerate(body) if line.strip()]
+        lines, body = lines[keep], [body[i] for i in keep]
     k, f = len(names), len(header) - len(names)
     converters = converters or {}
     served: dict = {}  # each converter's columns, converted together: each text once
@@ -479,9 +497,11 @@ def read_id_table(path, columns, converters=None):
         # stored as text, the cells are split and kept in C instead.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(body, dtype=[(f"c{c}", _CELL if c in converters else np.int64)
-                                            for c in range(k)] + [("floats", np.float64, (f,))],
-                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+            table = np.loadtxt(body if name is None else name,
+                               dtype=[(f"c{c}", _CELL if c in converters else np.int64)
+                                      for c in range(k)] + [("floats", np.float64, (f,))],
+                               delimiter=",", quotechar='"', comments=None, ndmin=1,
+                               skiprows=0 if name is None else 1, encoding="utf-8")
         ints = np.empty((table.shape[0], k), dtype=np.int64)
         for c in range(k):
             if c not in converters:
@@ -491,13 +511,41 @@ def read_id_table(path, columns, converters=None):
                 conv, np.stack([table[f"c{c}"] for c in cols], axis=1))
         floats = table["floats"]
         # sort and diff rather than np.unique: 0.4 ms against 10 ms on 39.5k ids
-        # under numpy 2.4. Fewer rows than lines means a quote joined two lines.
+        # under numpy 2.4. Rows other than the lines mean a quote joined two
+        # lines, or that the file changed between its two reads.
         ids = np.sort(ints[:, 0])
-        if ids.size != len(body) or (ids < 0).any() or (np.diff(ids) == 0).any():
+        if ids.size != lines.size or (ids < 0).any() or (np.diff(ids) == 0).any():
             raise ValueError("rejected by the bulk parse")
     except (ValueError, OverflowError):
+        if body is None:
+            body = rest.split("\n")[:r]
         ints, floats = _parse_rows(path, body, lines, header, k, converters)
     return ints, floats if f else None, lines
+
+
+# str.isspace's ASCII characters other than "\n"; a text of other ASCII
+# characters has no whitespace-only line.
+_ASCII_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# A line of "" or whitespace between two newlines. re's \s is str.isspace
+# on every code point (tests/test_graph.py), so this finds what
+# `not line.strip()` finds.
+_BLANK_LINE = re.compile(r"\n\s*\n")
+
+
+def _has_blank_line(rest: str) -> bool:
+    """Whether a line of `rest` (the text after the header line, non-empty) is blank.
+
+    A blank line is "" or whitespace only, as `not line.strip()` tells; a
+    final newline ends the last line rather than starting an empty one.
+    The tests run in C over the whole text: "\\n\\n" or a leading newline
+    is an empty line, and only a text holding a whitespace character other
+    than "\\n" is searched for one of whitespace.
+    """
+    if "\n\n" in rest or rest.startswith("\n"):
+        return True
+    if rest.isascii() and not any(c in rest for c in _ASCII_SPACE):
+        return False
+    return _BLANK_LINE.search("\n" + rest if rest.endswith("\n") else f"\n{rest}\n") is not None
 
 
 # read_id_table's field for a converter cell: np.loadtxt stores its text as

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import owned_readonly, read_id_table
+from .graph import _id_cell_rows, owned_readonly, read_id_table
 from .homophily import HomophilyHistogram, defined_bins, emd
 
 TRAIN, VAL, TEST, EXCLUDED = 0, 1, 2, 3
@@ -147,10 +147,9 @@ def stratified_split(ratios, gamma: float, bin_count: int, seed,
 
 
 def save_split(assignment: SplitAssignment, path) -> None:
-    ends = [f",{name}\n" for name in TAG_NAMES]
-    rows = [f"{node}{ends[tag]}" for node, tag in enumerate(assignment.tags.tolist())]
+    names = np.array(TAG_NAMES, dtype=object)[assignment.tags].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(["node_id,split\n"] + rows))
+        fh.write("node_id,split\n" + _id_cell_rows(names))
 
 
 def _tag(cell: str) -> int:

@@ -427,6 +427,15 @@ def reference_save_split(assignment, path) -> None:
             fh.write(f"{node},{TAG_NAMES[tag]}\n")
 
 
+def reference_ratios_csv(ratios: np.ndarray) -> str:
+    """ratios.csv's text as homshift.cli._ratios_csv built it: one f-string per row,
+    after formatting each distinct bit pattern once."""
+    bits, which = np.unique(ratios.view(np.int64), return_inverse=True)
+    cells = [",\n" if x != x else f",{x!r}\n" for x in bits.view(np.float64).tolist()]
+    return "node_id,ratio\n" + "".join([f"{node}{cells[i]}"
+                                        for node, i in enumerate(which.tolist())])
+
+
 def reference_save_node_table(t: NodeTable, path) -> None:
     """Row-by-row node-table writer, as homshift.save_node_table was."""
     n_feat = 0 if t.features is None else t.features.shape[1]

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homshift
 from homshift import (
@@ -22,6 +24,8 @@ from homshift import (
 )
 from homshift import cli
 from homshift.cli import _dump_json, _ratios_csv, main
+
+from conftest import reference_ratios_csv
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,14 @@ def test_ratios_csv_matches_the_per_node_writer():
                              np.tile([0.0, -0.0, np.nan], 300), np.full(500, 1 / 3)])
     assert _ratios_csv(ratios) == _per_node_ratios_csv(ratios)
     assert _ratios_csv(np.array([], dtype=np.float64)) == "node_id,ratio\n"
+
+
+@given(st.lists(st.one_of(st.sampled_from([np.nan, 0.0, 1.0, 0.5, 1 / 3]),
+                          st.floats(0, 1)), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_ratios_csv_matches_the_one_row_at_a_time_writer(values):
+    ratios = np.array(values, dtype=np.float64)
+    assert _ratios_csv(ratios) == reference_ratios_csv(ratios)
 
 
 # ------------------------------------------------------------- generate

@@ -24,12 +24,16 @@ from homshift import (
     INVALID,
     Graph,
     NodeTable,
+    PredictionTable,
+    SplitAssignment,
     load_edge_list,
     load_node_table,
     load_predictions,
     load_split,
     save_edge_list,
     save_node_table,
+    save_predictions,
+    save_split,
 )
 from homshift.graph import _integer_or_blank, _parse_rows, read_id_table
 from homshift.splits import _tag
@@ -674,7 +678,8 @@ def test_id_tables_share_one_cell_grammar(tmp_path):
 
 # Lines `not line.strip()` calls blank: empty, or whitespace only, including
 # whitespace that is not ASCII and characters that split("\n") leaves alone.
-_BLANK_LINES = ["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x85", "\u2028", " \t\xa0"]
+_BLANK_LINES = ["", " ", "\t", "\xa0", "\x0c", "\x1c", "\x85", "\u2028", " \t\xa0",
+                "\x0b", "\x1d", "\x1e", "\x1f", "\u3000", "\u2029"]
 # Cells at and past the 8 characters the bulk parse keys a converter cell
 # by, with a NUL (numpy's string fields drop a trailing one) or beyond ASCII
 # (int() reads the Arabic-Indic digit as 3; str.strip() drops U+00A0) read
@@ -853,6 +858,110 @@ def test_read_id_table_reads_cells_it_cannot_key_row_by_row(tmp_path, kind, row,
         else:
             assert read_id_table(path, columns, converters)[0].tolist() == [want]
     assert rows.called
+
+
+# Every character str.isspace accepts, found over all code points.
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_re_whitespace_is_str_isspace_on_every_code_point():
+    # read_id_table's blank-line search uses re's \s for `not line.strip()`
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == _WHITESPACE
+    assert len(_WHITESPACE) == 29
+
+
+@pytest.mark.parametrize("space", _WHITESPACE, ids=[f"U+{ord(c):04X}" for c in _WHITESPACE])
+def test_each_whitespace_character_alone_on_a_line_reads_as_a_blank_line(tmp_path, space):
+    path = tmp_path / "split.csv"
+    path.write_bytes(f"node_id,split\n0,train\n{space}\n1,test\n{space}".encode("utf-8"))
+    ints, floats, lines = read_id_table(path, ("node_id", "split"), {1: _tag})
+    assert ints.tolist() == [[0, 0], [1, 2]] and floats is None
+    # "\n" makes two blank lines; "\r\n" reads as one line end, as LF does
+    assert lines.tolist() == ([2, 5] if space == "\n" else [2, 4])
+
+
+@pytest.mark.parametrize("text", [
+    "node_id,split",
+    "node_id,split\n",
+    "node_id,split\n\n",
+    "node_id,split\r\n \r\n",
+    "node_id,split\n0,train\n \t",
+    "node_id,split\n0,train\n\u3000",
+    "node_id,split\n\n0,train",
+    "node_id,split\n0,train\n\n",
+    "node_id,split\n0,train\n1,val",
+], ids=["header-only", "header-newline", "one-empty-line", "crlf-space-line",
+        "last-line-spaces", "last-line-ideographic-space", "leading-empty-line",
+        "trailing-empty-line", "no-final-newline"])
+def test_read_id_table_edge_lines_match_the_line_filtering_reference(tmp_path, text):
+    path = tmp_path / "split.csv"
+    path.write_bytes(text.encode("utf-8"))
+    columns, converters = ("node_id", "split"), {1: _tag}
+    got, want = read_id_table(path, columns, converters), \
+        reference_read_id_table(path, columns, converters)
+    assert got[1] is None and want[1] is None
+    for a, b in ((got[0], want[0]), (got[2], want[2])):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _saved_id_tables(root):
+    """(path, loader, columns, converters) of 2,000-row files as homshift writes them."""
+    rng = np.random.default_rng(40)
+    n = 2000
+    split = root / "split.csv"
+    save_split(SplitAssignment(rng.integers(0, 4, n), 1.0, 0.0, np.zeros(3)), split)
+    files = [(split, load_split, ("node_id", "split"), {1: _tag})]
+    for f in range(3):
+        labels = rng.integers(0, 5, n)
+        sensitive = rng.integers(0, 2, n)
+        labels[rng.random(n) < 0.05] = INVALID
+        sensitive[rng.random(n) < 0.05] = INVALID
+        features = rng.normal(size=(n, f)) if f else None
+        path = root / f"nodes{f}.csv"
+        save_node_table(NodeTable(labels, sensitive, features), path)
+        files.append((path, load_node_table, ("node_id", "label", "sensitive", ...),
+                      {1: _integer_or_blank, 2: _integer_or_blank}))
+    preds = root / "preds.csv"
+    save_predictions(PredictionTable(rng.integers(0, 4, n), rng.integers(0, 4, n),
+                                     rng.integers(0, 2, n), rng.permutation(3 * n)[:n]), preds)
+    files.append((preds, load_predictions, ("node_id", "y_true", "y_pred", "sensitive"), {}))
+    return files
+
+
+def test_written_id_tables_take_the_bulk_parse_by_name(tmp_path):
+    for path, load, columns, converters in _saved_id_tables(tmp_path):
+        want = load(path)
+        with mock.patch.object(homshift.graph, "_parse_rows", side_effect=AssertionError), \
+                mock.patch.object(homshift.graph.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got = load(path)
+            lines = read_id_table(path, columns, converters)[2]
+        assert [call.args[0] for call in loadtxt.call_args_list] == [str(path)] * 2
+        assert lines.tolist() == list(range(2, 2002))
+        for name in ("labels", "sensitive", "features", "y_true", "y_pred", "node_ids"):
+            a, b = getattr(got, name, None), getattr(want, name, None)
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), name
+        if load is load_split:
+            assert np.array_equal(got, want)
+
+
+def test_read_id_table_reads_a_path_numpy_may_not_open_by_name_alike(tmp_path, monkeypatch):
+    # a `.gz` name (numpy would decompress it), a pathlib.Path, a relative
+    # name and a file descriptor all read as the str path does
+    path = tmp_path / "split.csv"
+    path.write_text("node_id,split\n" + "".join(f"{i},{('train', 'test')[i % 2]}\n"
+                                                 for i in range(50)), encoding="utf-8")
+    gz = tmp_path / "split.csv.gz"
+    gz.write_bytes(path.read_bytes())
+    columns, converters = ("node_id", "split"), {1: _tag}
+    want = read_id_table(str(path), columns, converters)
+    monkeypatch.chdir(tmp_path)
+    fd = os.open(path, os.O_RDONLY)
+    for source in (gz, str(gz), path, "split.csv", fd):
+        got = read_id_table(source, columns, converters)
+        assert got[1] is None
+        for a, b in ((got[0], want[0]), (got[2], want[2])):
+            assert a.dtype == b.dtype and np.array_equal(a, b), source
 
 
 def test_graph_is_immutable():
